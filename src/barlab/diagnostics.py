@@ -114,8 +114,8 @@ class Classification:
 
     verdict: str
     witness: tuple[float, float] | None
-    t0: float
-    t0_star: float
+    t0: float           # last recorded instant without damage
+    t0_star: float      # exact crossing of the jump threshold by |J|, or T if it never crosses
     max_eb_residual: float
     flow_rule_violations: int
 
@@ -197,7 +197,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, steps: int = 400) -> Class
         verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
         witness=witness,
         t0=traj.t0,
-        t0_star=traj.t0_star,
+        t0_star=t0_star,
         max_eb_residual=float(series.max()),
         flow_rule_violations=violations,
     )

@@ -41,9 +41,9 @@ __all__ = [
     "total_energy",
 ]
 
-_BISECT_TOL = 1e-12
-_BISECT_MAXIT = 200
 _IDENTITY_TOL = 1e-12
+_RESIDUAL_TOL = 1e-12
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,12 @@ class EpsState:
 
 @dataclass(frozen=True, eq=False)
 class EpsTrajectory:
-    """Recorded run of the fixed-scale solver on a time grid."""
+    """Recorded run of the fixed-scale solver on a time grid.
+
+    The run is homogeneous, so ``theta`` and ``stiffness`` are read-only
+    broadcast views of one column with the shape ``(steps+1, cells)``;
+    ``state_at`` returns writable copies.
+    """
 
     m: MaterialParams
     epsilon: float
@@ -114,46 +119,18 @@ def pristine_state(m: MaterialParams, eps: float, n_cells: int) -> EpsState:
     )
 
 
-def _aggregate_strain(sigma: float, stiffness: np.ndarray, weak: float, s_plateau: float, dx: float) -> float:
-    # Minimal selection of the set-valued strain response at the plateau stress.
-    if abs(sigma) <= s_plateau:
-        return float((sigma / stiffness).sum() * dx)
-    return float(sigma / weak * stiffness.size * dx)
-
-
-def _bisect_sigma(m: MaterialParams, state_stiffness: np.ndarray, weak: float,
-                  s_plateau: float, dx: float, J_new: float) -> float:
-    """Locate the multiplier by monotone bisection of the aggregate-strain residual."""
-    span = s_plateau + m.a1 * abs(J_new) / m.L
-    lo, hi = -span, span
-    g_lo = _aggregate_strain(lo, state_stiffness, weak, s_plateau, dx) - J_new
-    g_hi = _aggregate_strain(hi, state_stiffness, weak, s_plateau, dx) - J_new
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise NumericalError(
-            f"stress bracket [-{span!r}, {span!r}] does not enclose the load J={J_new!r}"
-        )
-    for _ in range(_BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
-        if _aggregate_strain(mid, state_stiffness, weak, s_plateau, dx) - J_new < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            return 0.5 * (lo + hi)
-    raise NumericalError(
-        f"stress bisection did not reach tolerance {_BISECT_TOL} in {_BISECT_MAXIT} iterations"
-    )
-
-
 def incremental_step(prev: EpsState, m: MaterialParams, J_new: float, t_new: float | None = None) -> EpsState:
     """Advance one load increment by incremental minimization.
 
-    The stress is bracketed by bisection and then resolved exactly within
-    the identified regime, so the recorded state satisfies the structural
-    identities to rounding.  On the plateau the damage increment is the
-    same fraction of each cell's admissible range; the energy is affine
-    there, and the common fraction keeps homogeneous data homogeneous
-    while respecting every cell's bounds.
+    The load selects one of three regimes (elastic, plateau, fully
+    damaged) in which the stress is known in closed form; the
+    aggregate-strain residual of the updated cells certifies it, and the
+    recorded state satisfies the structural identities to rounding.  On
+    the plateau the damage increment is the same fraction of each cell's
+    admissible range; the energy is affine there, and the common fraction
+    keeps homogeneous data homogeneous while respecting every cell's
+    bounds.  This per-cell update serves heterogeneous states; ``run_eps``
+    scans homogeneous histories in closed form.
     """
     eps = prev.epsilon
     _check_eps(m, eps)
@@ -172,8 +149,6 @@ def incremental_step(prev: EpsState, m: MaterialParams, J_new: float, t_new: flo
     agg_lo = s_plateau * compliance_elastic
     agg_hi = s_plateau * m.L / weak
 
-    sigma_bis = _bisect_sigma(m, a_prev, weak, s_plateau, dx, J_new)
-
     j_abs = abs(J_new)
     sign = 1.0 if J_new >= 0.0 else -1.0
     if j_abs <= agg_lo:
@@ -187,18 +162,20 @@ def incremental_step(prev: EpsState, m: MaterialParams, J_new: float, t_new: flo
         share = (j_abs - agg_lo) / (agg_hi - agg_lo)
         frac = np.where(live, share, 0.0)
 
-    if abs(sigma - sigma_bis) > 1e-9 * max(1.0, abs(sigma)):
-        raise NumericalError(
-            f"bisected stress {sigma_bis!r} disagrees with the regime solve {sigma!r}"
-        )
-
     theta_new = (1.0 - frac) * theta_prev
     a_new = weak * a_prev / (frac * a_prev + (1.0 - frac) * weak)
+
+    # The common stress must carry the imposed jump through the updated cells.
+    residual = abs(sigma * float((1.0 / a_new).sum() * dx) - J_new)
+    if residual > _RESIDUAL_TOL * max(j_abs, agg_lo):
+        raise NumericalError(
+            f"stress {sigma!r} leaves the aggregate-strain residual {residual!r} at J={J_new!r}"
+        )
 
     # Stiffness identity: the homogenized modulus must stay the harmonic
     # mixture of the two pure phases at the current sound fraction.
     a_identity = 1.0 / ((1.0 - theta_new) / weak + theta_new / m.a1)
-    if np.any(np.abs(a_new - a_identity) > _IDENTITY_TOL * np.maximum(1.0, a_new)):
+    if np.any(np.abs(a_new - a_identity) > _IDENTITY_TOL * a_new):
         raise NumericalError("stiffness identity violated after damage update")
     if np.any(theta_new > theta_prev) or np.any(a_new > a_prev * (1.0 + 1e-14)):
         raise NumericalError("damage update would heal the bar")
@@ -243,64 +220,81 @@ def derived_fields(state: EpsState, m: MaterialParams) -> tuple[np.ndarray, np.n
     return e, p, mu
 
 
+def _guard(bad: np.ndarray, grid: np.ndarray, what: str) -> None:
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericalError(f"time step {k} (t={float(grid[k])!r}): {what}")
+
+
 def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
             time_grid) -> EpsTrajectory:
     """Drive the bar through ``w`` on ``time_grid`` and record energetics.
 
-    Asserts the running energy bound and the stress bound at every step;
-    these certify that the scheme stays on the physical branch.  Step
-    failures are re-raised with the offending time attached.
+    The run starts from the pristine bar and stays homogeneous, and every
+    plateau update sets the stiffness to ``s_p L/|J|``.  The history is
+    therefore a prefix scan: the stiffness is the running minimum of
+    ``s_p L/|J|`` clipped to ``[eps*a0, a1]``, the stress is ``J*a/L`` and
+    the sound fraction follows from the stiffness identity.
+
+    Every step re-checks the closed form: the aggregate-strain residual,
+    the stiffness identity and irreversibility, which the scan satisfies by
+    construction and which therefore only catch rounding, and the running
+    a-priori energy bound and the stress bounds.  A violation raises
+    ``NumericalError`` naming the first offending step.  The independent
+    reference is ``incremental_step`` replayed step by step
+    (``tests/oracles.py::stepwise_run_eps``).
     """
     if abs(w.duration - m.T) > 1e-12:
         raise ValueError(f"loading ends at t={w.duration!r} but the horizon is T={m.T!r}")
+    if n_cells < 1:
+        raise ValueError(f"need at least one cell, got {n_cells!r}")
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
-    steps = grid.size
-
     s_plateau = m.yield_stress * plateau_factor(m, eps)
-    sigma = np.zeros(steps)
-    theta = np.zeros((steps, n_cells))
-    stiff = np.zeros((steps, n_cells))
-    energy = np.zeros(steps)
-    work = np.zeros(steps)
-    l_eps = np.zeros(steps)
+    weak = eps * m.a0
+    L = m.L
 
-    state = initial_step(m, eps, n_cells, float(J[0]))
-    for k in range(steps):
-        if k > 0:
-            try:
-                state = incremental_step(state, m, float(J[k]), t_new=float(grid[k]))
-            except NumericalError as err:
-                raise NumericalError(f"time step {k} (t={grid[k]!r}): {err}") from err
-        sigma[k] = state.sigma
-        theta[k] = state.theta
-        stiff[k] = state.stiffness
-        energy[k] = total_energy(state, m)
-        l_eps[k] = damage_mass(state, m)
-        if k > 0:
-            work[k] = work[k - 1] + 0.5 * (sigma[k - 1] + sigma[k]) * (J[k] - J[k - 1])
+    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1.
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
+    sigma = J * a / L
+    theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
+    l_eps = L * (1.0 - theta) / eps
+    energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
+    work = np.concatenate([[0.0], np.cumsum(0.5 * (sigma[1:] + sigma[:-1]) * np.diff(J))])
 
+    a_prev = np.concatenate([[m.a1], a[:-1]])
+    theta_prev = np.concatenate([[1.0], theta[:-1]])
+    _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
+           grid, "stress leaves an aggregate-strain residual")
+    a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
+    _guard(np.abs(a - a_identity) > _IDENTITY_TOL * a, grid,
+           "stiffness identity violated after damage update")
+    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar")
     # Running a-priori bound: each step can raise the energy by at most the
-    # worst-case work of the increment, so the recursion below dominates.
-    cert = energy[0]
-    for k in range(1, steps):
-        dj = abs(J[k] - J[k - 1])
-        cert = cert + math.sqrt(2.0 * m.a1 * cert / m.L) * dj + m.a1 * dj**2 / (2.0 * m.L)
-        if energy[k] > cert * (1.0 + 1e-9) + 1e-9:
-            raise NumericalError(f"energy bound violated at t={grid[k]!r}")
-        if abs(sigma[k]) > math.sqrt(2.0 * m.a1 * cert / m.L) * (1.0 + 1e-9) + 1e-9:
-            raise NumericalError(f"stress bound violated at t={grid[k]!r}")
-        if np.any(theta[k] > 0.0) and abs(sigma[k]) > s_plateau * (1.0 + 1e-12):
-            raise NumericalError(f"stress exceeded the damage-onset plateau at t={grid[k]!r}")
+    # worst-case work of the increment.  The recursion
+    # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
+    # square, so sqrt(C) grows by sqrt(a1/(2L))|dJ| per step.
+    root = math.sqrt(energy[0]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
+        [[0.0], np.cumsum(np.abs(np.diff(J)))])
+    # The slacks are relative to the bound and to the material's energy
+    # and stress units, so the guards read the same in every unit system.
+    _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
+           "energy bound violated")
+    _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
+           + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated")
+    _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
+           "stress exceeded the damage-onset plateau")
 
+    shape = (grid.size, n_cells)
     return EpsTrajectory(
         m=m,
         epsilon=eps,
         times=grid,
         J=J,
         sigma=sigma,
-        theta=theta,
-        stiffness=stiff,
+        theta=np.broadcast_to(theta[:, None], shape),
+        stiffness=np.broadcast_to(a[:, None], shape),
         energy=energy,
         work_cum=work,
         eb_residual=energy - energy[0] - work,

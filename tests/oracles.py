@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the defining formulas, not
 by calling the package: brute minimization instead of closed forms,
-quadrature instead of cumulative updates.  Slow but trustworthy.
+quadrature instead of cumulative updates.  Slow but trustworthy.  The one
+exception is ``stepwise_run_eps``, which chains the package's per-cell
+step so that the closed-form scan of ``run_eps`` has a stepwise reference.
 """
 
 from __future__ import annotations
@@ -109,3 +111,36 @@ def exhaustive_step_minimum(kappa: float, eps: float, a_weak: float,
     values = elastic + damage
     k = int(np.argmin(values))
     return float(values[k]), combo[k]
+
+
+def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
+    """Fixed-scale run replayed one ``incremental_step`` per time step.
+
+    The per-cell step is the package's reference for heterogeneous
+    states; chaining it from the initial step gives the trajectory that
+    the closed-form scan of ``run_eps`` must reproduce.  Energies and the
+    damage mass are summed cell by cell, and the external work is
+    accumulated step by step.  The run's own guards are not replayed.
+    """
+    from barlab import damage_mass, incremental_step, initial_step, total_energy
+
+    grid = np.asarray(time_grid, dtype=float)
+    J = np.asarray(w.jump(grid), dtype=float)
+    steps = grid.size
+    out = {name: np.zeros(steps) for name in ("sigma", "energy", "l_eps", "work_cum")}
+    out["theta"] = np.zeros((steps, n_cells))
+    out["stiffness"] = np.zeros((steps, n_cells))
+
+    state = initial_step(m, eps, n_cells, float(J[0]))
+    for k in range(steps):
+        if k > 0:
+            state = incremental_step(state, m, float(J[k]), t_new=float(grid[k]))
+            out["work_cum"][k] = (out["work_cum"][k - 1]
+                                  + 0.5 * (out["sigma"][k - 1] + state.sigma) * (J[k] - J[k - 1]))
+        out["sigma"][k] = state.sigma
+        out["theta"][k] = state.theta
+        out["stiffness"][k] = state.stiffness
+        out["energy"][k] = total_energy(state, m)
+        out["l_eps"][k] = damage_mass(state, m)
+    out["eb_residual"] = out["energy"] - out["energy"][0] - out["work_cum"]
+    return out

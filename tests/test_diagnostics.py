@@ -148,9 +148,18 @@ class TestClassifier:
         assert abs(w.jump(t)) < abs(w.jump(s)) - 1e-12
         assert abs(w.jump(t)) > material.jump_threshold - 1e-12
         assert c.t0 == pytest.approx(0.5, abs=1e-12)
-        assert c.t0_star == pytest.approx(0.505, abs=1e-12)
+        # |J| = t reaches the jump threshold 1/2 at t = 1/2, where criterion 1's
+        # l = t - 1/2 starts.
+        assert c.t0_star == pytest.approx(0.5, abs=1e-12)
         assert c.flow_rule_violations == 200
         assert c.max_eb_residual == pytest.approx(0.75, abs=1e-9)
+
+    def test_t0_star_is_the_exact_crossing_off_the_grid(self, material):
+        # J = 0.65 t crosses the threshold 1/2 at t = 0.5/0.65 = 0.769..., between
+        # the grid points 0.765 and 0.77.
+        w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1.3])
+        c = cns_classify(w, material)
+        assert c.t0_star == pytest.approx(0.5 / 0.65, abs=1e-12)
 
     def test_high_unload_witness_spans_the_tail(self, material):
         w = preset_datum("high-unload", material)

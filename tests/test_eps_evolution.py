@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (BoundaryDatum, EpsState, TwoWellParams, convex_envelope,
-                    derived_fields, envelope_slope_bounds, incremental_step,
-                    initial_step, optimal_theta, plateau_factor, preset_datum,
+from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, EpsState,
+                    NumericalError, TwoWellParams, convex_envelope, derived_fields,
+                    envelope_slope_bounds, incremental_step, initial_step,
+                    optimal_theta, plateau_factor, preset_datum,
                     pristine_state, refined_time_grid, run_eps, total_energy)
-from oracles import exhaustive_step_minimum
+from barlab.eps_evolution import _guard
+from oracles import exhaustive_step_minimum, stepwise_run_eps
+
+SCAN_FIELDS = ("sigma", "theta", "stiffness", "energy", "l_eps", "work_cum", "eb_residual")
 
 
 def identity_stiffness(m, eps, theta):
@@ -192,6 +198,102 @@ class TestRunEps:
         rf = np.max(np.abs(fine.eb_residual))
         assert rc > 0.0
         assert rf <= 0.6 * rc
+
+
+def assert_scan_matches_stepwise(m, eps, n_cells, w, grid):
+    traj = run_eps(m, eps, n_cells, w, grid)
+    ref = stepwise_run_eps(m, eps, n_cells, w, grid)
+    for name in SCAN_FIELDS:
+        got, want = getattr(traj, name), ref[name]
+        assert got.shape == want.shape, name
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+    return traj
+
+
+class TestScanMatchesStepwise:
+    """The closed-form scan of ``run_eps`` against one ``incremental_step`` per step."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    @pytest.mark.parametrize("n_cells", [1, 7, 64])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, material, name, n_cells, eps):
+        w = preset_datum(name, material)
+        assert_scan_matches_stepwise(material, eps, n_cells, w, refined_time_grid(w, 200))
+
+    @pytest.mark.parametrize("n_cells", [1, 7])
+    def test_fully_damaged_branch_and_back(self, material, n_cells):
+        # |J| passes s_p L/(eps a0), where every cell breaks completely,
+        # then the load reverses through zero.
+        eps = 0.1
+        full = material.yield_stress * plateau_factor(material, eps) * material.L / (eps * material.a0)
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0, 0.0, 0.0], wL=[0.0, 1.2 * full, -0.4 * full])
+        traj = assert_scan_matches_stepwise(material, eps, n_cells, w, refined_time_grid(w, 100))
+        broken = np.abs(traj.J) >= full
+        assert np.any(broken) and not broken[-1]
+        first = int(np.argmax(broken))
+        assert np.all(traj.theta[first:] == 0.0)
+        assert np.allclose(traj.stiffness[first:], eps * material.a0, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("a1", [1.53125, 1.9, 3.0625, 49.0])
+    def test_elastic_start_keeps_the_sound_stiffness(self, a1):
+        # For these a1, 1/(1/a1) does not round back to a1: the elastic
+        # stiffness must still be a1 exactly, or the first step heals.
+        m = replace(DEFAULT_MATERIAL, a1=a1)
+        for name in PRESET_NAMES:
+            w = preset_datum(name, m)
+            traj = assert_scan_matches_stepwise(m, 0.05, 7, w, refined_time_grid(w, 100))
+            assert traj.stiffness[0, 0] == a1 and traj.theta[0, 0] == 1.0
+
+    def test_fields_are_read_only_views(self, material):
+        w = preset_datum("loading-unloading", material)
+        traj = run_eps(material, 0.05, 32, w, refined_time_grid(w, 40))
+        assert traj.theta.shape == traj.stiffness.shape == (traj.times.size, 32)
+        assert not traj.theta.flags.writeable and not traj.stiffness.flags.writeable
+        state = traj.state_at(20)
+        state.theta[0] = 0.5
+        assert traj.theta[20, 0] != 0.5
+
+
+@settings(max_examples=25)
+@given(knots=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(-12.0, 12.0)),
+                      min_size=1, max_size=5, unique_by=lambda knot: knot[0]),
+       w_start=st.floats(-12.0, 12.0),
+       n_cells=st.integers(1, 4),
+       eps=st.sampled_from([0.1, 0.02]),
+       steps=st.integers(10, 60),
+       a1=st.floats(1.1, 50.0))
+def test_random_programs_scan_matches_stepwise(knots, w_start, n_cells, eps, steps, a1):
+    m = replace(DEFAULT_MATERIAL, a1=a1)
+    knots = sorted(knots)
+    times = [0.0] + [m.T * t for t, _ in knots] + [m.T]
+    wL = [w_start] + [v for _, v in knots] + [knots[-1][1]]
+    w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+    assert_scan_matches_stepwise(m, eps, n_cells, w, refined_time_grid(w, steps))
+
+
+def test_guard_names_the_first_offending_step():
+    grid = np.array([0.0, 0.5, 1.0, 1.5])
+    _guard(np.zeros(4, dtype=bool), grid, "never raised")
+    with pytest.raises(NumericalError, match=r"^time step 2 \(t=1\.0\): energy bound violated$"):
+        _guard(np.array([False, False, True, True]), grid, "energy bound violated")
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e6, 1e9])
+def test_run_eps_is_unit_invariant(material, lam):
+    # kappa, a0 and a1 scaled by lam describe the same bar in another
+    # stress unit: the jump threshold is unchanged, stresses and energies
+    # scale by lam, damage does not.
+    scaled = replace(material, kappa=lam * material.kappa, a0=lam * material.a0, a1=lam * material.a1)
+    for name in PRESET_NAMES:
+        w = preset_datum(name, material)
+        grid = refined_time_grid(w, 100)
+        ref = run_eps(material, 0.05, 8, w, grid)
+        got = run_eps(scaled, 0.05, 8, w, grid)
+        for field, factor in (("sigma", lam), ("energy", lam), ("l_eps", 1.0), ("theta", 1.0)):
+            want = getattr(ref, field)
+            diff = np.max(np.abs(getattr(got, field) / factor - want))
+            assert diff <= 1e-12 * np.max(np.abs(want)), (name, field)
 
 
 @settings(max_examples=30)
