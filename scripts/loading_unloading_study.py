@@ -4,8 +4,8 @@
 Runs the loading-unloading program through the effective model, prints
 the trajectory at the kink instants, classifies the path, and splits the
 terminal energy-balance residual into its two sources (yield dissipation
-of the return leg and the terminal stress gap).  Optionally writes the
-standard figure CSVs.
+of the return leg and the remainder ``l (s*^2 - sigma(T)^2)/(2 a0)``).
+Optionally writes the standard figure CSVs.
 """
 
 import argparse
@@ -53,11 +53,11 @@ def main() -> int:
     r_T = barlab.plasticity_energy_balance_residual(traj, m.T)
     diss_return = barlab.dissipation(traj, m.T / 2.0, m.T)
     k_end = traj.times.size - 1
-    gap = (m.yield_stress - abs(traj.sigma[k_end])) ** 2 * traj.l[k_end] / (2.0 * m.a0)
+    remainder = traj.l[k_end] * (m.yield_stress**2 - traj.sigma[k_end] ** 2) / (2.0 * m.a0)
     print(f"terminal balance residual R(T)   = {r_T:.6f}")
     print(f"  return-leg yield dissipation   = {diss_return:.6f}")
-    print(f"  terminal stress-gap term       = {gap:.6f}")
-    print(f"  sum                            = {diss_return + gap:.6f}")
+    print(f"  terminal remainder             = {remainder:.6f}")
+    print(f"  sum                            = {diss_return + remainder:.6f}")
 
     if args.out:
         cfg = barlab.ScenarioConfig(material=m, datum=w, steps=args.steps)

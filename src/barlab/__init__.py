@@ -16,16 +16,14 @@ from .diagnostics import (DAMAGE_ONLY, PERFECT_PLASTICITY, Classification,
                           plasticity_energy_balance_residual, residual_series,
                           static_gamma_energy)
 from .envelope import (MaterialParams, TwoWellParams, convex_envelope,
-                       envelope_slope_bounds, g_constraint, gclosure_1d,
-                       in_yield_set, mixture_energy, optimal_theta, raw_energy,
-                       support_1d, wbar_1d)
+                       envelope_slope_bounds, gclosure_1d, mixture_energy,
+                       optimal_theta, raw_energy, wbar_1d)
 from .eps_evolution import (EpsState, EpsTrajectory, damage_mass,
-                            derived_fields, incremental_step, initial_step,
-                            plateau_factor, pristine_state, run_eps,
-                            total_energy)
+                            incremental_step, initial_step, plateau_factor,
+                            pristine_state, run_eps, total_energy)
 from .errors import ConfigError, NumericalError
-from .limit_evolution import (LimitFields, LimitState, LimitTrajectory,
-                              initial_limit_state, limit_fields, limit_step,
+from .limit_evolution import (LimitState, LimitTrajectory,
+                              initial_limit_state, limit_step,
                               mass_reconstruction, run_limit)
 from .loading import BoundaryDatum, refined_time_grid, validate_time_grid
 from .scenarios import (DEFAULT_MATERIAL, PRESET_NAMES, ScenarioConfig,
@@ -49,9 +47,6 @@ __all__ = [
     "envelope_slope_bounds",
     "gclosure_1d",
     "wbar_1d",
-    "g_constraint",
-    "in_yield_set",
-    "support_1d",
     "BoundaryDatum",
     "refined_time_grid",
     "validate_time_grid",
@@ -64,14 +59,11 @@ __all__ = [
     "run_eps",
     "total_energy",
     "damage_mass",
-    "derived_fields",
     "LimitState",
     "LimitTrajectory",
-    "LimitFields",
     "initial_limit_state",
     "limit_step",
     "run_limit",
-    "limit_fields",
     "mass_reconstruction",
     "PERFECT_PLASTICITY",
     "DAMAGE_ONLY",

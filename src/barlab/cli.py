@@ -18,6 +18,7 @@ import numpy as np
 from .diagnostics import cns_classify
 from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
                        optimal_theta, raw_energy)
+from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
 from .scenarios import (DEFAULT_MATERIAL, PRESET_NAMES, ScenarioConfig,
                         emit_figures, parse_config, preset_datum,
@@ -40,7 +41,6 @@ def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
     group.add_argument("--preset", choices=PRESET_NAMES, help="built-in loading program")
     sp.add_argument("--steps", type=int, default=None, help="time steps (default 400)")
     sp.add_argument("--cells", type=int, default=None, help="spatial cells (default 64)")
-    sp.add_argument("--seed", type=int, default=None, help="seed for randomized studies")
     sp.add_argument("--out", default=None, help=out_help)
 
 
@@ -56,8 +56,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["steps"] = args.steps
     if getattr(args, "cells", None) is not None:
         overrides["cells"] = args.cells
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -82,7 +80,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
         e = traj.sigma / m.a1
         p_total = traj.sigma * traj.l / m.a0
         t0_flag = (traj.l == 0.0).astype(float)
-        saturated = (np.abs(traj.sigma) >= m.yield_stress - 1e-9).astype(float)
+        saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - 1e-9)).astype(float)
         write_csv(args.out,
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",
                    "e", "p_total", "t0_flag", "saturated"),
@@ -148,10 +146,22 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
     if not cfg.eps_list:
         raise ConfigError("provide eps_list via the config [run] section or --eps-list")
     report = sweep_eps(cfg)
-    print(f"{'eps':>10} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
+    m = cfg.material
+    print(f"{'eps':>10} {'plateau':>10} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
     for e, ds, dl, de in zip(report.eps, report.sup_sigma_dev,
                              report.sup_l_dev, report.sup_energy_dev):
-        print(f"{e:>10g} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
+        plateau = m.yield_stress * plateau_factor(m, e)
+        print(f"{e:>10g} {plateau:>10.6f} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
+    if len(report.eps) > 1:
+        eps = np.asarray(report.eps)
+        h = np.log(eps[:-1] / eps[1:])
+        # Deviations that vanish (a run that never damages) give 0/0: print nan.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rs = np.log(report.sup_sigma_dev[:-1] / report.sup_sigma_dev[1:]) / h
+            rl = np.log(report.sup_l_dev[:-1] / report.sup_l_dev[1:]) / h
+        print("observed rates between consecutive eps:")
+        for e1, e2, r_s, r_l in zip(eps[:-1], eps[1:], rs, rl):
+            print(f"  {e1:g} -> {e2:g}: sigma {r_s:.2f}, l {r_l:.2f}")
     flags = (report.sigma_monotone, report.l_monotone, report.energy_monotone)
     print(f"monotone decrease: sigma={flags[0]} l={flags[1]} energy={flags[2]}")
     out = args.out or cfg.out_dir

@@ -11,10 +11,7 @@ involved.
 
 The module also holds the bar-level material record and the small
 closed-form objects attached to it: the yield stress of the effective
-model, the Huber-type effective density ``wbar_1d``, the support
-function of the yield interval, and the dissipation-potential surrogate
-``g_constraint`` used for cross-checking the one-dimensional reduction
-against its multi-dimensional counterpart.
+model and the Huber-type effective density ``wbar_1d``.
 """
 
 from __future__ import annotations
@@ -34,9 +31,6 @@ __all__ = [
     "mixture_energy",
     "gclosure_1d",
     "wbar_1d",
-    "g_constraint",
-    "in_yield_set",
-    "support_1d",
 ]
 
 
@@ -194,39 +188,3 @@ def wbar_1d(m: MaterialParams, xi):
     x = np.abs(arr)
     out = np.where(x <= s / m.a1, 0.5 * m.a1 * arr**2, s * x - s**2 / (2.0 * m.a1))
     return _unwrap(out, scalar)
-
-
-def g_constraint(tau_eigs, lam0: float, mu0: float) -> float:
-    """Constrained quadratic complementary energy of an ordered stress spectrum.
-
-    ``tau_eigs`` are the eigenvalues sorted ascending.  The value switches
-    between three closed forms depending on where the weighted mean
-    ``m = (lam0+2*mu0)/(2*(lam0+mu0)) * (tau_min + tau_max)`` falls
-    relative to the extreme eigenvalues.  For a single eigenvalue this
-    reduces to ``tau**2 / (lam0 + 2*mu0)``, the 1D compliance with
-    ``a0 = lam0 + 2*mu0``.
-    """
-    tau = np.asarray(tau_eigs, dtype=float).reshape(-1)
-    if tau.size == 0:
-        raise ValueError("need at least one eigenvalue")
-    if np.any(np.diff(tau) < 0.0):
-        raise ValueError("eigenvalues must be sorted in ascending order")
-    if not (lam0 > 0.0 and mu0 > 0.0):
-        raise ValueError(f"need lam0 > 0 and mu0 > 0, got {lam0!r}, {mu0!r}")
-    t1, tn = float(tau[0]), float(tau[-1])
-    mean = (lam0 + 2.0 * mu0) / (2.0 * (lam0 + mu0)) * (t1 + tn)
-    if mean < t1:
-        return t1**2 / (lam0 + 2.0 * mu0)
-    if mean > tn:
-        return tn**2 / (lam0 + 2.0 * mu0)
-    return (t1 - tn) ** 2 / (4.0 * mu0) + (t1 + tn) ** 2 / (4.0 * (lam0 + mu0))
-
-
-def in_yield_set(m: MaterialParams, sigma: float) -> bool:
-    """Whether ``sigma`` lies in the closed yield interval ``[-s, s]``."""
-    return abs(sigma) <= m.yield_stress
-
-
-def support_1d(m: MaterialParams, q: float) -> float:
-    """Support function of the yield interval: ``yield_stress * |q|``."""
-    return m.yield_stress * abs(q)

@@ -36,7 +36,6 @@ __all__ = [
     "initial_step",
     "incremental_step",
     "run_eps",
-    "derived_fields",
     "damage_mass",
     "total_energy",
 ]
@@ -206,18 +205,6 @@ def damage_mass(state: EpsState, m: MaterialParams) -> float:
     """Rescaled damaged volume ``integral (1 - Theta)/eps dx``."""
     dx = m.L / state.n_cells
     return float((1.0 - state.theta).sum() * dx) / state.epsilon
-
-
-def derived_fields(state: EpsState, m: MaterialParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell elastic strain, plastic-like strain, and rescaled damage density.
-
-    The splitting ``u' = e + p`` with ``e = sigma*Theta/a1`` and
-    ``p = sigma*(1-Theta)/(eps*a0)`` follows from the stiffness identity.
-    """
-    e = state.sigma * state.theta / m.a1
-    p = state.sigma * (1.0 - state.theta) / (state.epsilon * m.a0)
-    mu = (1.0 - state.theta) / state.epsilon
-    return e, p, mu
 
 
 def _guard(bad: np.ndarray, grid: np.ndarray, what: str) -> None:

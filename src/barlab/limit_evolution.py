@@ -23,27 +23,21 @@ from .loading import BoundaryDatum, validate_time_grid
 __all__ = [
     "LimitState",
     "LimitTrajectory",
-    "LimitFields",
     "initial_limit_state",
     "limit_step",
     "run_limit",
-    "limit_fields",
     "mass_reconstruction",
 ]
 
 
 @dataclass(frozen=True)
 class LimitState:
-    """Effective state: stress, damage mass, energy, and the derived strain split."""
+    """Effective state: stress, damage mass and energy."""
 
     t: float
     sigma: float
     l: float
     E: float
-    e: float            # elastic strain sigma/a1
-    p_total: float      # total plastic-like mass sigma*l/a0
-    mu_density: float   # damage density l/L
-    c_density: float    # compliance density mu/a0 + 1/a1
 
 
 def _assemble(m: MaterialParams, t: float, J: float, l: float) -> LimitState:
@@ -56,16 +50,7 @@ def _assemble(m: MaterialParams, t: float, J: float, l: float) -> LimitState:
             raise NumericalError(f"stress {sigma!r} left the yield interval at t={t!r}")
         sigma = s if sigma > 0.0 else -s
     E = 0.5 * J * sigma + m.kappa * l
-    return LimitState(
-        t=float(t),
-        sigma=float(sigma),
-        l=float(l),
-        E=float(E),
-        e=float(sigma / m.a1),
-        p_total=float(sigma * l / m.a0),
-        mu_density=float(l / m.L),
-        c_density=float(l / (m.L * m.a0) + 1.0 / m.a1),
-    )
+    return LimitState(t=float(t), sigma=float(sigma), l=float(l), E=float(E))
 
 
 def _trial_mass(m: MaterialParams, J: float) -> float:
@@ -144,33 +129,6 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
         work_cum=work,
         t0=t0,
         t0_star=t0_star,
-    )
-
-
-@dataclass(frozen=True)
-class LimitFields:
-    """Spatial reconstruction of a limit state: affine displacement and strain split."""
-
-    slope: float        # uniform displacement gradient sigma * c_density
-    u0: float           # trace at x = 0 (attached to the boundary datum)
-    uL: float           # trace at x = L
-    e: float            # elastic strain density
-    p_density: float    # plastic-like strain density sigma*l/(a0*L)
-
-
-def limit_fields(state: LimitState, m: MaterialParams, w0: float = 0.0) -> LimitFields:
-    """Affine displacement carrying the state's strain decomposition.
-
-    The gradient splits as ``slope = e + p_density`` and the traces match
-    the boundary datum exactly, so no boundary plastic mass is needed.
-    """
-    slope = state.sigma * state.c_density
-    return LimitFields(
-        slope=float(slope),
-        u0=float(w0),
-        uL=float(w0 + slope * m.L),
-        e=state.e,
-        p_density=float(state.sigma * state.l / (m.a0 * m.L)),
     )
 
 

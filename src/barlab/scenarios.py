@@ -29,7 +29,6 @@ __all__ = [
     "ScenarioConfig",
     "parse_config",
     "write_config",
-    "scenario_time_grid",
     "run_scenario_limit",
     "run_scenario_eps",
     "SweepReport",
@@ -79,7 +78,7 @@ def preset(name: str, material: MaterialParams = DEFAULT_MATERIAL) -> "ScenarioC
     return ScenarioConfig(material=material, datum=preset_datum(name, material))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One fully specified run: material, loading, and discretization."""
 
@@ -87,7 +86,6 @@ class ScenarioConfig:
     datum: BoundaryDatum = field(default_factory=_default_datum)
     cells: int = 64
     steps: int = 400
-    seed: int = 0
     eps_list: tuple[float, ...] = ()
     out_dir: str | None = None
 
@@ -103,21 +101,10 @@ class ScenarioConfig:
                 f"{self.material.T!r}"
             )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return (self.material == other.material
-                and self.datum == other.datum
-                and self.cells == other.cells
-                and self.steps == other.steps
-                and self.seed == other.seed
-                and self.eps_list == other.eps_list
-                and self.out_dir == other.out_dir)
-
 
 _MATERIAL_KEYS = ("kappa", "a0", "a1", "L", "T")
 _DATUM_KEYS = ("preset", "times", "w0", "wL")
-_RUN_KEYS = ("cells", "steps", "seed", "eps_list")
+_RUN_KEYS = ("cells", "steps", "eps_list")
 _OUTPUT_KEYS = ("out_dir",)
 _SECTIONS = ("material", "datum", "run", "output")
 
@@ -203,7 +190,7 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     else:
         datum = preset_datum("monotone", material)
 
-    cells, steps, seed = 64, 400, 0
+    cells, steps = 64, 400
     eps_list: tuple[float, ...] = ()
     if cp.has_section("run"):
         sec = cp["run"]
@@ -219,7 +206,6 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
 
         cells = _int("cells", cells)
         steps = _int("steps", steps)
-        seed = _int("seed", seed)
         if "eps_list" in sec:
             eps_list = tuple(_parse_float_list("run", "eps_list", sec["eps_list"]))
 
@@ -232,7 +218,7 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
 
     try:
         return ScenarioConfig(material=material, datum=datum, cells=cells, steps=steps,
-                              seed=seed, eps_list=eps_list, out_dir=out_dir)
+                              eps_list=eps_list, out_dir=out_dir)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -251,9 +237,7 @@ def write_config(cfg: ScenarioConfig, path: str | os.PathLike[str]) -> None:
         "w0": ", ".join(_fmt(v) for v in cfg.datum.w0),
         "wL": ", ".join(_fmt(v) for v in cfg.datum.wL),
     }
-    run: dict[str, str] = {
-        "cells": str(cfg.cells), "steps": str(cfg.steps), "seed": str(cfg.seed),
-    }
+    run: dict[str, str] = {"cells": str(cfg.cells), "steps": str(cfg.steps)}
     if cfg.eps_list:
         run["eps_list"] = ", ".join(_fmt(v) for v in cfg.eps_list)
     cp["run"] = run
@@ -263,16 +247,13 @@ def write_config(cfg: ScenarioConfig, path: str | os.PathLike[str]) -> None:
         cp.write(fh)
 
 
-def scenario_time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    return refined_time_grid(cfg.datum, cfg.steps)
-
-
 def run_scenario_limit(cfg: ScenarioConfig) -> LimitTrajectory:
-    return run_limit(cfg.material, cfg.datum, scenario_time_grid(cfg))
+    return run_limit(cfg.material, cfg.datum, refined_time_grid(cfg.datum, cfg.steps))
 
 
 def run_scenario_eps(cfg: ScenarioConfig, epsilon: float) -> EpsTrajectory:
-    return run_eps(cfg.material, epsilon, cfg.cells, cfg.datum, scenario_time_grid(cfg))
+    return run_eps(cfg.material, epsilon, cfg.cells, cfg.datum,
+                   refined_time_grid(cfg.datum, cfg.steps))
 
 
 @dataclass(frozen=True)
@@ -304,7 +285,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
     eps = cfg.eps_list
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list must be strictly decreasing, got {eps!r}")
-    grid = scenario_time_grid(cfg)
+    grid = refined_time_grid(cfg.datum, cfg.steps)
     ref = run_limit(cfg.material, cfg.datum, grid)
     sig, ell, en = [], [], []
     for e in eps:
@@ -338,15 +319,10 @@ def textbook_damage(m: MaterialParams, times: np.ndarray, J: np.ndarray) -> np.n
     J = np.asarray(J, dtype=float)
     s = m.yield_stress
     thr = m.jump_threshold
-    sigma = np.empty_like(J)
-    peak = 0.0
-    for k in range(J.size):
-        peak = max(peak, abs(float(J[k])))
-        if peak <= thr:
-            sigma[k] = m.a1 * J[k] / m.L
-        else:
-            sigma[k] = s / np.sqrt(thr * peak) * J[k]
-    return sigma
+    peak = np.maximum.accumulate(np.abs(J))
+    # np.where evaluates both branches; the unused one divides by zero at J = 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(peak <= thr, m.a1 * J / m.L, s / np.sqrt(thr * peak) * J)
 
 
 def write_csv(path: str | os.PathLike[str], header, columns) -> None:

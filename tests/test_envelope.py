@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
-                    envelope_slope_bounds, g_constraint, gclosure_1d,
-                    in_yield_set, mixture_energy, optimal_theta, raw_energy,
-                    support_1d, wbar_1d)
+                    envelope_slope_bounds, gclosure_1d, mixture_energy,
+                    optimal_theta, raw_energy, wbar_1d)
 from oracles import envelope_by_minimization, wbar_by_minimization
 
 FIG = TwoWellParams(a=0.1, b=1.0, K=2.0)
@@ -238,52 +237,3 @@ class TestWbar:
         vals = (0.5 * material.a1 * (xi[:, None] - eta[None, :]) ** 2
                 + material.yield_stress * np.abs(eta)[None, :])
         assert np.all(wbar_1d(material, xi)[:, None] <= vals + 1e-12)
-
-
-class TestGConstraint:
-    def test_zero_spectrum(self):
-        assert g_constraint([0.0, 0.0, 0.0], 1.0, 1.0) == 0.0
-
-    def test_single_eigenvalue_reduces_to_scalar_compliance(self):
-        # lam0 + 2*mu0 = 2, so the value is tau^2/2.
-        assert g_constraint([3.0], 1.0, 0.5) == pytest.approx(4.5, abs=1e-15)
-
-    def test_equal_pair_upper_branch(self):
-        assert g_constraint([1.0, 1.0], 1.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_branch_continuity(self):
-        lam0, mu0 = 1.3, 0.7
-        stiff = lam0 + 2.0 * mu0
-        # Lower boundary: the weighted mean equals tau_min (needs tau_min < 0).
-        t1 = -2.0
-        tn = t1 * lam0 / stiff
-        low = g_constraint([t1, tn], lam0, mu0)
-        middle = (t1 - tn) ** 2 / (4.0 * mu0) + (t1 + tn) ** 2 / (4.0 * (lam0 + mu0))
-        assert low == pytest.approx(t1**2 / stiff, abs=1e-12)
-        assert low == pytest.approx(middle, abs=1e-12)
-        # Upper boundary: the weighted mean equals tau_max (needs tau_max > 0).
-        tn = 2.0
-        t1 = tn * lam0 / stiff
-        high = g_constraint([t1, tn], lam0, mu0)
-        middle = (t1 - tn) ** 2 / (4.0 * mu0) + (t1 + tn) ** 2 / (4.0 * (lam0 + mu0))
-        assert high == pytest.approx(tn**2 / stiff, abs=1e-12)
-        assert high == pytest.approx(middle, abs=1e-12)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            g_constraint([2.0, 1.0], 1.0, 1.0)
-        with pytest.raises(ValueError):
-            g_constraint([1.0], 0.0, 1.0)
-
-
-class TestYieldSet:
-    def test_boundary_is_inside(self, material):
-        assert in_yield_set(material, material.yield_stress)
-        assert in_yield_set(material, -material.yield_stress)
-
-    def test_just_outside(self, material):
-        assert not in_yield_set(material, 1.0001 * material.yield_stress)
-
-    def test_support_function(self, material):
-        assert support_1d(material, -2.0) == pytest.approx(2.0, abs=1e-15)
-        assert support_1d(material, 0.0) == 0.0

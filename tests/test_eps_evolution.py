@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, EpsState,
-                    NumericalError, TwoWellParams, convex_envelope, derived_fields,
+                    NumericalError, TwoWellParams, convex_envelope,
                     envelope_slope_bounds, incremental_step, initial_step,
                     optimal_theta, plateau_factor, preset_datum,
                     pristine_state, refined_time_grid, run_eps, total_energy)
@@ -111,33 +111,6 @@ class TestIncrementalStep:
             assert np.max(np.abs(new.stiffness - want)) <= 1e-12 * material.a1
             # No healing.
             assert np.all(new.theta <= prev.theta + 1e-15)
-
-
-class TestDerivedFields:
-    def test_pristine_cell(self, material):
-        state = initial_step(material, 0.05, 4, 0.4)
-        e, p, mu = derived_fields(state, material)
-        assert np.allclose(e, state.sigma / material.a1, atol=1e-15)
-        assert np.all(p == 0.0)
-        assert np.all(mu == 0.0)
-
-    def test_hand_checked_mixture_cell(self, material):
-        eps, theta = 0.1, np.array([0.5])
-        state = EpsState(epsilon=eps, t=0.0, sigma=1.0, theta=theta,
-                         stiffness=identity_stiffness(material, eps, theta))
-        e, p, mu = derived_fields(state, material)
-        assert e[0] == pytest.approx(0.25, abs=1e-15)
-        assert p[0] == pytest.approx(5.0, abs=1e-12)
-        assert mu[0] == pytest.approx(5.0, abs=1e-12)
-        assert e[0] + p[0] == pytest.approx(1.0 / state.stiffness[0], rel=1e-14)
-
-    def test_strain_split_along_a_run(self, material):
-        w = preset_datum("loading-unloading", material)
-        traj = run_eps(material, 0.05, 8, w, refined_time_grid(w, 40))
-        for k in (10, 25, 40):
-            state = traj.state_at(k)
-            e, p, mu = derived_fields(state, material)
-            assert np.max(np.abs(e + p - state.sigma / state.stiffness)) <= 1e-12
 
 
 class TestRunEps:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (BoundaryDatum, initial_limit_state, limit_fields,
-                    limit_step, mass_reconstruction, preset_datum,
-                    refined_time_grid, run_limit)
+from barlab import (BoundaryDatum, initial_limit_state, limit_step,
+                    mass_reconstruction, preset_datum, refined_time_grid,
+                    run_limit)
 
 
 class TestInitialState:
@@ -25,8 +25,9 @@ class TestInitialState:
         assert s.l == pytest.approx(0.5, abs=1e-14)
         assert s.E == pytest.approx(0.75, abs=1e-14)
         # Same energy as elastic part plus yield cost of the plastic mass.
-        elastic = material.L * material.a1 / 2.0 * s.e**2
-        assert elastic + material.yield_stress * abs(s.p_total) == pytest.approx(s.E, abs=1e-12)
+        elastic = material.L * material.a1 / 2.0 * (s.sigma / material.a1) ** 2
+        plastic = s.sigma * s.l / material.a0
+        assert elastic + material.yield_stress * abs(plastic) == pytest.approx(s.E, abs=1e-12)
 
     def test_negative_load_is_odd(self, material):
         s = initial_limit_state(material, -1.5)
@@ -134,28 +135,6 @@ class TestRunLimit:
             bound = (material.a1 / material.L) * (tv[j] - tv[i]) \
                 * np.exp((traj.times[j] - traj.times[i]) / 2.0)
             assert abs(traj.sigma[j] - traj.sigma[i]) <= bound + 1e-12
-
-
-class TestLimitFields:
-    def test_zero_stress(self, material):
-        s = initial_limit_state(material, 0.0)
-        f = limit_fields(s, material, w0=0.3)
-        assert f.slope == 0.0
-        assert f.u0 == 0.3 and f.uL == 0.3
-
-    def test_saturated_state_recovers_gap(self, material):
-        s = initial_limit_state(material, 1.0)
-        f = limit_fields(s, material)
-        assert f.slope == pytest.approx(1.0, abs=1e-14)
-        assert f.uL - f.u0 == pytest.approx(1.0, abs=1e-14)
-
-    def test_additive_strain_split(self, material):
-        prev = initial_limit_state(material, 1.0)
-        s = limit_step(prev, material, 0.4, 0.1)
-        f = limit_fields(s, material)
-        assert f.e == pytest.approx(0.2, abs=1e-14)
-        assert f.p_density == pytest.approx(0.2, abs=1e-14)
-        assert f.slope == pytest.approx(f.e + f.p_density, abs=1e-14)
 
 
 @st.composite

@@ -1,14 +1,16 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from barlab import (BoundaryDatum, ConfigError, MaterialParams, NumericalError,
-                    ScenarioConfig, emit_figures, parse_config, preset,
-                    preset_datum, run_scenario_limit, sweep_eps,
-                    textbook_damage, textbook_plasticity, write_config)
+from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
+                    NumericalError, ScenarioConfig, emit_figures, parse_config,
+                    plateau_factor, preset, preset_datum, run_scenario_limit,
+                    sweep_eps, textbook_damage, textbook_plasticity,
+                    write_config)
 from barlab.cli import main
 from barlab.scenarios import PRESET_NAMES, SweepReport
 
@@ -56,7 +58,7 @@ class TestScenarioConfig:
     def test_value_equality(self, material):
         assert preset("monotone") == preset("monotone")
         assert preset("monotone") != preset("constant")
-        assert preset("monotone") != replace(preset("monotone"), seed=1)
+        assert preset("monotone") != replace(preset("monotone"), cells=65)
 
 
 class TestConfigFiles:
@@ -65,7 +67,7 @@ class TestConfigFiles:
         w = BoundaryDatum(times=[0.0, 0.7, 1.7],
                           w0=[0.0, 0.05, 0.1],
                           wL=[0.0, 1.2, 0.3])
-        cfg = ScenarioConfig(material=m, datum=w, cells=17, steps=33, seed=5,
+        cfg = ScenarioConfig(material=m, datum=w, cells=17, steps=33,
                              eps_list=(0.1, 1.0 / 30.0, 0.01), out_dir="figs")
         path = tmp_path / "scenario.ini"
         write_config(cfg, path)
@@ -234,6 +236,25 @@ class TestCommandLine:
         assert last[2] == pytest.approx(0.6, abs=1e-12)
         assert last[3] == pytest.approx(0.5, abs=1e-12)
 
+    def test_saturated_column_is_relative_to_the_yield_stress(self, tmp_path, capsys):
+        m = DEFAULT_MATERIAL
+        tiny = replace(m, kappa=m.kappa * 1e-9, a0=m.a0 * 1e-9, a1=m.a1 * 1e-9)
+        ini, out = tmp_path / "tiny.ini", tmp_path / "tiny.csv"
+        write_config(preset("constant", tiny), ini)
+        assert main(["simulate-limit", "--config", str(ini), "--out", str(out)]) == 0
+        cols = np.loadtxt(out, delimiter=",", skiprows=1)
+        # The same elastic bar in other units: it never damages and never saturates.
+        assert np.all(cols[:, 3] == 0.0)
+        assert np.all(cols[:, 9] == 0.0)
+
+        out = tmp_path / "lu.csv"
+        assert main(["simulate-limit", "--preset", "loading-unloading", "--out", str(out)]) == 0
+        cols = np.loadtxt(out, delimiter=",", skiprows=1)
+        # With s* = 1 the relative test flags the same rows as |sigma| >= s* - 1e-9.
+        assert m.yield_stress == 1.0
+        np.testing.assert_array_equal(cols[:, 9], (np.abs(cols[:, 2]) >= 1.0 - 1e-9).astype(float))
+        assert 0.0 < cols[:, 9].sum() < cols.shape[0]
+
     def test_simulate_eps_csv_contract(self, tmp_path, capsys):
         out = tmp_path / "eps.csv"
         code = main(["simulate-eps", "--preset", "monotone", "--eps", "0.1",
@@ -269,6 +290,40 @@ class TestCommandLine:
         rows = (tmp_path / "eps_sweep.csv").read_text().strip().splitlines()
         assert rows[0] == "eps,sup_sigma_dev,sup_l_dev,sup_energy_dev"
         assert len(rows) == 3
+
+    @staticmethod
+    def _sweep_rates(stdout: str) -> list[tuple[float, float]]:
+        # "  0.1 -> 0.05: sigma 1.03, l 1.03"
+        rows = [ln.split(":")[1].replace(",", "").split() for ln in stdout.splitlines() if "->" in ln]
+        return [(float(r[1]), float(r[3])) for r in rows]
+
+    def test_sweep_prints_plateau_and_rates(self, capsys):
+        eps = (0.1, 0.05, 0.02)
+        code = main(["sweep-eps", "--preset", "loading-unloading", "--steps", "100",
+                     "--cells", "16", "--eps-list", ",".join(map(str, eps))])
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0].split() == ["eps", "plateau", "sup|dsigma|", "sup|dl|", "sup|dE|"]
+        m = DEFAULT_MATERIAL
+        for line, e in zip(lines[1:], eps):
+            assert float(line.split()[0]) == e
+            assert float(line.split()[1]) == pytest.approx(m.yield_stress * plateau_factor(m, e),
+                                                           abs=1e-6)
+        rates = self._sweep_rates(out)
+        assert len(rates) == len(eps) - 1
+        # The stress deviation is the plateau amplification, first order in eps.
+        assert all(0.9 < r < 1.1 for pair in rates for r in pair)
+
+    def test_sweep_rates_of_an_undamaged_run_are_nan(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep-eps", "--preset", "constant", "--steps", "20",
+                         "--cells", "4", "--eps-list", "0.1,0.05,0.02"])
+        assert code == 3
+        rates = self._sweep_rates(capsys.readouterr().out)
+        assert len(rates) == 2
+        assert np.all(np.isnan(rates))
 
     def test_emit_figures_command(self, tmp_path, capsys):
         code = main(["emit-figures", "--preset", "monotone",

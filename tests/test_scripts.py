@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_loading_unloading_study_splits_the_terminal_residual():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "loading_unloading_study.py")],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+    def value(label: str) -> float:
+        line = next(ln for ln in proc.stdout.splitlines() if ln.strip().startswith(label))
+        return float(line.split("=")[1])
+
+    r_T = value("terminal balance residual R(T)")
+    assert value("sum") == pytest.approx(r_T, abs=1e-6)
+    # 2 kappa l1 + kappa l1 on the default material (README, criterion 2).
+    assert value("return-leg yield dissipation") == pytest.approx(0.5, abs=1e-6)
+    assert value("terminal remainder") == pytest.approx(0.25, abs=1e-6)
