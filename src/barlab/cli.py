@@ -145,7 +145,10 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
         cfg = replace(cfg, eps_list=eps)
     if not cfg.eps_list:
         raise ConfigError("provide eps_list via the config [run] section or --eps-list")
-    report = sweep_eps(cfg)
+    try:
+        report = sweep_eps(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     m = cfg.material
     print(f"{'eps':>10} {'plateau':>10} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
     for e, ds, dl, de in zip(report.eps, report.sup_sigma_dev,

@@ -9,7 +9,6 @@ and plain-CSV emission for plotting.
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, field
 
@@ -135,6 +134,8 @@ def _reject_unknown(section: str, present, known) -> None:
 
 def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     """Read a scenario from an INI file; raises ConfigError on any defect."""
+    import configparser  # imported here: only INI runs pay for it
+
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive: L, T, wL
     try:
@@ -225,6 +226,8 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
 
 def write_config(cfg: ScenarioConfig, path: str | os.PathLike[str]) -> None:
     """Write a scenario as an INI file that parses back to an equal config."""
+    import configparser
+
     cp = configparser.ConfigParser()
     cp.optionxform = str
     m = cfg.material

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlab import BoundaryDatum, refined_time_grid, validate_time_grid
 
@@ -40,13 +42,47 @@ class TestBoundaryDatum:
         w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.5], wL=[0.0, 2.0])
         assert w.jump(2.0) == pytest.approx(1.5, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["times", "w0", "wL"])
+    def test_rejects_non_finite_data(self, name, bad):
+        arrays = {"times": [0.0, 1.0, 2.0], "w0": [0.0, 0.0, 0.0], "wL": [0.0, 1.0, 0.0]}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BoundaryDatum(**arrays)
+
     def test_equality_by_value(self):
         assert lu_datum() == lu_datum()
         other = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[0.0, 1.1, 0.0])
         assert lu_datum() != other
 
 
+@st.composite
+def knots_and_steps(draw):
+    """Loading-program knots over [0, T], some of them on the uniform grid of ``steps``."""
+    T = 10.0 ** draw(st.floats(-6.0, 6.0))
+    steps = draw(st.integers(1, 3000))
+    uniform = np.linspace(0.0, T, steps + 1)
+    on = [float(uniform[i]) for i in draw(st.lists(st.integers(0, steps), max_size=6))]
+    off = [f * T for f in draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                        max_size=6))]
+    # Neighbours of grid points: the closest a knot can be to the grid without sitting on it.
+    off += [float(np.nextafter(v, np.inf)) for v in on]
+    interior = sorted({v for v in on + off if 0.0 < v < T})
+    start = draw(st.sampled_from([0.0, -0.0]))
+    return np.array([start, *interior, T]), steps
+
+
 class TestTimeGrids:
+    @settings(max_examples=300)
+    @given(case=knots_and_steps())
+    def test_refined_grid_matches_np_unique_bit_for_bit(self, case):
+        times, steps = case
+        w = BoundaryDatum(times=times, w0=np.zeros_like(times), wL=np.ones_like(times))
+        grid = refined_time_grid(w, steps)
+        expected = np.unique(np.concatenate([np.linspace(0.0, w.duration, steps + 1), w.times]))
+        assert np.array_equal(grid, expected)
+        assert np.array_equal(np.signbit(grid), np.signbit(expected))
+
     def test_refined_grid_contains_knots_and_span(self):
         w = lu_datum()
         grid = refined_time_grid(w, 7)

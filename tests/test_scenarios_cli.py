@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -344,6 +346,18 @@ class TestCommandLine:
     def test_oversized_eps_exits_2(self, capsys):
         assert main(["simulate-eps", "--preset", "monotone", "--eps", "3.0"]) == 2
 
+    @pytest.mark.parametrize("eps_list", ["3.0,0.1", "0.1,-1"])
+    def test_sweep_oversized_eps_exits_2(self, eps_list, capsys):
+        assert main(["sweep-eps", "--preset", "monotone", "--steps", "10",
+                     "--eps-list", eps_list]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_datum_in_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.ini"
+        path.write_text("[datum]\ntimes = 0, nan, 2\nwL = 0, 1, 0\n")
+        assert main(["classify", "--config", str(path)]) == 2
+        assert "times must be finite" in capsys.readouterr().err
+
     def test_sweep_without_list_exits_2(self, capsys):
         assert main(["sweep-eps", "--preset", "monotone"]) == 2
 
@@ -361,3 +375,38 @@ class TestCommandLine:
             raise NumericalError("diagnostic mismatch")
         monkeypatch.setattr("barlab.cli.cns_classify", boom)
         assert main(["classify", "--preset", "monotone"]) == 3
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, os, sys
+from barlab import parse_config, preset, write_config
+from barlab.cli import main
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes.append(main(["classify", "--preset", "loading-unloading"]))
+    codes.append(main(["simulate-eps", "--preset", "loading-unloading", "--eps", "0.05",
+                       "--steps", "40", "--cells", "8"]))
+    codes.append(main(["sweep-eps", "--preset", "loading-unloading", "--eps-list", "0.1,0.05",
+                       "--steps", "40", "--cells", "8"]))
+after_cli = {name: name in sys.modules for name in ("numpy.ma", "configparser")}
+path = os.path.join(sys.argv[1], "s.ini")
+write_config(preset("high-unload"), path)
+round_trip = parse_config(path) == preset("high-unload")
+print(json.dumps({"codes": codes, "after_cli": after_cli, "round_trip": round_trip,
+                  "configparser_loaded": "configparser" in sys.modules}))
+"""
+
+
+def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
+    # A fresh interpreter: this test process has imported both modules long ago.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert report["after_cli"] == {"numpy.ma": False, "configparser": False}
+    assert report["round_trip"] and report["configparser_loaded"]
