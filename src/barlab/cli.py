@@ -20,6 +20,7 @@ from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
                        optimal_theta, raw_energy)
 from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
+from .loading import threshold_crossing
 from .scenarios import (DEFAULT_MATERIAL, PRESET_NAMES, ScenarioConfig,
                         emit_figures, parse_config, preset_datum,
                         run_scenario_eps, run_scenario_limit, sweep_eps,
@@ -74,7 +75,8 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     print(f"sigma(T) = {traj.sigma[-1]:.12g}")
     print(f"l(T)     = {traj.l[-1]:.12g}")
     print(f"E(T)     = {traj.E_closed[-1]:.12g}")
-    print(f"t0 = {traj.t0:.12g}, t0* = {traj.t0_star:.12g}")
+    print(f"t0 = {traj.t0:.12g}, "
+          f"t0* = {threshold_crossing(cfg.datum, m.jump_threshold):.12g}")
     if args.out:
         _prepare_out_file(args.out)
         e = traj.sigma / m.a1

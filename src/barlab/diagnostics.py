@@ -19,7 +19,8 @@ import numpy as np
 from .envelope import MaterialParams, wbar_1d
 from .errors import NumericalError
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, refined_time_grid
+from .loading import (BoundaryDatum, jump_nodes, refined_time_grid,
+                      threshold_crossing)
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -40,6 +41,10 @@ __all__ = [
 
 PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
+
+# Absolute tolerances of classifier_consistency: stress saturation and residual size.
+_SATURATION_TOL = 1e-9
+_RESIDUAL_TOL = 1e-6
 
 
 def _plastic_mass(traj: LimitTrajectory) -> np.ndarray:
@@ -99,13 +104,17 @@ def fake_balance_residual_series(traj: LimitTrajectory) -> np.ndarray:
     return elastic + flow_work - elastic[0] - traj.work_cum
 
 
+def _flow_defect(traj: LimitTrajectory) -> np.ndarray:
+    # Entry k-1 is the defect yield_stress*|dp| - sigma_k*dp of step k.
+    dp = np.diff(_plastic_mass(traj))
+    return traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
+
+
 def flow_rule_residual(traj: LimitTrajectory, k: int) -> float:
     """Defect ``yield_stress*|dp| - sigma_k*dp`` of step ``k``; zero iff the flow aligns with a saturated stress."""
     if not 1 <= k < traj.times.size:
         raise ValueError(f"step index must lie in [1, {traj.times.size - 1}], got {k!r}")
-    p = _plastic_mass(traj)
-    dp = float(p[k] - p[k - 1])
-    return float(traj.m.yield_stress * abs(dp) - traj.sigma[k] * dp)
+    return float(_flow_defect(traj)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -120,78 +129,47 @@ class Classification:
     flow_rule_violations: int
 
 
-def _jump_polyline(w: BoundaryDatum) -> tuple[np.ndarray, np.ndarray]:
-    # Knots of J plus its zero crossings, so |J| is linear between nodes.
-    t = np.asarray(w.times, dtype=float)
-    J = np.asarray(w.wL - w.w0, dtype=float)
-    times = [t[0]]
-    vals = [J[0]]
-    for k in range(1, t.size):
-        if J[k - 1] * J[k] < 0.0:
-            cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
-            times.append(cross)
-            vals.append(0.0)
-        times.append(t[k])
-        vals.append(J[k])
-    return np.asarray(times), np.asarray(vals)
-
-
 def cns_classify(w: BoundaryDatum, m: MaterialParams, steps: int = 400) -> Classification:
     """Decide whether the loading path admits a perfect-plasticity reading.
 
     The path fails exactly when ``|J|`` strictly decreases somewhere
     after first exceeding the jump threshold; for piecewise-linear data
-    the scan over segments (with zero crossings inserted) is exact.  On
-    failure a witness pair ``(s, t)`` with ``|J(t)| < |J(s)|`` and
-    ``|J(t)|`` above the threshold is returned.
+    the scan over the segments of ``jump_nodes`` is exact.  On failure a
+    witness pair ``(s, t)`` with ``|J(t)| < |J(s)|`` and ``|J(t)|`` above
+    the threshold is returned.
     """
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
     thr = m.jump_threshold
+    t0_star = threshold_crossing(w, thr)
 
-    times, J = _jump_polyline(w)
+    times, J = jump_nodes(w)
     absJ = np.abs(J)
-
-    # First instant at which |J| strictly exceeds the threshold.
-    t0_star = float(times[-1])
-    found = False
-    if absJ[0] > thr:
-        t0_star, found = float(times[0]), True
-    else:
-        for k in range(1, times.size):
-            if absJ[k] > thr:
-                frac = (thr - absJ[k - 1]) / (absJ[k] - absJ[k - 1])
-                t0_star = float(times[k - 1] + frac * (times[k] - times[k - 1]))
-                found = True
-                break
+    # Segments that end after t0* and on which |J| strictly decreases.
+    drops = np.flatnonzero((times[1:] > t0_star + 1e-15) & (absJ[1:] < absJ[:-1])) + 1
 
     witness: tuple[float, float] | None = None
-    if found:
-        for k in range(1, times.size):
-            if times[k] <= t0_star + 1e-15 or absJ[k] >= absJ[k - 1]:
-                continue
-            start = max(float(times[k - 1]), t0_star)
-            a_val = float(np.interp(start, times, absJ))
-            if absJ[k] > thr:
-                witness = (start, float(times[k]))
-            else:
-                # Pick the interior instant where |J| has dropped half-way to the threshold.
-                target = 0.5 * (a_val + thr)
-                frac = (a_val - target) / (a_val - absJ[k])
-                witness = (start, float(start + frac * (times[k] - start)))
-            break
+    if drops.size:
+        k = int(drops[0])
+        start = max(float(times[k - 1]), t0_star)
+        a_val = float(np.interp(start, times, absJ))
+        if absJ[k] > thr:
+            witness = (start, float(times[k]))
+        else:
+            # Pick the interior instant where |J| has dropped half-way to the threshold.
+            target = 0.5 * (a_val + thr)
+            frac = (a_val - target) / (a_val - absJ[k])
+            witness = (start, float(start + frac * (times[k] - start)))
 
     dt = float(np.max(np.diff(grid)))
-    if abs(traj.t0 - traj.t0_star) > dt + 1e-12:
+    if abs(traj.t0 - t0_star) > dt + 1e-12:
         raise NumericalError(
-            f"damage onset t0={traj.t0!r} and threshold crossing t0*={traj.t0_star!r} "
+            f"damage onset t0={traj.t0!r} and threshold crossing t0*={t0_star!r} "
             f"disagree by more than one time step"
         )
 
     series = residual_series(traj)
-    p = _plastic_mass(traj)
-    dp = np.diff(p)
-    violations = int(np.sum(m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp > 1e-9))
+    violations = int(np.sum(_flow_defect(traj) > 1e-9))
 
     return Classification(
         verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
@@ -215,9 +193,7 @@ class ConsistencyReport:
         return self.ok
 
 
-def classifier_consistency(traj: LimitTrajectory, verdict: str,
-                           saturation_tol: float = 1e-9,
-                           residual_tol: float = 1e-6) -> ConsistencyReport:
+def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyReport:
     """Check verdict == stress saturation after damage onset == vanishing residual.
 
     On damage-dominated runs the residual is additionally certified from
@@ -231,31 +207,31 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str,
     zero = np.flatnonzero(traj.l == 0.0)
     k0 = int(zero[-1]) if zero.size else 0
     tail = np.abs(traj.sigma[k0 + 1:])
-    saturated = bool(traj.l[-1] == 0.0 or np.all(s - tail <= saturation_tol))
-    small_residual = bool(series.max() <= residual_tol)
+    saturated = bool(traj.l[-1] == 0.0 or np.all(s - tail <= _SATURATION_TOL))
+    small_residual = bool(series.max() <= _RESIDUAL_TOL)
     says_plastic = verdict == PERFECT_PLASTICITY
 
     if says_plastic != saturated:
-        bad = k0 + 1 + int(np.argmax(s - tail > saturation_tol)) if tail.size else k0
+        bad = k0 + 1 + int(np.argmax(s - tail > _SATURATION_TOL)) if tail.size else k0
         return ConsistencyReport(False, float(traj.times[bad]),
                                  "verdict and stress saturation disagree")
     if says_plastic != small_residual:
-        bad = int(np.argmax(series > residual_tol))
+        bad = int(np.argmax(series > _RESIDUAL_TOL))
         return ConsistencyReport(False, float(traj.times[bad]),
                                  "verdict and balance residual disagree")
 
     if not says_plastic:
         gap = (s - np.abs(traj.sigma)) ** 2 * traj.l / (2.0 * m.a0)
-        if np.any(series < gap - residual_tol):
-            bad = int(np.argmax(series < gap - residual_tol))
+        if np.any(series < gap - _RESIDUAL_TOL):
+            bad = int(np.argmax(series < gap - _RESIDUAL_TOL))
             return ConsistencyReport(False, float(traj.times[bad]),
                                      "residual fell below the stress-gap bound")
         p = _plastic_mass(traj)
         dp = np.diff(p)
         misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
         lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
-        if np.any(series < lower - residual_tol):
-            bad = int(np.argmax(series < lower - residual_tol))
+        if np.any(series < lower - _RESIDUAL_TOL):
+            bad = int(np.argmax(series < lower - _RESIDUAL_TOL))
             return ConsistencyReport(False, float(traj.times[bad]),
                                      "residual fell below the misaligned-flow dissipation")
 

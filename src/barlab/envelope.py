@@ -66,8 +66,8 @@ class MaterialParams:
     def __post_init__(self) -> None:
         for name in ("kappa", "a0", "a1", "L", "T"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"need {name} > 0, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"need {name} finite and > 0, got {value!r}")
         if not self.a0 < self.a1:
             raise ValueError(f"need a0 < a1, got a0={self.a0!r}, a1={self.a1!r}")
 

@@ -87,10 +87,6 @@ class LimitTrajectory:
     E_integrated: np.ndarray
     work_cum: np.ndarray
     t0: float           # last recorded instant with l = 0
-    t0_star: float      # first recorded instant with |J| above the jump threshold
-
-    def state_at(self, k: int) -> LimitState:
-        return _assemble(self.m, float(self.times[k]), float(self.J[k]), float(self.l[k]))
 
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
@@ -115,8 +111,6 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
 
     zero = np.flatnonzero(mass == 0.0)
     t0 = float(grid[zero[-1]]) if zero.size else float(grid[0])
-    above = np.flatnonzero(np.abs(J) > m.jump_threshold)
-    t0_star = float(grid[above[0]]) if above.size else float(grid[-1])
 
     return LimitTrajectory(
         m=m,
@@ -128,7 +122,6 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
         E_integrated=e_closed[0] + work,
         work_cum=work,
         t0=t0,
-        t0_star=t0_star,
     )
 
 

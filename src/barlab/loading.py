@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundaryDatum", "refined_time_grid", "validate_time_grid"]
+__all__ = ["BoundaryDatum", "jump_nodes", "threshold_crossing", "refined_time_grid",
+           "validate_time_grid"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +61,29 @@ class BoundaryDatum:
 
     def traceL(self, t):
         return np.interp(t, self.times, self.wL)
+
+
+def jump_nodes(w: BoundaryDatum) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of ``J`` plus its zero crossings, with ``J`` there, so that ``|J|`` is linear between nodes."""
+    t, J = w.times, w.wL - w.w0
+    k = np.flatnonzero(J[:-1] * J[1:] < 0.0) + 1
+    cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
+    # A crossing next to the knot t[k] can round past it; keep the nodes sorted.
+    return np.insert(t, k, np.minimum(cross, t[k])), np.insert(J, k, 0.0)
+
+
+def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
+    """Exact first instant with ``|J| > threshold``, or ``w.duration`` if there is none."""
+    times, J = jump_nodes(w)
+    absJ = np.abs(J)
+    above = np.flatnonzero(absJ > threshold)
+    if above.size == 0:
+        return w.duration
+    k = int(above[0])
+    if k == 0:
+        return float(times[0])
+    frac = (threshold - absJ[k - 1]) / (absJ[k] - absJ[k - 1])
+    return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
 def refined_time_grid(w: BoundaryDatum, steps: int) -> np.ndarray:

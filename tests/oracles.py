@@ -122,7 +122,8 @@ def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
     damage mass are summed cell by cell, and the external work is
     accumulated step by step.  The run's own guards are not replayed.
     """
-    from barlab import damage_mass, incremental_step, initial_step, total_energy
+    from barlab.eps_evolution import (damage_mass, incremental_step, initial_step,
+                                      total_energy)
 
     grid = np.asarray(time_grid, dtype=float)
     J = np.asarray(w.jump(grid), dtype=float)
@@ -144,3 +145,22 @@ def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
         out["l_eps"][k] = damage_mass(state, m)
     out["eb_residual"] = out["energy"] - out["energy"][0] - out["work_cum"]
     return out
+
+
+def path_admits_plasticity(J, threshold: float) -> bool:
+    """Path test from its definition, with a running maximum over the knot values of J.
+
+    The path fails when ``|J|`` drops below its running maximum ``M`` once
+    ``M`` exceeds the threshold.  Between knots of one sign ``|J|`` is
+    linear, so a drop shows at the segment's end knot; a strict sign
+    change inside a segment takes ``|J|`` through zero, below ``M``.
+    """
+    J = np.asarray(J, dtype=float)
+    running_max = 0.0
+    for k in range(J.size):
+        if k > 0 and J[k - 1] * J[k] < 0.0 and running_max > threshold:
+            return False
+        running_max = max(running_max, abs(J[k]))
+        if running_max > threshold and abs(J[k]) < running_max:
+            return False
+    return True

@@ -1,4 +1,6 @@
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -13,3 +15,25 @@ MODULES = ("barlab", "barlab.envelope", "barlab.loading", "barlab.limit_evolutio
 def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
+
+
+def _resolves(pkg, attr: str) -> bool:
+    if hasattr(pkg, attr):
+        return True
+    try:
+        importlib.import_module(f"barlab.{attr}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_names_the_benchmark_and_scripts_reach_resolve_on_the_package():
+    # The package re-exports only its public surface; every barlab.X that
+    # perfbench/ and scripts/ spell out must still resolve.
+    pkg = importlib.import_module("barlab")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    names = set()
+    for path in [*root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]:
+        names.update(re.findall(r"barlab\.(\w+)", path.read_text(encoding="utf-8")))
+    assert names
+    assert sorted(n for n in names if not _resolves(pkg, n)) == []

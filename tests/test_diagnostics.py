@@ -2,13 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barlab import (DAMAGE_ONLY, PERFECT_PLASTICITY, BoundaryDatum,
-                    DiscreteDisplacement, classifier_consistency, cns_classify,
-                    competitor_family, dissipation, fake_balance_residual_series,
-                    flow_rule_residual, plasticity_energy_balance_residual,
-                    preset_datum, refined_time_grid, residual_series, run_limit,
-                    static_gamma_energy)
+from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryDatum,
+                    classifier_consistency, cns_classify, dissipation,
+                    plasticity_energy_balance_residual, preset_datum,
+                    refined_time_grid, residual_series, run_limit)
+from barlab.diagnostics import (DiscreteDisplacement, competitor_family,
+                                fake_balance_residual_series, flow_rule_residual,
+                                static_gamma_energy)
+from barlab.loading import jump_nodes, threshold_crossing
+from oracles import path_admits_plasticity
 
 
 def run_preset(material, name, steps=400):
@@ -182,6 +187,41 @@ class TestClassifier:
             w = preset_datum(name, material)
             c = cns_classify(w, material)
             assert abs(c.t0 - c.t0_star) <= 2.0 / 400 + 1e-12
+
+
+THR = DEFAULT_MATERIAL.jump_threshold
+
+
+@st.composite
+def jump_programs(draw):
+    # Knot values mix exact zeros, exact +-threshold and a start above it with free floats.
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    value = st.one_of(st.sampled_from([0.0, THR, -THR, 1.5 * THR, -2.0 * THR]),
+                      st.floats(-3.0 * THR, 3.0 * THR))
+    wL = draw(st.lists(value, min_size=n, max_size=n))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return BoundaryDatum(times=times, w0=np.zeros(n), wL=wL)
+
+
+@settings(max_examples=300)
+@given(w=jump_programs(), steps=st.integers(1, 60))
+def test_path_test_on_random_programs(w, steps):
+    times, J = jump_nodes(w)
+    # A crossing next to a knot may round onto it: nodes are sorted, not strictly increasing.
+    assert np.all(np.diff(times) >= 0.0) and np.isin(w.times, times).all()
+    assert np.allclose(J, w.jump(times), rtol=0.0, atol=1e-12)
+    # No sign change inside a segment: |J| is linear between nodes.
+    assert np.all(J[:-1] * J[1:] >= 0.0)
+
+    t0_star = threshold_crossing(w, THR)
+    assert np.all(np.abs(J[times < t0_star]) <= THR)
+
+    m = replace(DEFAULT_MATERIAL, T=w.duration)
+    c = cns_classify(w, m, steps=steps)
+    assert c.t0_star == t0_star
+    expected = PERFECT_PLASTICITY if path_admits_plasticity(w.wL - w.w0, THR) else DAMAGE_ONLY
+    assert c.verdict == expected
 
 
 class TestConsistency:

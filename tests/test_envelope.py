@@ -1,11 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
-                    envelope_slope_bounds, gclosure_1d, mixture_energy,
-                    optimal_theta, raw_energy, wbar_1d)
+                    optimal_theta, raw_energy)
+from barlab.envelope import (envelope_slope_bounds, gclosure_1d, mixture_energy,
+                             wbar_1d)
 from oracles import envelope_by_minimization, wbar_by_minimization
 
 FIG = TwoWellParams(a=0.1, b=1.0, K=2.0)
@@ -33,6 +37,12 @@ class TestParamValidation:
             MaterialParams(kappa=0.5, a0=2.0, a1=1.0, L=1.0, T=2.0)
         with pytest.raises(ValueError):
             MaterialParams(kappa=-0.5, a0=1.0, a1=2.0, L=1.0, T=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["kappa", "a0", "a1", "L", "T"])
+    def test_material_rejects_non_finite(self, material, field, value):
+        with pytest.raises(ValueError, match=f"need {field} finite and > 0"):
+            replace(material, **{field: value})
 
     def test_derived_material_scales(self, material):
         assert material.yield_stress == pytest.approx(1.0, abs=1e-15)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, EpsState,
+from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum,
                     NumericalError, TwoWellParams, convex_envelope,
-                    envelope_slope_bounds, incremental_step, initial_step,
-                    optimal_theta, plateau_factor, preset_datum,
-                    pristine_state, refined_time_grid, run_eps, total_energy)
-from barlab.eps_evolution import _guard
+                    optimal_theta, preset_datum, refined_time_grid, run_eps)
+from barlab.envelope import envelope_slope_bounds
+from barlab.eps_evolution import (EpsState, _guard, incremental_step, initial_step,
+                                  plateau_factor, pristine_state, total_energy)
 from oracles import exhaustive_step_minimum, stepwise_run_eps
 
 SCAN_FIELDS = ("sigma", "theta", "stiffness", "energy", "l_eps", "work_cum", "eb_residual")

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (BoundaryDatum, initial_limit_state, limit_step,
-                    mass_reconstruction, preset_datum, refined_time_grid,
-                    run_limit)
+from barlab import BoundaryDatum, preset_datum, refined_time_grid, run_limit
+from barlab.limit_evolution import (initial_limit_state, limit_step,
+                                    mass_reconstruction)
+from barlab.loading import threshold_crossing
 
 
 class TestInitialState:
@@ -69,7 +70,7 @@ class TestRunLimit:
         assert np.max(np.abs(traj.l - mass)) <= 1e-12
         assert np.max(np.abs(traj.E_closed - energy)) <= 1e-12
         assert traj.t0 == 0.5
-        assert 0.5 < traj.t0_star <= 0.5 + 0.011
+        assert threshold_crossing(w, material.jump_threshold) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_energy_closed_form(self, material):
         w = preset_datum("monotone", material)
@@ -85,7 +86,7 @@ class TestRunLimit:
         assert np.all(traj.l == 0.0)
         assert np.max(np.abs(np.diff(traj.sigma))) == 0.0
         assert traj.t0 == material.T
-        assert traj.t0_star == material.T
+        assert threshold_crossing(w, material.jump_threshold) == material.T
 
     def test_horizon_mismatch_rejected(self, material):
         w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import BoundaryDatum, refined_time_grid, validate_time_grid
+from barlab import BoundaryDatum, refined_time_grid
+from barlab.loading import jump_nodes, threshold_crossing, validate_time_grid
 
 
 def lu_datum() -> BoundaryDatum:
@@ -70,6 +71,33 @@ def knots_and_steps(draw):
     interior = sorted({v for v in on + off if 0.0 < v < T})
     start = draw(st.sampled_from([0.0, -0.0]))
     return np.array([start, *interior, T]), steps
+
+
+class TestJumpPolyline:
+    def test_zero_crossings_are_inserted(self):
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0, 3.0], w0=[0.0, 0.5, 0.0, 0.0],
+                          wL=[1.0, -0.5, -1.0, 1.0])
+        times, J = jump_nodes(w)
+        assert times.tolist() == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
+        assert J.tolist() == [1.0, 0.0, -1.0, -1.0, 0.0, 1.0]
+
+    def test_touching_zero_is_not_a_crossing(self):
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[1.0, 0.0, -1.0])
+        assert jump_nodes(w)[0].tolist() == [0.0, 1.0, 2.0]
+
+    def test_crossing_next_to_a_knot_stays_sorted(self):
+        # Unclamped, the crossing 0.1 + 0.9 * 0.3/(0.3 + 1e-17) rounds to 1 + 2**-52.
+        w = BoundaryDatum(times=[0.0, 0.1, 1.0], w0=[0.0] * 3, wL=[0.0, 0.3, -1e-17])
+        assert jump_nodes(w)[0].tolist() == [0.0, 0.1, 1.0, 1.0]
+
+    def test_threshold_crossing(self):
+        w = lu_datum()
+        assert threshold_crossing(w, 0.25) == 0.25
+        assert threshold_crossing(w, 1.0) == w.duration
+        assert threshold_crossing(w, -1.0) == 0.0
+        # A knot exactly at the threshold is not above it.
+        assert threshold_crossing(BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3,
+                                                wL=[0.5, 0.5, 1.5]), 0.5) == 1.0
 
 
 class TestTimeGrids:

@@ -10,11 +10,11 @@ import pytest
 
 from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
                     NumericalError, ScenarioConfig, emit_figures, parse_config,
-                    plateau_factor, preset, preset_datum, run_scenario_limit,
-                    sweep_eps, textbook_damage, textbook_plasticity,
-                    write_config)
+                    preset, preset_datum, run_scenario_limit, sweep_eps)
 from barlab.cli import main
-from barlab.scenarios import PRESET_NAMES, SweepReport
+from barlab.eps_evolution import plateau_factor
+from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
+                              textbook_plasticity, write_config)
 
 
 class TestPresets:
@@ -358,6 +358,13 @@ class TestCommandLine:
         assert main(["classify", "--config", str(path)]) == 2
         assert "times must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["kappa", "a1"])
+    def test_infinite_material_in_config_exits_2(self, tmp_path, field, capsys):
+        path = tmp_path / "inf.ini"
+        path.write_text(f"[material]\n{field} = inf\n")
+        assert main(["classify", "--config", str(path)]) == 2
+        assert f"need {field} finite and > 0" in capsys.readouterr().err
+
     def test_sweep_without_list_exits_2(self, capsys):
         assert main(["sweep-eps", "--preset", "monotone"]) == 2
 
@@ -379,8 +386,9 @@ class TestCommandLine:
 
 _STARTUP_PROBE = """
 import contextlib, io, json, os, sys
-from barlab import parse_config, preset, write_config
+from barlab import parse_config, preset
 from barlab.cli import main
+from barlab.scenarios import write_config
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
