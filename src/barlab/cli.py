@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures
+Exit codes: 0 success, 2 configuration problems (including an input or
+output path that cannot be read or written), 3 numerical failures
 (including a vanishing-regularization sweep whose deviations fail to
 decrease monotonically).
 """
@@ -21,10 +22,9 @@ from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
 from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
 from .loading import threshold_crossing
-from .scenarios import (DEFAULT_MATERIAL, PRESET_NAMES, ScenarioConfig,
-                        emit_figures, parse_config, preset_datum,
-                        run_scenario_eps, run_scenario_limit, sweep_eps,
-                        write_csv)
+from .scenarios import (PRESET_NAMES, ScenarioConfig, emit_figures,
+                        parse_config, preset, run_scenario_eps,
+                        run_scenario_limit, sweep_eps, write_csv)
 
 __all__ = ["main"]
 
@@ -46,20 +46,9 @@ def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(args.config)
-    else:
-        name = getattr(args, "preset", None) or "monotone"
-        cfg = ScenarioConfig(material=DEFAULT_MATERIAL,
-                             datum=preset_datum(name, DEFAULT_MATERIAL))
-    overrides = {}
-    if getattr(args, "steps", None) is not None:
-        overrides["steps"] = args.steps
-    if getattr(args, "cells", None) is not None:
-        overrides["cells"] = args.cells
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    cfg = parse_config(args.config) if args.config else preset(args.preset or "monotone")
+    given = {k: v for k, v in (("steps", args.steps), ("cells", args.cells)) if v is not None}
+    return replace(cfg, **given)
 
 
 def _prepare_out_file(path: str) -> None:
@@ -80,14 +69,13 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     if args.out:
         _prepare_out_file(args.out)
         e = traj.sigma / m.a1
-        p_total = traj.sigma * traj.l / m.a0
         t0_flag = (traj.l == 0.0).astype(float)
         saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - 1e-9)).astype(float)
         write_csv(args.out,
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",
                    "e", "p_total", "t0_flag", "saturated"),
                   (traj.times, traj.J, traj.sigma, traj.l,
-                   traj.E_closed, traj.E_integrated, e, p_total,
+                   traj.E_closed, traj.E_integrated, e, traj.p,
                    t0_flag, saturated))
         print(f"wrote {args.out}")
     return 0
@@ -195,6 +183,8 @@ def _cmd_envelope_table(args: argparse.Namespace) -> int:
         p = TwoWellParams(a=args.a, b=args.b, K=args.K)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not (np.isfinite(args.xi_min) and np.isfinite(args.xi_max)):
+        raise ConfigError(f"need finite xi-min and xi-max, got {args.xi_min!r}, {args.xi_max!r}")
     if args.n < 2 or args.xi_max <= args.xi_min:
         raise ConfigError("need n >= 2 and xi-min < xi-max")
     xi = np.linspace(args.xi_min, args.xi_max, args.n)
@@ -271,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

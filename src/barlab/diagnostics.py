@@ -19,8 +19,8 @@ import numpy as np
 from .envelope import MaterialParams, wbar_1d
 from .errors import NumericalError
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import (BoundaryDatum, jump_nodes, refined_time_grid,
-                      threshold_crossing)
+from .loading import (BoundaryDatum, cumulative_work, jump_nodes,
+                      refined_time_grid, threshold_crossing)
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -47,10 +47,6 @@ _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 
 
-def _plastic_mass(traj: LimitTrajectory) -> np.ndarray:
-    return traj.sigma * traj.l / traj.m.a0
-
-
 def _locate(traj: LimitTrajectory, t: float) -> int:
     k = int(np.searchsorted(traj.times, t))
     for idx in (k - 1, k):
@@ -59,15 +55,25 @@ def _locate(traj: LimitTrajectory, t: float) -> int:
     raise ValueError(f"t={t!r} is not a recorded instant")
 
 
+def _yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
+    # Cumulative yield_stress * Var(p) from the first recorded instant.
+    return traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
+
+
+def _balance(traj: LimitTrajectory, spent: np.ndarray) -> np.ndarray:
+    # Elastic energy plus the cumulative energy ``spent`` on p, minus the initial
+    # elastic energy and the external work; the elastic part is L*sigma**2/(2*a1).
+    m = traj.m
+    elastic = m.L * traj.sigma**2 / (2.0 * m.a1)
+    return elastic + spent - elastic[0] - traj.work_cum
+
+
 def dissipation(traj: LimitTrajectory, s: float, t: float) -> float:
-    """Yield dissipation ``yield_stress * variation of the plastic mass`` over recorded instants in [s, t]."""
+    """Yield dissipation ``yield_stress * variation of the plastic mass`` between the recorded instants ``s <= t``."""
     if s > t:
         raise ValueError(f"need s <= t, got s={s!r}, t={t!r}")
-    mask = (traj.times >= s - 1e-12) & (traj.times <= t + 1e-12)
-    p = _plastic_mass(traj)[mask]
-    if p.size < 2:
-        return 0.0
-    return float(traj.m.yield_stress * np.abs(np.diff(p)).sum())
+    diss = _yield_dissipation(traj)
+    return float(diss[_locate(traj, t)] - diss[_locate(traj, s)])
 
 
 def residual_series(traj: LimitTrajectory) -> np.ndarray:
@@ -78,11 +84,7 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     time-discretization error, exactly when the path admits a
     perfect-plasticity reading; strictly positive afterwards otherwise.
     """
-    m = traj.m
-    p = _plastic_mass(traj)
-    diss = m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(p)))])
-    elastic = m.L * traj.sigma**2 / (2.0 * m.a1)
-    return elastic + diss - elastic[0] - traj.work_cum
+    return _balance(traj, _yield_dissipation(traj))
 
 
 def plasticity_energy_balance_residual(traj: LimitTrajectory, t: float) -> float:
@@ -96,17 +98,12 @@ def fake_balance_residual_series(traj: LimitTrajectory) -> np.ndarray:
     This balance is an identity of the limit model, so the series tends
     to zero with the time step on every loading path.
     """
-    m = traj.m
-    p = _plastic_mass(traj)
-    sbar = 0.5 * (traj.sigma[1:] + traj.sigma[:-1])
-    flow_work = np.concatenate([[0.0], np.cumsum(sbar * np.diff(p))])
-    elastic = m.L * traj.sigma**2 / (2.0 * m.a1)
-    return elastic + flow_work - elastic[0] - traj.work_cum
+    return _balance(traj, cumulative_work(traj.sigma, traj.p))
 
 
 def _flow_defect(traj: LimitTrajectory) -> np.ndarray:
     # Entry k-1 is the defect yield_stress*|dp| - sigma_k*dp of step k.
-    dp = np.diff(_plastic_mass(traj))
+    dp = np.diff(traj.p)
     return traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
 
 
@@ -226,8 +223,7 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
             bad = int(np.argmax(series < gap - _RESIDUAL_TOL))
             return ConsistencyReport(False, float(traj.times[bad]),
                                      "residual fell below the stress-gap bound")
-        p = _plastic_mass(traj)
-        dp = np.diff(p)
+        dp = np.diff(traj.p)
         misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
         lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
         if np.any(series < lower - _RESIDUAL_TOL):

@@ -38,8 +38,8 @@ __all__ = [
 class TwoWellParams:
     """Two quadratic wells: damaged branch ``K + a*xi**2``, sound branch ``b*xi**2``.
 
-    Requires ``0 < a < b`` and ``K > 0`` so that the envelope has a
-    genuine plateau between two distinct quadratic regimes.
+    Requires finite ``0 < a < b`` and ``K > 0`` so that the envelope has
+    a genuine plateau between two distinct quadratic regimes.
     """
 
     a: float
@@ -47,6 +47,10 @@ class TwoWellParams:
     K: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "K"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"need {name} finite, got {value!r}")
         if not (0.0 < self.a < self.b):
             raise ValueError(f"need 0 < a < b, got a={self.a!r}, b={self.b!r}")
         if not self.K > 0.0:

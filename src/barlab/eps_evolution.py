@@ -26,7 +26,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, validate_time_grid
+from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 
 __all__ = [
     "EpsState",
@@ -248,7 +248,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
     l_eps = L * (1.0 - theta) / eps
     energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
-    work = np.concatenate([[0.0], np.cumsum(0.5 * (sigma[1:] + sigma[:-1]) * np.diff(J))])
+    work = cumulative_work(sigma, J)
 
     a_prev = np.concatenate([[m.a1], a[:-1]])
     theta_prev = np.concatenate([[1.0], theta[:-1]])

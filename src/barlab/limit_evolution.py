@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, validate_time_grid
+from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 
 __all__ = [
     "LimitState",
@@ -88,6 +88,11 @@ class LimitTrajectory:
     work_cum: np.ndarray
     t0: float           # last recorded instant with l = 0
 
+    @property
+    def p(self) -> np.ndarray:
+        """Plastic mass ``sigma*l/a0``: the jump opening the damage mass carries."""
+        return self.sigma * self.l / self.m.a0
+
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
     """Run the return map along ``w`` and record closed-form and integrated energies."""
@@ -100,14 +105,13 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     sigma = np.zeros(steps)
     mass = np.zeros(steps)
     e_closed = np.zeros(steps)
-    work = np.zeros(steps)
 
     state = initial_limit_state(m, float(J[0]), t=float(grid[0]))
     sigma[0], mass[0], e_closed[0] = state.sigma, state.l, state.E
     for k in range(1, steps):
         state = limit_step(state, m, float(J[k]), float(grid[k]))
         sigma[k], mass[k], e_closed[k] = state.sigma, state.l, state.E
-        work[k] = work[k - 1] + 0.5 * (sigma[k - 1] + sigma[k]) * (J[k] - J[k - 1])
+    work = cumulative_work(sigma, J)
 
     zero = np.flatnonzero(mass == 0.0)
     t0 = float(grid[zero[-1]]) if zero.size else float(grid[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BoundaryDatum", "jump_nodes", "threshold_crossing", "refined_time_grid",
-           "validate_time_grid"]
+           "validate_time_grid", "cumulative_work"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,3 +115,8 @@ def validate_time_grid(w: BoundaryDatum, grid) -> np.ndarray:
     if np.any(near > 1e-12):
         raise ValueError("time grid must contain every knot of the loading program")
     return g
+
+
+def cumulative_work(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoidal running integral of ``f dx`` over recorded samples, starting at 0."""
+    return np.cumsum(np.concatenate(([0.0], 0.5 * (f[:-1] + f[1:]) * np.diff(x))))

@@ -10,7 +10,7 @@ and plain-CSV emission for plotting.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -101,11 +101,12 @@ class ScenarioConfig:
             )
 
 
-_MATERIAL_KEYS = ("kappa", "a0", "a1", "L", "T")
-_DATUM_KEYS = ("preset", "times", "w0", "wL")
-_RUN_KEYS = ("cells", "steps", "eps_list")
-_OUTPUT_KEYS = ("out_dir",)
-_SECTIONS = ("material", "datum", "run", "output")
+_KEYS = {
+    "material": tuple(f.name for f in fields(MaterialParams)),
+    "datum": ("preset", "times", "w0", "wL"),
+    "run": ("cells", "steps", "eps_list"),
+    "output": ("out_dir",),
+}
 
 
 def _fmt(v: float) -> str:
@@ -126,17 +127,12 @@ def _parse_float_list(section: str, key: str, raw: str) -> list[float]:
     return [_parse_float(section, key, p) for p in parts]
 
 
-def _reject_unknown(section: str, present, known) -> None:
-    for key in present:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-
 def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     """Read a scenario from an INI file; raises ConfigError on any defect."""
     import configparser  # imported here: only INI runs pay for it
 
-    cp = configparser.ConfigParser()
+    # No interpolation: a '%' in a value is literal.
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case-sensitive: L, T, wL
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,28 +143,23 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
         raise ConfigError(f"malformed config file {path!s}: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
 
     material = DEFAULT_MATERIAL
     if cp.has_section("material"):
         sec = cp["material"]
-        _reject_unknown("material", sec, _MATERIAL_KEYS)
-        vals = {k: _parse_float("material", k, sec[k]) for k in sec}
+        values = {k: _parse_float("material", k, sec[k]) for k in sec}
         try:
-            material = MaterialParams(
-                kappa=vals.get("kappa", material.kappa),
-                a0=vals.get("a0", material.a0),
-                a1=vals.get("a1", material.a1),
-                L=vals.get("L", material.L),
-                T=vals.get("T", material.T),
-            )
+            material = replace(DEFAULT_MATERIAL, **values)
         except ValueError as exc:
             raise ConfigError(f"invalid [material]: {exc}") from exc
 
     if cp.has_section("datum"):
         sec = cp["datum"]
-        _reject_unknown("datum", sec, _DATUM_KEYS)
         has_preset = "preset" in sec
         has_lists = any(k in sec for k in ("times", "w0", "wL"))
         if has_preset and has_lists:
@@ -191,35 +182,26 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     else:
         datum = preset_datum("monotone", material)
 
-    cells, steps = 64, 400
-    eps_list: tuple[float, ...] = ()
+    run: dict = {}
     if cp.has_section("run"):
         sec = cp["run"]
-        _reject_unknown("run", sec, _RUN_KEYS)
-
-        def _int(key: str, default: int) -> int:
-            if key not in sec:
-                return default
-            try:
-                return int(sec[key])
-            except ValueError as exc:
-                raise ConfigError(f"[run] {key} = {sec[key]!r} is not an integer") from exc
-
-        cells = _int("cells", cells)
-        steps = _int("steps", steps)
+        for key in ("cells", "steps"):
+            if key in sec:
+                try:
+                    run[key] = int(sec[key])
+                except ValueError as exc:
+                    raise ConfigError(f"[run] {key} = {sec[key]!r} is not an integer") from exc
         if "eps_list" in sec:
-            eps_list = tuple(_parse_float_list("run", "eps_list", sec["eps_list"]))
+            run["eps_list"] = tuple(_parse_float_list("run", "eps_list", sec["eps_list"]))
 
     out_dir = None
     if cp.has_section("output"):
         sec = cp["output"]
-        _reject_unknown("output", sec, _OUTPUT_KEYS)
         if "out_dir" in sec:
             out_dir = sec["out_dir"].strip() or None
 
     try:
-        return ScenarioConfig(material=material, datum=datum, cells=cells, steps=steps,
-                              eps_list=eps_list, out_dir=out_dir)
+        return ScenarioConfig(material=material, datum=datum, out_dir=out_dir, **run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -228,13 +210,9 @@ def write_config(cfg: ScenarioConfig, path: str | os.PathLike[str]) -> None:
     """Write a scenario as an INI file that parses back to an equal config."""
     import configparser
 
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    m = cfg.material
-    cp["material"] = {
-        "kappa": _fmt(m.kappa), "a0": _fmt(m.a0), "a1": _fmt(m.a1),
-        "L": _fmt(m.L), "T": _fmt(m.T),
-    }
+    cp["material"] = {k: _fmt(getattr(cfg.material, k)) for k in _KEYS["material"]}
     cp["datum"] = {
         "times": ", ".join(_fmt(v) for v in cfg.datum.times),
         "w0": ", ".join(_fmt(v) for v in cfg.datum.w0),
@@ -302,7 +280,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
                        sup_energy_dev=np.asarray(en))
 
 
-def textbook_plasticity(m: MaterialParams, times: np.ndarray, J: np.ndarray) -> np.ndarray:
+def textbook_plasticity(m: MaterialParams, J: np.ndarray) -> np.ndarray:
     """Elastic perfectly-plastic stress response to the gap history, for comparison plots."""
     J = np.asarray(J, dtype=float)
     s = m.yield_stress
@@ -313,7 +291,7 @@ def textbook_plasticity(m: MaterialParams, times: np.ndarray, J: np.ndarray) -> 
     return sigma
 
 
-def textbook_damage(m: MaterialParams, times: np.ndarray, J: np.ndarray) -> np.ndarray:
+def textbook_damage(m: MaterialParams, J: np.ndarray) -> np.ndarray:
     """Secant-unloading damage stress response to the gap history, for comparison plots.
 
     Elastic below the jump threshold; past it the modulus degrades with
@@ -361,5 +339,5 @@ def emit_figures(cfg: ScenarioConfig, traj: LimitTrajectory | None = None,
     emit("energy_vs_t.csv", ("t", "E_closed", "E_integrated"),
          (t, traj.E_closed, traj.E_integrated))
     emit("comparison.csv", ("t", "J", "sigma_effective", "sigma_plasticity", "sigma_damage"),
-         (t, J, traj.sigma, textbook_plasticity(m, t, J), textbook_damage(m, t, J)))
+         (t, J, traj.sigma, textbook_plasticity(m, J), textbook_damage(m, J)))
     return written

@@ -62,6 +62,12 @@ class TestDissipation:
         with pytest.raises(ValueError):
             dissipation(traj, 1.0, 0.5)
 
+    @pytest.mark.parametrize("s, t", [(0.0, 0.25), (0.05, 1.0)])
+    def test_rejects_an_unrecorded_instant(self, material, s, t):
+        traj = run_preset(material, "loading-unloading", steps=10)
+        with pytest.raises(ValueError, match="is not a recorded instant"):
+            dissipation(traj, s, t)
+
 
 class TestPlasticityResidual:
     def test_monotone_balances(self, material):

@@ -32,6 +32,12 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             TwoWellParams(a=0.1, b=1.0, K=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "K"])
+    def test_twowell_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"need {field} finite"):
+            replace(FIG, **{field: value})
+
     def test_material_rejects_bad_stiffness_order(self):
         with pytest.raises(ValueError):
             MaterialParams(kappa=0.5, a0=2.0, a1=1.0, L=1.0, T=2.0)

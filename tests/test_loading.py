@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import BoundaryDatum, refined_time_grid
+from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, preset_datum,
+                    refined_time_grid, run_eps, run_limit)
 from barlab.loading import jump_nodes, threshold_crossing, validate_time_grid
+from oracles import trapezoid_work
 
 
 def lu_datum() -> BoundaryDatum:
@@ -139,3 +141,30 @@ class TestTimeGrids:
         w = lu_datum()
         with pytest.raises(ValueError):
             validate_time_grid(w, np.array([0.0, 1.0, 0.5, 2.0]))
+
+
+def assert_work_is_the_trapezoid_oracle(w: BoundaryDatum, steps: int) -> None:
+    grid = refined_time_grid(w, steps)
+    for traj in (run_limit(DEFAULT_MATERIAL, w, grid), run_eps(DEFAULT_MATERIAL, 0.05, 4, w, grid)):
+        assert np.array_equal(traj.work_cum, trapezoid_work(traj.times, traj.sigma, traj.J))
+
+
+class TestCumulativeWork:
+    """Both solvers' ``work_cum`` against the trapezoid rule recomputed from scratch."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        assert_work_is_the_trapezoid_oracle(preset_datum(name, DEFAULT_MATERIAL), 400)
+
+    @settings(max_examples=60)
+    @given(knots=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(-2.0, 2.0)),
+                          min_size=0, max_size=5, unique_by=lambda knot: knot[0]),
+           ends=st.tuples(st.sampled_from([0.0, -0.0, 0.3, -1.5]), st.floats(-2.0, 2.0)),
+           steps=st.integers(1, 200))
+    def test_random_programs(self, knots, ends, steps):
+        T = DEFAULT_MATERIAL.T
+        knots = sorted(knots)
+        times = [0.0] + [T * t for t, _ in knots] + [T]
+        wL = [ends[0]] + [v for _, v in knots] + [ends[1]]
+        w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+        assert_work_is_the_trapezoid_oracle(w, steps)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
-                    NumericalError, ScenarioConfig, emit_figures, parse_config,
-                    preset, preset_datum, run_scenario_limit, sweep_eps)
+                    NumericalError, ScenarioConfig, cns_classify, emit_figures,
+                    parse_config, preset, preset_datum, run_scenario_limit, sweep_eps)
 from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
@@ -114,6 +114,12 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    def test_percent_in_out_dir_round_trips(self, tmp_path):
+        cfg = replace(preset("monotone"), out_dir="figs%x")
+        path = tmp_path / "percent.ini"
+        write_config(cfg, path)
+        assert parse_config(path) == cfg
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nowhere.ini")
@@ -148,7 +154,7 @@ class TestTextbookCurves:
     def test_plasticity_clamps_and_leaves_residual_strain(self, material):
         w = preset_datum("loading-unloading", material)
         t = np.linspace(0.0, material.T, 401)
-        sigma = textbook_plasticity(material, t, w.jump(t))
+        sigma = textbook_plasticity(material, w.jump(t))
         assert np.max(np.abs(sigma)) <= material.yield_stress + 1e-15
         # On unloading the stress crosses zero at J = 0.5, not at J = 0.
         k = 300  # t = 1.5, J = 0.5
@@ -158,7 +164,7 @@ class TestTextbookCurves:
     def test_damage_is_continuous_at_threshold_and_unloads_to_origin(self, material):
         w = preset_datum("loading-unloading", material)
         t = np.linspace(0.0, material.T, 801)
-        sigma = textbook_damage(material, t, w.jump(t))
+        sigma = textbook_damage(material, w.jump(t))
         kink = np.searchsorted(t, 0.5)
         assert abs(sigma[kink + 1] - sigma[kink]) < 2.0 * (sigma[kink] - sigma[kink - 1])
         assert sigma[-1] == pytest.approx(0.0, abs=1e-12)
@@ -166,7 +172,7 @@ class TestTextbookCurves:
     def test_damage_hardens_past_threshold(self, material):
         w = preset_datum("monotone", material)
         t = np.linspace(0.0, material.T, 201)
-        sigma = textbook_damage(material, t, w.jump(t))
+        sigma = textbook_damage(material, w.jump(t))
         assert sigma[-1] == pytest.approx(
             material.yield_stress * np.sqrt(material.T / material.jump_threshold), abs=1e-12)
         assert np.all(np.diff(sigma) > 0.0)
@@ -278,6 +284,12 @@ class TestCommandLine:
         assert main(["envelope-table", "--n", "1"]) == 2
         assert main(["envelope-table", "--xi-min", "3.0", "--xi-max", "1.0"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--K", "--xi-min", "--xi-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_envelope_table_rejects_non_finite_input(self, flag, value, capsys):
+        assert main(["envelope-table", f"{flag}={value}"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_preset_list_names_everything(self, capsys):
         assert main(["preset-list"]) == 0
         out = capsys.readouterr().out
@@ -338,6 +350,43 @@ class TestCommandLine:
         path.write_text("[datum]\npreset = high-unload\n[run]\nsteps = 8\n")
         assert main(["simulate-limit", "--config", str(path)]) == 0
         assert "steps = 8" in capsys.readouterr().out
+
+    def test_steps_flag_overrides_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text("[datum]\npreset = high-unload\n[run]\nsteps = 8\n")
+        cfg = parse_config(path)
+        payloads = []
+        for flags, steps in ((["--steps", "50"], 50), ([], 8)):
+            assert main(["classify", "--config", str(path), *flags]) == 0
+            got = json.loads(capsys.readouterr().out)
+            want = cns_classify(cfg.datum, cfg.material, steps=steps)
+            assert got == {"verdict": want.verdict, "witness_pair": list(want.witness),
+                           "t0": want.t0, "t0_star": want.t0_star,
+                           "max_eb_residual": want.max_eb_residual,
+                           "flow_rule_violations": want.flow_rule_violations}
+            payloads.append(got)
+        assert payloads[0]["t0"] != payloads[1]["t0"]
+
+    @pytest.mark.parametrize("text", ["[material]\nkappa = 5%\n",
+                                      "[datum]\ntimes = 0, 2\nwL = 0, %(x)s\n"])
+    def test_percent_in_a_number_exits_2(self, tmp_path, text, capsys):
+        path = tmp_path / "percent.ini"
+        path.write_text(text)
+        assert main(["classify", "--config", str(path)]) == 2
+        assert "is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--preset", "monotone", "--steps", "10"],
+        ["simulate-limit", "--preset", "monotone", "--steps", "10"],
+        ["emit-figures", "--preset", "monotone", "--steps", "10"],
+        ["sweep-eps", "--preset", "loading-unloading", "--steps", "10", "--eps-list", "0.1,0.05"],
+        ["envelope-table"],
+    ])
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, argv, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*argv, "--out", str(blocker / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["simulate-limit", "--config", "/nonexistent.ini"]) == 2
