@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration problems (including an input or
+Exit codes: 0 success, 1 a reader that closed standard output early
+(nothing is printed), 2 configuration problems (including an input or
 output path that cannot be read or written), 3 numerical failures
 (including a vanishing-regularization sweep whose deviations fail to
 decrease monotonically).
@@ -40,8 +41,10 @@ def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--config", metavar="FILE", help="INI parameter file")
     group.add_argument("--preset", choices=PRESET_NAMES, help="built-in loading program")
-    sp.add_argument("--steps", type=int, default=None, help="time steps (default 400)")
-    sp.add_argument("--cells", type=int, default=None, help="spatial cells (default 64)")
+    sp.add_argument("--steps", type=int, default=None,
+                    help=f"time steps (default {ScenarioConfig.steps})")
+    sp.add_argument("--cells", type=int, default=None,
+                    help=f"spatial cells (default {ScenarioConfig.cells})")
     sp.add_argument("--out", default=None, help=out_help)
 
 
@@ -260,7 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early: send what is still buffered nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,10 +48,12 @@ _RESIDUAL_TOL = 1e-6
 
 
 def _locate(traj: LimitTrajectory, t: float) -> int:
-    k = int(np.searchsorted(traj.times, t))
-    for idx in (k - 1, k):
-        if 0 <= idx < traj.times.size and abs(traj.times[idx] - t) <= 1e-9:
-            return idx
+    # The nearer neighbour of t on the grid, within rounding of the horizon.
+    times = traj.times
+    k = int(np.clip(np.searchsorted(times, t), 1, times.size - 1))
+    idx = k - 1 if t - times[k - 1] <= times[k] - t else k
+    if abs(times[idx] - t) <= 1e-12 * times[-1]:
+        return idx
     raise ValueError(f"t={t!r} is not a recorded instant")
 
 
@@ -126,7 +128,7 @@ class Classification:
     flow_rule_violations: int
 
 
-def cns_classify(w: BoundaryDatum, m: MaterialParams, steps: int = 400) -> Classification:
+def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classification:
     """Decide whether the loading path admits a perfect-plasticity reading.
 
     The path fails exactly when ``|J|`` strictly decreases somewhere

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from the defining formulas, not
 by calling the package: brute minimization instead of closed forms,
-quadrature instead of cumulative updates.  Slow but trustworthy.  The one
-exception is ``stepwise_run_eps``, which chains the package's per-cell
-step so that the closed-form scan of ``run_eps`` has a stepwise reference.
+quadrature instead of cumulative updates, one incremental step per
+load instead of a prefix scan.  Slow but trustworthy.
 """
 
 from __future__ import annotations
+
+import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -113,18 +115,83 @@ def exhaustive_step_minimum(kappa: float, eps: float, a_weak: float,
     return float(values[k]), combo[k]
 
 
+StepState = namedtuple("StepState", "epsilon sigma theta stiffness")
+"""Bar at scale ``epsilon``: common stress, per-cell sound fraction and homogenized stiffness."""
+
+
+def pristine_state(m, eps: float, n_cells: int) -> StepState:
+    """Undamaged bar: sound fraction 1 and stiffness ``a1`` in every cell."""
+    return StepState(eps, 0.0, np.ones(n_cells), np.full(n_cells, m.a1))
+
+
+def incremental_step(prev: StepState, m, J_new: float) -> StepState:
+    """One incremental minimization of elastic plus breaking energy, cell by cell.
+
+    A cell that converts the fraction ``f`` of its sound material into the
+    weak phase ``eps*a0`` mixes harmonically, ``1/a = f/(eps*a0) + (1-f)/a_prev``.
+    The relaxed density has the plateau stress ``s_p`` in every cell, so the
+    load picks one of three regimes: elastic (no cell damages), fully
+    damaged (every live cell breaks) or plateau (the stress is ``±s_p`` and
+    every live cell breaks the same share of its admissible range).  The
+    result must carry ``J_new`` through the cells at one stress, obey the
+    stiffness identity ``1/a = (1-Theta)/(eps*a0) + Theta/a1`` and not heal.
+    """
+    eps = prev.epsilon
+    weak = eps * m.a0
+    n = prev.theta.size
+    dx = m.L / n
+    s_plateau = m.yield_stress * math.sqrt(m.a1 / (m.a1 - weak))
+    live = prev.theta > 0.0
+
+    # Aggregate strain window at the plateau stress; dead cells stay linear.
+    compliance = float((1.0 / prev.stiffness).sum() * dx)
+    agg_lo = s_plateau * compliance
+    agg_hi = s_plateau * m.L / weak
+    j_abs = abs(J_new)
+    if j_abs <= agg_lo:
+        sigma, frac = J_new / compliance, np.zeros(n)
+    elif j_abs >= agg_hi:
+        sigma, frac = J_new * weak / m.L, np.where(live, 1.0, 0.0)
+    else:
+        sigma = math.copysign(s_plateau, J_new)
+        frac = np.where(live, (j_abs - agg_lo) / (agg_hi - agg_lo), 0.0)
+
+    theta = (1.0 - frac) * prev.theta
+    a = weak * prev.stiffness / (frac * prev.stiffness + (1.0 - frac) * weak)
+    residual = abs(sigma * float((1.0 / a).sum() * dx) - J_new)
+    assert residual <= 1e-12 * max(j_abs, agg_lo), f"strain residual {residual!r} at J={J_new!r}"
+    identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
+    assert np.all(np.abs(a - identity) <= 1e-12 * a), "stiffness identity violated"
+    heals = np.any(theta > prev.theta) or np.any(a > prev.stiffness * (1.0 + 1e-14))
+    assert not heals, "the step heals the bar"
+    return StepState(eps, float(sigma), theta, a)
+
+
+def initial_step(m, eps: float, n_cells: int, J0: float) -> StepState:
+    """State at the initial load: one incremental step from the pristine bar."""
+    return incremental_step(pristine_state(m, eps, n_cells), m, J0)
+
+
+def total_energy(state: StepState, m) -> float:
+    """Elastic energy plus the breaking cost ``kappa/eps`` per damaged volume, cell by cell."""
+    dx = m.L / state.theta.size
+    elastic = float((state.sigma**2 / (2.0 * state.stiffness)).sum() * dx)
+    return elastic + m.kappa * damage_mass(state, m)
+
+
+def damage_mass(state: StepState, m) -> float:
+    """Rescaled damaged volume ``integral (1 - Theta)/eps dx``."""
+    return float((1.0 - state.theta).sum() * (m.L / state.theta.size)) / state.epsilon
+
+
 def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
     """Fixed-scale run replayed one ``incremental_step`` per time step.
 
-    The per-cell step is the package's reference for heterogeneous
-    states; chaining it from the initial step gives the trajectory that
-    the closed-form scan of ``run_eps`` must reproduce.  Energies and the
-    damage mass are summed cell by cell, and the external work is
+    Chaining the per-cell step from the initial step gives the trajectory
+    that the closed-form scan of ``run_eps`` must reproduce.  Energies and
+    the damage mass are summed cell by cell, and the external work is
     accumulated step by step.  The run's own guards are not replayed.
     """
-    from barlab.eps_evolution import (damage_mass, incremental_step, initial_step,
-                                      total_energy)
-
     grid = np.asarray(time_grid, dtype=float)
     J = np.asarray(w.jump(grid), dtype=float)
     steps = grid.size
@@ -135,7 +202,7 @@ def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
     state = initial_step(m, eps, n_cells, float(J[0]))
     for k in range(steps):
         if k > 0:
-            state = incremental_step(state, m, float(J[k]), t_new=float(grid[k]))
+            state = incremental_step(state, m, float(J[k]))
             out["work_cum"][k] = (out["work_cum"][k - 1]
                                   + 0.5 * (out["sigma"][k - 1] + state.sigma) * (J[k] - J[k - 1]))
         out["sigma"][k] = state.sigma

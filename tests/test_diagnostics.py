@@ -57,6 +57,14 @@ class TestDissipation:
         # Piecewise-linear data are sampled exactly once the knots are on the grid.
         assert d_coarse == pytest.approx(d_fine, abs=1e-12)
 
+    def test_every_instant_resolves_at_a_tiny_horizon(self, material):
+        # At T = 1e-8 the grid spacing is 2.5e-11: an absolute time tolerance
+        # lets a neighbour stand in for the instant asked for.
+        m = replace(material, T=1e-8)
+        traj = run_preset(m, "high-unload")
+        spent = m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
+        assert [dissipation(traj, 0.0, t) for t in traj.times] == spent.tolist()
+
     def test_rejects_reversed_window(self, material):
         traj = run_preset(material, "constant", steps=10)
         with pytest.raises(ValueError):
@@ -136,7 +144,7 @@ class TestFakeBalance:
 class TestClassifier:
     def test_monotone_is_plastic(self, material):
         w = preset_datum("monotone", material)
-        c = cns_classify(w, material)
+        c = cns_classify(w, material, steps=400)
         assert c.verdict == PERFECT_PLASTICITY
         assert c.witness is None
         assert c.flow_rule_violations == 0
@@ -151,7 +159,7 @@ class TestClassifier:
 
     def test_loading_unloading_witness_is_valid(self, material):
         w = preset_datum("loading-unloading", material)
-        c = cns_classify(w, material)
+        c = cns_classify(w, material, steps=400)
         assert c.verdict == DAMAGE_ONLY
         s, t = c.witness
         assert s < t
@@ -169,12 +177,12 @@ class TestClassifier:
         # J = 0.65 t crosses the threshold 1/2 at t = 0.5/0.65 = 0.769..., between
         # the grid points 0.765 and 0.77.
         w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1.3])
-        c = cns_classify(w, material)
+        c = cns_classify(w, material, steps=400)
         assert c.t0_star == pytest.approx(0.5 / 0.65, abs=1e-12)
 
     def test_high_unload_witness_spans_the_tail(self, material):
         w = preset_datum("high-unload", material)
-        c = cns_classify(w, material)
+        c = cns_classify(w, material, steps=400)
         assert c.verdict == DAMAGE_ONLY
         assert c.witness == (1.0, 2.0)
 
@@ -182,8 +190,8 @@ class TestClassifier:
         slow = BoundaryDatum(times=[0.0, 1.0, 4.0], w0=np.zeros(3), wL=[0.0, 1.0, 0.0])
         fast = preset_datum("loading-unloading", material)
         m_slow = replace(material, T=4.0)
-        c_slow = cns_classify(slow, m_slow)
-        c_fast = cns_classify(fast, material)
+        c_slow = cns_classify(slow, m_slow, steps=400)
+        c_fast = cns_classify(fast, material, steps=400)
         assert c_slow.verdict == c_fast.verdict == DAMAGE_ONLY
         assert slow.jump(c_slow.witness[0]) == pytest.approx(fast.jump(c_fast.witness[0]), abs=1e-9)
         assert slow.jump(c_slow.witness[1]) == pytest.approx(fast.jump(c_fast.witness[1]), abs=1e-9)
@@ -191,7 +199,7 @@ class TestClassifier:
     def test_onset_pinned_to_threshold_crossing(self, material):
         for name in ("monotone", "loading-unloading", "high-unload"):
             w = preset_datum(name, material)
-            c = cns_classify(w, material)
+            c = cns_classify(w, material, steps=400)
             assert abs(c.t0 - c.t0_star) <= 2.0 / 400 + 1e-12
 
 
@@ -234,7 +242,7 @@ class TestConsistency:
     def test_presets_agree_with_their_verdicts(self, material):
         for name in ("monotone", "constant", "loading-unloading", "high-unload"):
             w = preset_datum(name, material)
-            c = cns_classify(w, material)
+            c = cns_classify(w, material, steps=400)
             traj = run_limit(material, w, refined_time_grid(w, 400))
             report = classifier_consistency(traj, c.verdict)
             assert bool(report)

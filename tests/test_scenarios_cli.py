@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestEmitFigures:
         cfg = replace(preset("monotone"), steps=10)
         traj = run_scenario_limit(cfg)
         paths = emit_figures(cfg, traj=traj, out_dir=str(tmp_path))
-        rows = open(paths[0]).read().strip().splitlines()
+        rows = Path(paths[0]).read_text().strip().splitlines()
         assert len(rows) == traj.times.size + 1
 
 
@@ -289,6 +290,15 @@ class TestCommandLine:
     def test_envelope_table_rejects_non_finite_input(self, flag, value, capsys):
         assert main(["envelope-table", f"{flag}={value}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-limit", "simulate-eps", "classify",
+                                         "sweep-eps", "emit-figures"])
+    def test_help_states_the_run_defaults(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"time steps (default {ScenarioConfig.steps})" in out
+        assert f"spatial cells (default {ScenarioConfig.cells})" in out
 
     def test_preset_list_names_everything(self, capsys):
         assert main(["preset-list"]) == 0
@@ -455,15 +465,30 @@ print(json.dumps({"codes": codes, "after_cli": after_cli, "round_trip": round_tr
 """
 
 
-def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
-    # A fresh interpreter: this test process has imported both modules long ago.
+def _child_env() -> dict:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
+    # A fresh interpreter: this test process has imported both modules long ago.
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120, check=False)
+                          capture_output=True, text=True, env=_child_env(), timeout=120,
+                          check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0]
     assert report["after_cli"] == {"numpy.ma": False, "configparser": False}
     assert report["round_trip"] and report["configparser_loaded"]
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error():
+    # Far more rows than a pipe buffer holds: the child is still writing at the close.
+    proc = subprocess.Popen([sys.executable, "-m", "barlab", "envelope-table", "--n", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.readline() == b"xi,raw,envelope,theta_star\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
