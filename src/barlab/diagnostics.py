@@ -6,8 +6,10 @@ dissipation against external work) depends only on the loading path:
 the balance holds exactly when, whenever ``|J|`` drops below an earlier
 value, it has already dropped inside the elastic window.  This module
 computes the plasticity residual, the flow-rule defect per step, the
-path test with an explicit witness when it fails, and the static
-relaxed energy used to certify initial states.
+path test with an explicit witness when it fails, and the consistency
+check of a verdict against stress saturation and the residual.  Every
+tolerance is relative to the material's units: stresses to the yield
+stress ``s*``, energies and flow defects to ``s* L``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import MaterialParams, wbar_1d
+from .envelope import MaterialParams
 from .errors import NumericalError
 from .limit_evolution import LimitTrajectory, run_limit
 from .loading import (BoundaryDatum, cumulative_work, jump_nodes,
@@ -29,22 +31,21 @@ __all__ = [
     "plasticity_energy_balance_residual",
     "residual_series",
     "fake_balance_residual_series",
-    "flow_rule_residual",
+    "flow_rule_defects",
     "Classification",
     "cns_classify",
     "ConsistencyReport",
     "classifier_consistency",
-    "DiscreteDisplacement",
-    "static_gamma_energy",
-    "competitor_family",
 ]
 
 PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
 
-# Absolute tolerances of classifier_consistency: stress saturation and residual size.
+# Tolerances of the classifier: stress saturation in units of s*, residual
+# size in units of s* L, and the flow-rule defect count in units of s* L.
 _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
+_DEFECT_TOL = 1e-9
 
 
 def _locate(traj: LimitTrajectory, t: float) -> int:
@@ -103,17 +104,14 @@ def fake_balance_residual_series(traj: LimitTrajectory) -> np.ndarray:
     return _balance(traj, cumulative_work(traj.sigma, traj.p))
 
 
-def _flow_defect(traj: LimitTrajectory) -> np.ndarray:
-    # Entry k-1 is the defect yield_stress*|dp| - sigma_k*dp of step k.
+def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
+    """Flow-rule defect ``yield_stress*|dp| - sigma_k*dp`` of every step.
+
+    Entry ``k-1`` belongs to step ``k``; it is zero iff the flow of that
+    step aligns with a saturated stress.
+    """
     dp = np.diff(traj.p)
     return traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
-
-
-def flow_rule_residual(traj: LimitTrajectory, k: int) -> float:
-    """Defect ``yield_stress*|dp| - sigma_k*dp`` of step ``k``; zero iff the flow aligns with a saturated stress."""
-    if not 1 <= k < traj.times.size:
-        raise ValueError(f"step index must lie in [1, {traj.times.size - 1}], got {k!r}")
-    return float(_flow_defect(traj)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,9 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
 
     times, J = jump_nodes(w)
     absJ = np.abs(J)
-    # Segments that end after t0* and on which |J| strictly decreases.
-    drops = np.flatnonzero((times[1:] > t0_star + 1e-15) & (absJ[1:] < absJ[:-1])) + 1
+    # Segments that end after t0* and on which |J| strictly decreases; none ends
+    # at t0*, where |J| rises through the threshold.
+    drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
 
     witness: tuple[float, float] | None = None
     if drops.size:
@@ -168,7 +167,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
         )
 
     series = residual_series(traj)
-    violations = int(np.sum(_flow_defect(traj) > 1e-9))
+    violations = int(np.sum(flow_rule_defects(traj) > _DEFECT_TOL * m.yield_stress * m.L))
 
     return Classification(
         verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
@@ -201,111 +200,37 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     """
     m = traj.m
     s = m.yield_stress
+    sat_tol = _SATURATION_TOL * s
+    res_tol = _RESIDUAL_TOL * s * m.L
     series = residual_series(traj)
 
-    zero = np.flatnonzero(traj.l == 0.0)
-    k0 = int(zero[-1]) if zero.size else 0
+    k0 = _locate(traj, traj.t0)
     tail = np.abs(traj.sigma[k0 + 1:])
-    saturated = bool(traj.l[-1] == 0.0 or np.all(s - tail <= _SATURATION_TOL))
-    small_residual = bool(series.max() <= _RESIDUAL_TOL)
+    saturated = bool(traj.l[-1] == 0.0 or np.all(s - tail <= sat_tol))
+    small_residual = bool(series.max() <= res_tol)
     says_plastic = verdict == PERFECT_PLASTICITY
 
     if says_plastic != saturated:
-        bad = k0 + 1 + int(np.argmax(s - tail > _SATURATION_TOL)) if tail.size else k0
+        bad = k0 + 1 + int(np.argmax(s - tail > sat_tol)) if tail.size else k0
         return ConsistencyReport(False, float(traj.times[bad]),
                                  "verdict and stress saturation disagree")
     if says_plastic != small_residual:
-        bad = int(np.argmax(series > _RESIDUAL_TOL))
+        bad = int(np.argmax(series > res_tol))
         return ConsistencyReport(False, float(traj.times[bad]),
                                  "verdict and balance residual disagree")
 
     if not says_plastic:
         gap = (s - np.abs(traj.sigma)) ** 2 * traj.l / (2.0 * m.a0)
-        if np.any(series < gap - _RESIDUAL_TOL):
-            bad = int(np.argmax(series < gap - _RESIDUAL_TOL))
+        if np.any(series < gap - res_tol):
+            bad = int(np.argmax(series < gap - res_tol))
             return ConsistencyReport(False, float(traj.times[bad]),
                                      "residual fell below the stress-gap bound")
         dp = np.diff(traj.p)
         misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
         lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
-        if np.any(series < lower - _RESIDUAL_TOL):
-            bad = int(np.argmax(series < lower - _RESIDUAL_TOL))
+        if np.any(series < lower - res_tol):
+            bad = int(np.argmax(series < lower - res_tol))
             return ConsistencyReport(False, float(traj.times[bad]),
                                      "residual fell below the misaligned-flow dissipation")
 
     return ConsistencyReport(True, None, "consistent")
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteDisplacement:
-    """Piecewise-affine displacement on a uniform cell grid plus interior jumps.
-
-    ``values`` are the nodal values of the continuous part; each jump is
-    a ``(position, amplitude)`` pair with position strictly inside the
-    bar.  The trace at the right end accumulates all jump amplitudes.
-    """
-
-    values: np.ndarray
-    jumps: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).copy())
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("need nodal values on at least one cell")
-        object.__setattr__(self, "jumps", tuple((float(x), float(a)) for x, a in self.jumps))
-
-    def traces(self, L: float) -> tuple[float, float]:
-        for x, _ in self.jumps:
-            if not 0.0 < x < L:
-                raise ValueError(f"jump position {x!r} must lie strictly inside (0, {L!r})")
-        total = sum(a for _, a in self.jumps)
-        return float(self.values[0]), float(self.values[-1] + total)
-
-
-def static_gamma_energy(u: DiscreteDisplacement, m: MaterialParams,
-                        traces: tuple[float, float]) -> float:
-    """Relaxed static energy of a competitor displacement.
-
-    Bulk term with the effective density, plus the yield stress times the
-    total jump mass, including the mismatch with the boundary traces
-    ``traces = (w(0), w(L))``.  Its minimum over all competitors equals
-    the initial energy of the limit evolution.
-    """
-    w_left, w_right = traces
-    n = u.values.size - 1
-    dx = m.L / n
-    slopes = np.diff(u.values) / dx
-    u_left, u_right = u.traces(m.L)
-    bulk = float(np.sum(wbar_1d(m, slopes)) * dx)
-    jumps = sum(abs(a) for _, a in u.jumps)
-    boundary = abs(w_right - u_right) + abs(w_left - u_left)
-    return bulk + m.yield_stress * (jumps + boundary)
-
-
-def competitor_family(m: MaterialParams, J0: float, count: int,
-                      rng: np.random.Generator, cells: int = 8):
-    """Randomized competitor displacements for the static energy, special profiles included.
-
-    Always yields the affine matching profile and, when the load exceeds
-    the elastic window, the yield-slope profile with a single compensating
-    jump; the remainder are random slopes with up to three random jumps.
-    """
-    yield DiscreteDisplacement(np.linspace(0.0, J0, cells + 1))
-    s = m.yield_stress
-    if abs(J0) > m.jump_threshold:
-        sign = 1.0 if J0 > 0.0 else -1.0
-        slope = sign * s / m.a1
-        body = np.linspace(0.0, slope * m.L, cells + 1)
-        amp = J0 - slope * m.L
-        yield DiscreteDisplacement(body, jumps=((m.L / 2.0, amp),))
-    scale = max(1.0, abs(J0))
-    for _ in range(max(0, count - 2)):
-        slopes = rng.normal(J0 / m.L, 2.0 * scale, size=cells)
-        values = np.concatenate([[rng.normal(0.0, scale)], np.cumsum(slopes) * (m.L / cells)])
-        values[1:] += values[0]
-        njump = int(rng.integers(0, 4))
-        jumps = tuple(
-            (float(rng.uniform(0.05, 0.95) * m.L), float(rng.normal(0.0, scale)))
-            for _ in range(njump)
-        )
-        yield DiscreteDisplacement(values, jumps=jumps)

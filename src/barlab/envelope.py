@@ -9,9 +9,9 @@ quadratic branch, a stress plateau, and a weak quadratic branch.  All
 operations here are exact closed forms; no numerical minimization is
 involved.
 
-The module also holds the bar-level material record and the small
-closed-form objects attached to it: the yield stress of the effective
-model and the Huber-type effective density ``wbar_1d``.
+The module also holds the bar-level material record with the two
+closed-form numbers attached to it: the yield stress of the effective
+model and the largest jump the bar carries elastically.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ __all__ = [
     "convex_envelope",
     "envelope_slope_bounds",
     "optimal_theta",
-    "mixture_energy",
-    "gclosure_1d",
-    "wbar_1d",
 ]
 
 
@@ -148,47 +145,4 @@ def optimal_theta(p: TwoWellParams, xi):
         inv_c = x / (0.5 * slope)
         theta = (inv_c - inv_b) / (inv_a - inv_b)
     out = np.where(x <= xi1, 0.0, np.where(x >= xi2, 1.0, np.clip(theta, 0.0, 1.0)))
-    return _unwrap(out, scalar)
-
-
-def mixture_energy(p: TwoWellParams, xi, theta):
-    """Energy of a laminate with weak-phase fraction ``theta``: ``K*theta + c(theta)*xi**2``.
-
-    ``c(theta)`` is the harmonic mixture ``(theta/a + (1-theta)/b)**-1``.
-    Minimizing this over ``theta in [0, 1]`` reproduces ``convex_envelope``.
-    """
-    arr, scalar = _wrap(xi)
-    th = np.asarray(theta, dtype=float)
-    c = 1.0 / (th / p.a + (1.0 - th) / p.b)
-    out = p.K * th + c * arr**2
-    return _unwrap(np.asarray(out), scalar and th.ndim == 0)
-
-
-def gclosure_1d(theta, a_weak: float, a_strong: float):
-    """Harmonic-mean stiffness of a 1D mixture: ``a_weak*a_strong/(theta*a_strong + (1-theta)*a_weak)``.
-
-    ``theta`` is the weak-phase volume fraction and must lie in [0, 1];
-    in one dimension every microstructure attains this bound, so the
-    formula is the exact effective stiffness, not just an estimate.
-    """
-    th, scalar = _wrap(theta)
-    if np.any(th < 0.0) or np.any(th > 1.0):
-        raise ValueError(f"volume fraction must lie in [0, 1], got {theta!r}")
-    if not (0.0 < a_weak <= a_strong):
-        raise ValueError(f"need 0 < a_weak <= a_strong, got {a_weak!r}, {a_strong!r}")
-    out = a_weak * a_strong / (th * a_strong + (1.0 - th) * a_weak)
-    return _unwrap(out, scalar)
-
-
-def wbar_1d(m: MaterialParams, xi):
-    """Effective stored-energy density of the limit model (Huber form).
-
-    Quadratic ``(a1/2)*xi**2`` while the sound stress stays inside the
-    yield interval, affine ``s*|xi| - s**2/(2*a1)`` beyond, with
-    ``s = m.yield_stress``.
-    """
-    arr, scalar = _wrap(xi)
-    s = m.yield_stress
-    x = np.abs(arr)
-    out = np.where(x <= s / m.a1, 0.5 * m.a1 * arr**2, s * x - s**2 / (2.0 * m.a1))
     return _unwrap(out, scalar)

@@ -11,7 +11,6 @@ up to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "initial_limit_state",
     "limit_step",
     "run_limit",
-    "mass_reconstruction",
 ]
 
 
@@ -127,16 +125,3 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
         work_cum=work,
         t0=t0,
     )
-
-
-def mass_reconstruction(m: MaterialParams, E: float, J: float) -> tuple[float, float]:
-    """Recover the damage mass from energy and jump alone.
-
-    Returns ``(delta, l)`` where ``delta`` is the discriminant
-    ``(E/a0 + kappa*L/a1)**2 - (2*kappa/a0)*J**2``; it is nonnegative for
-    every reachable state and the positive root reproduces ``l``.
-    """
-    delta = (E / m.a0 + m.kappa * m.L / m.a1) ** 2 - (2.0 * m.kappa / m.a0) * J**2
-    root = math.sqrt(max(delta, 0.0))
-    l = (m.a0 / (2.0 * m.kappa)) * (E / m.a0 - m.kappa * m.L / m.a1 + root)
-    return float(delta), float(l)

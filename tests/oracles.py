@@ -3,13 +3,17 @@
 Everything here is deliberately written from the defining formulas, not
 by calling the package: brute minimization instead of closed forms,
 quadrature instead of cumulative updates, one incremental step per
-load instead of a prefix scan.  Slow but trustworthy.
+load instead of a prefix scan.  Slow but trustworthy.  The static
+relaxed energy that certifies initial states and the reconstruction of
+the damage mass from energy and jump live here too: the package never
+needs them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,3 +235,101 @@ def path_admits_plasticity(J, threshold: float) -> bool:
         if running_max > threshold and abs(J[k]) < running_max:
             return False
     return True
+
+
+def mass_reconstruction(m, E: float, J: float) -> tuple[float, float]:
+    """Recover the damage mass from energy and jump alone.
+
+    Returns ``(delta, l)`` where ``delta`` is the discriminant
+    ``(E/a0 + kappa*L/a1)**2 - (2*kappa/a0)*J**2``; it is nonnegative for
+    every reachable state and the positive root reproduces ``l``.
+    """
+    delta = (E / m.a0 + m.kappa * m.L / m.a1) ** 2 - (2.0 * m.kappa / m.a0) * J**2
+    root = math.sqrt(max(delta, 0.0))
+    l = (m.a0 / (2.0 * m.kappa)) * (E / m.a0 - m.kappa * m.L / m.a1 + root)
+    return float(delta), float(l)
+
+
+def wbar_1d(m, xi):
+    """Effective stored-energy density of the limit model (Huber form).
+
+    Quadratic ``(a1/2)*xi**2`` while the sound stress stays inside the
+    yield interval, affine ``s*|xi| - s**2/(2*a1)`` beyond, with
+    ``s = sqrt(2*kappa*a0)``.
+    """
+    arr = np.asarray(xi, dtype=float)
+    s = math.sqrt(2.0 * m.kappa * m.a0)
+    x = np.abs(arr)
+    out = np.where(x <= s / m.a1, 0.5 * m.a1 * arr**2, s * x - s**2 / (2.0 * m.a1))
+    return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteDisplacement:
+    """Piecewise-affine displacement on a uniform cell grid plus interior jumps.
+
+    ``values`` are the nodal values of the continuous part; each jump is
+    a ``(position, amplitude)`` pair with position strictly inside the
+    bar.  The trace at the right end accumulates all jump amplitudes.
+    """
+
+    values: np.ndarray
+    jumps: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).copy())
+        if self.values.ndim != 1 or self.values.size < 2:
+            raise ValueError("need nodal values on at least one cell")
+        object.__setattr__(self, "jumps", tuple((float(x), float(a)) for x, a in self.jumps))
+
+    def traces(self, L: float) -> tuple[float, float]:
+        for x, _ in self.jumps:
+            if not 0.0 < x < L:
+                raise ValueError(f"jump position {x!r} must lie strictly inside (0, {L!r})")
+        total = sum(a for _, a in self.jumps)
+        return float(self.values[0]), float(self.values[-1] + total)
+
+
+def static_gamma_energy(u: DiscreteDisplacement, m, traces: tuple[float, float]) -> float:
+    """Relaxed static energy of a competitor displacement.
+
+    Bulk term with the effective density, plus the yield stress times the
+    total jump mass, including the mismatch with the boundary traces
+    ``traces = (w(0), w(L))``.  Its minimum over all competitors equals
+    the initial energy of the limit evolution.
+    """
+    w_left, w_right = traces
+    n = u.values.size - 1
+    dx = m.L / n
+    slopes = np.diff(u.values) / dx
+    u_left, u_right = u.traces(m.L)
+    bulk = float(np.sum(wbar_1d(m, slopes)) * dx)
+    jumps = sum(abs(a) for _, a in u.jumps)
+    boundary = abs(w_right - u_right) + abs(w_left - u_left)
+    return bulk + math.sqrt(2.0 * m.kappa * m.a0) * (jumps + boundary)
+
+
+def competitor_family(m, J0: float, count: int, rng: np.random.Generator, cells: int = 8):
+    """Randomized competitor displacements for the static energy, special profiles included.
+
+    Always yields the affine matching profile and, when the load exceeds
+    the elastic window, the yield-slope profile with a single compensating
+    jump; the remainder are random slopes with up to three random jumps.
+    """
+    yield DiscreteDisplacement(np.linspace(0.0, J0, cells + 1))
+    s = math.sqrt(2.0 * m.kappa * m.a0)
+    if abs(J0) > s * m.L / m.a1:
+        slope = math.copysign(s / m.a1, J0)
+        body = np.linspace(0.0, slope * m.L, cells + 1)
+        yield DiscreteDisplacement(body, jumps=((m.L / 2.0, J0 - slope * m.L),))
+    scale = max(1.0, abs(J0))
+    for _ in range(max(0, count - 2)):
+        slopes = rng.normal(J0 / m.L, 2.0 * scale, size=cells)
+        values = np.concatenate([[rng.normal(0.0, scale)], np.cumsum(slopes) * (m.L / cells)])
+        values[1:] += values[0]
+        njump = int(rng.integers(0, 4))
+        jumps = tuple(
+            (float(rng.uniform(0.05, 0.95) * m.L), float(rng.normal(0.0, scale)))
+            for _ in range(njump)
+        )
+        yield DiscreteDisplacement(values, jumps=jumps)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
                     optimal_theta, raw_energy)
-from barlab.envelope import (envelope_slope_bounds, gclosure_1d, mixture_energy,
-                             wbar_1d)
-from oracles import envelope_by_minimization, wbar_by_minimization
+from barlab.envelope import envelope_slope_bounds
+from oracles import (envelope_by_minimization, mixture_objective, wbar_1d,
+                     wbar_by_minimization)
 
 FIG = TwoWellParams(a=0.1, b=1.0, K=2.0)
 
@@ -168,12 +168,13 @@ class TestOptimalTheta:
         # the minimal value itself is sharp.
         oracle_theta, oracle_value = envelope_by_minimization(0.1, 1.0, 2.0, np.array([2.0]))
         assert theta == pytest.approx(float(oracle_theta[0]), abs=1e-6)
-        assert mixture_energy(FIG, 2.0, theta) == pytest.approx(float(oracle_value[0]), abs=1e-12)
+        value = mixture_objective(FIG.a, FIG.b, FIG.K, 2.0, theta)
+        assert value == pytest.approx(float(oracle_value[0]), abs=1e-12)
 
     def test_attains_envelope(self):
         xi = np.linspace(-7.0, 7.0, 501)
         theta = optimal_theta(FIG, xi)
-        assert np.max(np.abs(mixture_energy(FIG, xi, theta)
+        assert np.max(np.abs(mixture_objective(FIG.a, FIG.b, FIG.K, xi, theta)
                              - convex_envelope(FIG, xi))) <= 1e-10
 
     def test_nondecreasing_in_strain_magnitude(self):
@@ -186,46 +187,23 @@ class TestOptimalTheta:
         h = 1e-6
         for xi in [0.5 * xi1, 0.5 * (xi1 + xi2), 1.3 * xi2]:
             num = (convex_envelope(FIG, xi + h) - convex_envelope(FIG, xi - h)) / (2.0 * h)
-            c = gclosure_1d(optimal_theta(FIG, xi), FIG.a, FIG.b)
+            theta = optimal_theta(FIG, xi)
+            c = 1.0 / (theta / FIG.a + (1.0 - theta) / FIG.b)
             assert num == pytest.approx(2.0 * c * xi, rel=1e-5)
 
 
 @given(p=twowell_params(), xi=st.floats(-50.0, 50.0), theta=st.floats(0.0, 1.0))
 def test_envelope_never_beaten_by_a_mixture(p, xi, theta):
-    assert convex_envelope(p, xi) <= mixture_energy(p, xi, theta) + 1e-9 * (1.0 + abs(xi) ** 2)
+    mixed = mixture_objective(p.a, p.b, p.K, xi, theta)
+    assert convex_envelope(p, xi) <= mixed + 1e-9 * (1.0 + abs(xi) ** 2)
 
 
 @given(p=twowell_params(), xi=st.floats(-50.0, 50.0))
 def test_optimal_theta_attains_envelope_everywhere(p, xi):
     theta = optimal_theta(p, xi)
     assert 0.0 <= theta <= 1.0
-    attained = mixture_energy(p, xi, theta)
+    attained = mixture_objective(p.a, p.b, p.K, xi, theta)
     assert attained == pytest.approx(convex_envelope(p, xi), rel=1e-9, abs=1e-9)
-
-
-class TestGClosure:
-    def test_endpoints(self):
-        assert gclosure_1d(0.0, 1.0, 2.0) == 2.0
-        assert gclosure_1d(1.0, 1.0, 2.0) == 1.0
-
-    def test_half_mix_is_harmonic_mean(self):
-        assert gclosure_1d(0.5, 1.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            gclosure_1d(-0.1, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            gclosure_1d(1.1, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            gclosure_1d(0.5, 2.0, 1.0)
-
-    @given(theta=st.floats(0.0, 1.0), a=st.floats(0.01, 10.0),
-           ratio=st.floats(1.0, 100.0))
-    def test_between_phases_and_monotone(self, theta, a, ratio):
-        b = a * ratio
-        mixed = gclosure_1d(theta, a, b)
-        assert a - 1e-12 <= mixed <= b + 1e-12
-        assert gclosure_1d(min(1.0, theta + 0.1), a, b) <= mixed + 1e-12
 
 
 class TestWbar:

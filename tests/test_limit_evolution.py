@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import BoundaryDatum, preset_datum, refined_time_grid, run_limit
-from barlab.limit_evolution import (initial_limit_state, limit_step,
-                                    mass_reconstruction)
+from barlab.limit_evolution import initial_limit_state, limit_step
 from barlab.loading import threshold_crossing
+from oracles import mass_reconstruction
 
 
 class TestInitialState:
