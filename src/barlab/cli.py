@@ -37,26 +37,22 @@ _PRESET_BLURBS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, out_help: str) -> None:
+def _add_common(sp: argparse.ArgumentParser, out_help: str, cells: bool = False) -> None:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--config", metavar="FILE", help="INI parameter file")
     group.add_argument("--preset", choices=PRESET_NAMES, help="built-in loading program")
     sp.add_argument("--steps", type=int, default=None,
                     help=f"time steps (default {ScenarioConfig.steps})")
-    sp.add_argument("--cells", type=int, default=None,
-                    help=f"spatial cells (default {ScenarioConfig.cells})")
+    if cells:
+        sp.add_argument("--cells", type=int, default=None,
+                        help=f"spatial cells (default {ScenarioConfig.cells})")
     sp.add_argument("--out", default=None, help=out_help)
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = parse_config(args.config) if args.config else preset(args.preset or "monotone")
-    given = {k: v for k, v in (("steps", args.steps), ("cells", args.cells)) if v is not None}
+    given = {k: v for k in ("steps", "cells") if (v := getattr(args, k, None)) is not None}
     return replace(cfg, **given)
-
-
-def _prepare_out_file(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
 
 
 def _cmd_simulate_limit(args: argparse.Namespace) -> int:
@@ -70,7 +66,6 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     print(f"t0 = {traj.t0:.12g}, "
           f"t0* = {threshold_crossing(cfg.datum, m.jump_threshold):.12g}")
     if args.out:
-        _prepare_out_file(args.out)
         e = traj.sigma / m.a1
         t0_flag = (traj.l == 0.0).astype(float)
         saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - 1e-9)).astype(float)
@@ -97,7 +92,6 @@ def _cmd_simulate_eps(args: argparse.Namespace) -> int:
     print(f"energy(T) = {traj.energy[-1]:.12g}")
     print(f"max |energy balance residual| = {np.max(np.abs(traj.eb_residual)):.3e}")
     if args.out:
-        _prepare_out_file(args.out)
         write_csv(args.out,
                   ("t", "J", "sigma", "Theta_mean", "l_eps", "energy",
                    "work_cum", "eb_residual"),
@@ -121,7 +115,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        _prepare_out_file(args.out)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
@@ -162,7 +156,6 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
     print(f"monotone decrease: sigma={flags[0]} l={flags[1]} energy={flags[2]}")
     out = args.out or cfg.out_dir
     if out:
-        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, "eps_sweep.csv")
         write_csv(path, ("eps", "sup_sigma_dev", "sup_l_dev", "sup_energy_dev"),
                   (report.eps, report.sup_sigma_dev, report.sup_l_dev,
@@ -195,7 +188,6 @@ def _cmd_envelope_table(args: argparse.Namespace) -> int:
     cols = (xi, raw_energy(p, xi), convex_envelope(p, xi), optimal_theta(p, xi))
     header = ("xi", "raw", "envelope", "theta_star")
     if args.out:
-        _prepare_out_file(args.out)
         write_csv(args.out, header, cols)
         print(f"# kinks: xi1 = {xi1!r}, xi2 = {xi2!r}; affine slope = {slope!r}")
         print(f"wrote {args.out}")
@@ -225,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_simulate_limit)
 
     sp = sub.add_parser("simulate-eps", help="run the regularized bar model")
-    _add_common(sp, out_help="CSV file for the trajectory")
+    _add_common(sp, out_help="CSV file for the trajectory", cells=True)
     sp.add_argument("--eps", type=float, required=True, help="regularization parameter")
     sp.set_defaults(func=_cmd_simulate_eps)
 
@@ -234,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("sweep-eps", help="compare regularized runs against the limit")
-    _add_common(sp, out_help="directory for the sweep CSV")
+    _add_common(sp, out_help="directory for the sweep CSV", cells=True)
     sp.add_argument("--eps-list", metavar="E1,E2,...", default=None,
                     help="strictly decreasing epsilon values")
     sp.set_defaults(func=_cmd_sweep_eps)

@@ -160,7 +160,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
             witness = (start, float(start + frac * (times[k] - start)))
 
     dt = float(np.max(np.diff(grid)))
-    if abs(traj.t0 - t0_star) > dt + 1e-12:
+    if abs(traj.t0 - t0_star) > dt * (1.0 + 1e-12):
         raise NumericalError(
             f"damage onset t0={traj.t0!r} and threshold crossing t0*={t0_star!r} "
             f"disagree by more than one time step"
@@ -204,14 +204,14 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     res_tol = _RESIDUAL_TOL * s * m.L
     series = residual_series(traj)
 
-    k0 = _locate(traj, traj.t0)
-    tail = np.abs(traj.sigma[k0 + 1:])
-    saturated = bool(traj.l[-1] == 0.0 or np.all(s - tail <= sat_tol))
+    damaged = traj.l > 0.0
+    unsaturated = damaged & (s - np.abs(traj.sigma) > sat_tol)
+    saturated = not unsaturated.any()
     small_residual = bool(series.max() <= res_tol)
     says_plastic = verdict == PERFECT_PLASTICITY
 
     if says_plastic != saturated:
-        bad = k0 + 1 + int(np.argmax(s - tail > sat_tol)) if tail.size else k0
+        bad = int(np.argmax(unsaturated if says_plastic else damaged))
         return ConsistencyReport(False, float(traj.times[bad]),
                                  "verdict and stress saturation disagree")
     if says_plastic != small_residual:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,12 +73,13 @@ class MaterialParams:
         if not self.a0 < self.a1:
             raise ValueError(f"need a0 < a1, got a0={self.a0!r}, a1={self.a1!r}")
 
-    @property
+    # Cached: the return map of the limit model reads both numbers at every step.
+    @cached_property
     def yield_stress(self) -> float:
         """Stress threshold sqrt(2*kappa*a0) of the effective model."""
         return math.sqrt(2.0 * self.kappa * self.a0)
 
-    @property
+    @cached_property
     def jump_threshold(self) -> float:
         """Largest boundary jump the bar carries elastically: yield_stress*L/a1."""
         return self.yield_stress * self.L / self.a1

@@ -26,7 +26,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, cumulative_work, validate_time_grid
+from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_time_grid
 
 __all__ = ["EpsTrajectory", "plateau_factor", "run_eps"]
 
@@ -88,8 +88,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     reference is the per-cell incremental minimization replayed step by
     step (``tests/oracles.py::stepwise_run_eps``).
     """
-    if abs(w.duration - m.T) > 1e-12:
-        raise ValueError(f"loading ends at t={w.duration!r} but the horizon is T={m.T!r}")
+    check_horizon(w, m.T)
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells!r}")
     grid = validate_time_grid(w, time_grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, cumulative_work, validate_time_grid
+from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_time_grid
 
 __all__ = [
     "LimitState",
@@ -52,8 +52,9 @@ def _assemble(m: MaterialParams, t: float, J: float, l: float) -> LimitState:
 
 
 def _trial_mass(m: MaterialParams, J: float) -> float:
-    # Mass needed to carry J at exactly the yield stress; negative if elastic.
-    return m.a0 * (abs(J) / m.yield_stress - m.L / m.a1)
+    # Mass needed to carry J at exactly the yield stress; positive exactly when
+    # |J| > m.jump_threshold, the one test of the elastic limit.
+    return m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress
 
 
 def initial_limit_state(m: MaterialParams, J0: float, t: float = 0.0) -> LimitState:
@@ -94,8 +95,7 @@ class LimitTrajectory:
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
     """Run the return map along ``w`` and record closed-form and integrated energies."""
-    if abs(w.duration - m.T) > 1e-12:
-        raise ValueError(f"loading ends at t={w.duration!r} but the horizon is T={m.T!r}")
+    check_horizon(w, m.T)
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
     steps = grid.size

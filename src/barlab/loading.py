@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BoundaryDatum", "jump_nodes", "threshold_crossing", "refined_time_grid",
-           "validate_time_grid", "cumulative_work"]
+           "check_horizon", "validate_time_grid", "cumulative_work"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,19 +100,26 @@ def refined_time_grid(w: BoundaryDatum, steps: int) -> np.ndarray:
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
+def check_horizon(w: BoundaryDatum, T: float) -> None:
+    """Raise ``ValueError`` unless ``w`` ends at the horizon ``T``, to rounding relative to ``T``."""
+    if abs(w.duration - T) > 1e-12 * T:
+        raise ValueError(f"loading ends at t={w.duration!r} but the horizon is T={T!r}")
+
+
 def validate_time_grid(w: BoundaryDatum, grid) -> np.ndarray:
-    """Check that ``grid`` is a strictly increasing refinement of the datum knots."""
+    """Check that ``grid`` is a strictly increasing refinement of the datum knots, to 1e-12 of the span."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ValueError("time grid must hold at least two instants")
     if np.any(np.diff(g) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
-    if abs(g[0] - w.times[0]) > 1e-12 or abs(g[-1] - w.times[-1]) > 1e-12:
+    tol = 1e-12 * w.duration
+    if abs(g[0] - w.times[0]) > tol or abs(g[-1] - w.times[-1]) > tol:
         raise ValueError("time grid must span the full loading interval")
     pos = np.searchsorted(g, w.times)
     pos = np.clip(pos, 0, g.size - 1)
     near = np.minimum(np.abs(g[pos] - w.times), np.abs(g[np.maximum(pos - 1, 0)] - w.times))
-    if np.any(near > 1e-12):
+    if np.any(near > tol):
         raise ValueError("time grid must contain every knot of the loading program")
     return g
 

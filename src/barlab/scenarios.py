@@ -18,7 +18,7 @@ from .envelope import MaterialParams
 from .errors import ConfigError
 from .eps_evolution import EpsTrajectory, run_eps
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, refined_time_grid
+from .loading import BoundaryDatum, check_horizon, refined_time_grid
 
 __all__ = [
     "DEFAULT_MATERIAL",
@@ -52,15 +52,16 @@ def preset_datum(name: str, m: MaterialParams) -> BoundaryDatum:
         level = 0.8 * thr
         return BoundaryDatum(times=[0.0, m.T], w0=[0.0, 0.0], wL=[level, level])
     if name == "loading-unloading":
-        # Peak gap L*T/2 must clear the jump threshold, else the triangle never damages.
-        if m.T <= 2.0 * m.yield_stress / m.a1:
+        # The peak gap must clear the jump threshold, else the triangle never damages.
+        peak = m.L * m.T / 2.0
+        if peak <= thr:
             raise ConfigError(
-                f"loading-unloading preset needs T > {2.0 * m.yield_stress / m.a1!r} "
-                f"for this material, got T = {m.T!r}"
+                f"loading-unloading preset needs its peak jump L*T/2 = {peak!r} above "
+                f"the jump threshold {thr!r} of this material"
             )
         return BoundaryDatum(times=[0.0, m.T / 2.0, m.T],
                              w0=[0.0, 0.0, 0.0],
-                             wL=[0.0, m.L * m.T / 2.0, 0.0])
+                             wL=[0.0, peak, 0.0])
     if name == "high-unload":
         return BoundaryDatum(times=[0.0, m.T / 2.0, m.T],
                              w0=[0.0, 0.0, 0.0],
@@ -94,11 +95,10 @@ class ScenarioConfig:
             raise ConfigError(f"cells must be positive, got {self.cells!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be positive, got {self.steps!r}")
-        if abs(self.datum.duration - self.material.T) > 1e-12:
-            raise ConfigError(
-                f"datum spans [0, {self.datum.duration!r}] but the material horizon is T = "
-                f"{self.material.T!r}"
-            )
+        try:
+            check_horizon(self.datum, self.material.T)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _KEYS = {
@@ -307,7 +307,8 @@ def textbook_damage(m: MaterialParams, J: np.ndarray) -> np.ndarray:
 
 
 def write_csv(path: str | os.PathLike[str], header, columns) -> None:
-    """Plain CSV with full-precision floats and LF line endings."""
+    """Plain CSV with full-precision floats and LF line endings; creates the file's directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     cols = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -321,7 +322,6 @@ def emit_figures(cfg: ScenarioConfig, traj: LimitTrajectory | None = None,
     out = out_dir or cfg.out_dir
     if not out:
         raise ConfigError("no output directory configured; set [output] out_dir or pass --out")
-    os.makedirs(out, exist_ok=True)
     if traj is None:
         traj = run_scenario_limit(cfg)
     t, J = traj.times, traj.J

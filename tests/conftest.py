@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import barlab
 
@@ -16,6 +17,15 @@ _ACCEPTANCE_LINES: dict[int, str] = {}
 @pytest.fixture
 def material() -> barlab.MaterialParams:
     return barlab.DEFAULT_MATERIAL
+
+
+@st.composite
+def materials(draw) -> barlab.MaterialParams:
+    """Random materials with every parameter within two decades of the default."""
+    value = st.floats(0.1, 10.0)
+    a0 = draw(value)
+    return barlab.MaterialParams(kappa=draw(value), a0=a0, a1=a0 * draw(st.floats(1.01, 10.0)),
+                                 L=draw(value), T=draw(value))
 
 
 def record_acceptance(criterion: int, passed: bool, detail: str) -> None:

@@ -12,6 +12,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     refined_time_grid, residual_series, run_limit)
 from barlab.diagnostics import fake_balance_residual_series, flow_rule_defects
 from barlab.loading import jump_nodes, threshold_crossing
+from conftest import materials
 from oracles import (DiscreteDisplacement, competitor_family, path_admits_plasticity,
                      static_gamma_energy)
 
@@ -239,6 +240,35 @@ def test_path_test_on_random_programs(w, steps):
     assert c.t0_star == t0_star
     expected = PERFECT_PLASTICITY if path_admits_plasticity(w.wL - w.w0, THR) else DAMAGE_ONLY
     assert c.verdict == expected
+
+
+def _tied_start(m: MaterialParams, side: int) -> BoundaryDatum:
+    # wL = [J0, 0] with J0 one ulp below (-1), at (0) or one ulp above (+1) the threshold.
+    thr = m.jump_threshold
+    J0 = thr if side == 0 else float(np.nextafter(thr, side * np.inf))
+    return BoundaryDatum(times=[0.0, m.T], w0=[0.0, 0.0], wL=[J0, 0.0])
+
+
+def _assert_one_onset(w: BoundaryDatum, m: MaterialParams) -> None:
+    # The return map damages at t = 0 exactly when |J(0)| is above the threshold,
+    # so the onset check of cns_classify cannot see two different crossings.
+    cns_classify(w, m, steps=50)
+    traj = run_limit(m, w, refined_time_grid(w, 50))
+    assert (traj.l[0] > 0.0) == (threshold_crossing(w, m.jump_threshold) == 0.0)
+
+
+@settings(max_examples=300)
+@given(m=materials(), side=st.sampled_from([-1, 0, 1]))
+def test_a_start_tied_with_the_threshold_has_one_onset(m, side):
+    _assert_one_onset(_tied_start(m, side), m)
+
+
+@pytest.mark.parametrize("T", [2e-9, 2.0, 2e9])
+def test_a_tie_in_scaled_units_has_one_onset(T):
+    # The default material with stiffnesses and toughness scaled by 1e-9 and the
+    # length by 1e9: s* L/a1 rounds to one ulp below the jump 0.5e9.
+    m = MaterialParams(kappa=0.5e-9, a0=1e-9, a1=2e-9, L=1e9, T=T)
+    _assert_one_onset(BoundaryDatum(times=[0.0, T], w0=[0.0, 0.0], wL=[0.5e9, 0.0]), m)
 
 
 class TestConsistency:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, preset_datum,
-                    refined_time_grid, run_eps, run_limit)
+from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
+                    ScenarioConfig, preset_datum, refined_time_grid, run_eps, run_limit)
 from barlab.loading import jump_nodes, threshold_crossing, validate_time_grid
 from oracles import trapezoid_work
 
@@ -141,6 +143,31 @@ class TestTimeGrids:
         w = lu_datum()
         with pytest.raises(ValueError):
             validate_time_grid(w, np.array([0.0, 1.0, 0.5, 2.0]))
+
+
+# Every entry point that checks the horizon, with the error it raises.
+HORIZON_CHECKS = {
+    "ScenarioConfig": (lambda m, w: ScenarioConfig(material=m, datum=w), ConfigError),
+    "run_limit": (lambda m, w: run_limit(m, w, refined_time_grid(w, 10)), ValueError),
+    "run_eps": (lambda m, w: run_eps(m, 0.05, 2, w, refined_time_grid(w, 10)), ValueError),
+}
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("entry", sorted(HORIZON_CHECKS))
+    def test_a_datum_far_past_a_tiny_horizon_is_refused(self, entry):
+        # The datum ends at 500 times the horizon.
+        run, error = HORIZON_CHECKS[entry]
+        w = BoundaryDatum(times=[0.0, 5e-13], w0=[0.0, 0.0], wL=[0.0, 1.0])
+        with pytest.raises(error):
+            run(replace(DEFAULT_MATERIAL, T=1e-15), w)
+
+    @pytest.mark.parametrize("entry", sorted(HORIZON_CHECKS))
+    def test_a_datum_two_ulps_short_of_a_long_horizon_is_accepted(self, entry):
+        run, _ = HORIZON_CHECKS[entry]
+        m = replace(DEFAULT_MATERIAL, T=1e5 + 3e-11)
+        assert np.nextafter(np.nextafter(1e5, np.inf), np.inf) == m.T
+        run(m, BoundaryDatum(times=[0.0, 1e5], w0=[0.0, 0.0], wL=[0.0, 1.0]))
 
 
 def assert_work_is_the_trapezoid_oracle(w: BoundaryDatum, steps: int) -> None:

@@ -8,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
                     NumericalError, ScenarioConfig, cns_classify, emit_figures,
-                    parse_config, preset, preset_datum, run_scenario_limit, sweep_eps)
+                    parse_config, preset, preset_datum, refined_time_grid, run_limit,
+                    run_scenario_limit, sweep_eps)
 from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
-                              textbook_plasticity, write_config)
+                              textbook_plasticity, write_config, write_csv)
+from conftest import materials
 
 
 class TestPresets:
@@ -32,6 +36,22 @@ class TestPresets:
         short = replace(material, T=0.8)
         with pytest.raises(ConfigError):
             preset_datum("loading-unloading", short)
+
+    @settings(max_examples=300)
+    @given(m=materials(), side=st.sampled_from([-1, 0, 1]))
+    def test_triangle_is_refused_exactly_when_it_never_damages(self, m, side):
+        # T one ulp below (-1), at (0) or one ulp above (+1) the value 2 s*/a1
+        # at which the peak jump L*T/2 meets the threshold s* L/a1.
+        T = 2.0 * m.yield_stress / m.a1
+        m = replace(m, T=T if side == 0 else float(np.nextafter(T, side * np.inf)))
+        w = BoundaryDatum(times=[0.0, m.T / 2.0, m.T], w0=[0.0, 0.0, 0.0],
+                          wL=[0.0, m.L * m.T / 2.0, 0.0])
+        damages = run_limit(m, w, refined_time_grid(w, 400)).l[-1] > 0.0
+        try:
+            accepted = preset_datum("loading-unloading", m) == w
+        except ConfigError:
+            accepted = False
+        assert accepted == damages
 
     def test_high_unload_stays_supercritical(self, material):
         w = preset_datum("high-unload", material)
@@ -212,6 +232,11 @@ class TestEmitFigures:
         rows = Path(paths[0]).read_text().strip().splitlines()
         assert len(rows) == traj.times.size + 1
 
+    def test_write_csv_creates_a_missing_directory(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "table.csv"
+        write_csv(path, ("a", "b"), ([1.0, 2.0], [3.0, 4.0]))
+        assert path.read_text() == "a,b\n1.0,3.0\n2.0,4.0\n"
+
 
 class TestCommandLine:
     def test_classify_prints_json_verdict(self, capsys):
@@ -298,7 +323,14 @@ class TestCommandLine:
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert f"time steps (default {ScenarioConfig.steps})" in out
-        assert f"spatial cells (default {ScenarioConfig.cells})" in out
+        if command in ("simulate-eps", "sweep-eps"):
+            assert f"spatial cells (default {ScenarioConfig.cells})" in out
+
+    @pytest.mark.parametrize("command", ["classify", "simulate-limit", "emit-figures"])
+    def test_cells_is_refused_where_no_cell_is_run(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "monotone", "--cells", "4"])
+        assert exc.value.code == 2
 
     def test_preset_list_names_everything(self, capsys):
         assert main(["preset-list"]) == 0
