@@ -21,8 +21,7 @@ import numpy as np
 from .envelope import MaterialParams
 from .errors import NumericalError
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import (BoundaryDatum, cumulative_work, jump_nodes,
-                      refined_time_grid, threshold_crossing)
+from .loading import BoundaryDatum, _crossing, jump_nodes, refined_time_grid
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -30,7 +29,6 @@ __all__ = [
     "dissipation",
     "plasticity_energy_balance_residual",
     "residual_series",
-    "fake_balance_residual_series",
     "flow_rule_defects",
     "Classification",
     "cns_classify",
@@ -63,14 +61,6 @@ def _yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
     return traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
 
 
-def _balance(traj: LimitTrajectory, spent: np.ndarray) -> np.ndarray:
-    # Elastic energy plus the cumulative energy ``spent`` on p, minus the initial
-    # elastic energy and the external work; the elastic part is L*sigma**2/(2*a1).
-    m = traj.m
-    elastic = m.L * traj.sigma**2 / (2.0 * m.a1)
-    return elastic + spent - elastic[0] - traj.work_cum
-
-
 def dissipation(traj: LimitTrajectory, s: float, t: float) -> float:
     """Yield dissipation ``yield_stress * variation of the plastic mass`` between the recorded instants ``s <= t``."""
     if s > t:
@@ -83,25 +73,22 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     """Plasticity energy-balance residual at every recorded instant.
 
     ``R(t) = elastic(t) + dissipation(0, t) - elastic(0) - work(0, t)``
-    with the elastic part ``L*sigma**2/(2*a1)``.  Identically zero, up to
-    time-discretization error, exactly when the path admits a
+    with the elastic part ``L*sigma**2/(2*a1)``.  The limit model balances
+    its own damage energy, so the work cancels and
+    ``R(t) = s* Var_0^t(p) - S(t) + S(0)`` with the stored part
+    ``S = l*(sigma**2/(2*a0) + kappa)``.  The recorded states are exact and
+    ``p`` is monotone between knots of the datum, so this is exact on any
+    grid that holds the knots.  Zero exactly when the path admits a
     perfect-plasticity reading; strictly positive afterwards otherwise.
     """
-    return _balance(traj, _yield_dissipation(traj))
+    m = traj.m
+    stored = traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
+    return _yield_dissipation(traj) - (stored - stored[0])
 
 
 def plasticity_energy_balance_residual(traj: LimitTrajectory, t: float) -> float:
     """Value of ``residual_series`` at the recorded instant ``t``."""
     return float(residual_series(traj)[_locate(traj, t)])
-
-
-def fake_balance_residual_series(traj: LimitTrajectory) -> np.ndarray:
-    """Residual of the unconditional balance, with ``sigma*dp`` in place of the yield dissipation.
-
-    This balance is an identity of the limit model, so the series tends
-    to zero with the time step on every loading path.
-    """
-    return _balance(traj, cumulative_work(traj.sigma, traj.p))
 
 
 def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
@@ -138,10 +125,9 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
     thr = m.jump_threshold
-    t0_star = threshold_crossing(w, thr)
-
     times, J = jump_nodes(w)
     absJ = np.abs(J)
+    t0_star = _crossing(times, absJ, thr)
     # Segments that end after t0* and on which |J| strictly decreases; none ends
     # at t0*, where |J| rises through the threshold.
     drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1

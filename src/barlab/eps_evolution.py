@@ -13,8 +13,11 @@ A consequence of the stiffness identity
 density has the same plateau stress for every cell and every step,
 ``s_p = sqrt(2*kappa*a0) * plateau_factor``.  Each step is then elastic,
 on the plateau or fully damaged, and a plateau step sets the stiffness of
-the homogeneous bar to ``s_p*L/|J|``.  ``run_eps`` therefore computes the
-whole history as a prefix scan of the running maximum of ``|J|``.
+the homogeneous bar to ``s_p*L/|J|``.  The whole history is therefore a
+prefix scan of the running maximum of ``|J|``.  Only ``s_p`` and the weak
+stiffness depend on ``eps``, so the scan runs on a leading eps axis: one
+running maximum serves every eps of a sweep, and ``run_eps`` is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -65,10 +68,57 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
-def _guard(bad: np.ndarray, grid: np.ndarray, what: str) -> None:
+def _guard(bad: np.ndarray, grid: np.ndarray, what: str, eps=None) -> None:
     if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericalError(f"time step {k} (t={float(grid[k])!r}): {what}")
+        row, k = divmod(int(np.argmax(bad)), grid.size)
+        which = "" if eps is None else f"eps={eps[row]!r}, "
+        raise NumericalError(f"{which}time step {k} (t={float(grid[k])!r}): {what}")
+
+
+def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_eps: bool):
+    """Histories ``(a, sigma, theta, l_eps, energy, work)``, one row per eps, of the jump ``J`` on ``grid``.
+
+    Every eps passes ``plateau_factor`` before any array work; with
+    ``name_eps`` a guard's ``NumericalError`` names the eps of its row.
+    """
+    s_plateau = np.array([[m.yield_stress * plateau_factor(m, e)] for e in eps_list])
+    eps = np.array(eps_list, dtype=float)[:, None]
+    weak = eps * m.a0
+    L = m.L
+    named = eps_list if name_eps else None
+
+    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1.
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
+    sigma = J * a / L
+    theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
+    l_eps = L * (1.0 - theta) / eps
+    energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
+    work = cumulative_work(sigma, J)
+
+    a_prev = np.concatenate([np.full_like(weak, m.a1), a[:, :-1]], axis=1)
+    theta_prev = np.concatenate([np.ones_like(weak), theta[:, :-1]], axis=1)
+    _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
+           grid, "stress leaves an aggregate-strain residual", named)
+    a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
+    _guard(np.abs(a - a_identity) > _IDENTITY_TOL * a, grid,
+           "stiffness identity violated after damage update", named)
+    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", named)
+    # Running a-priori bound: each step can raise the energy by at most the
+    # worst-case work of the increment.  The recursion
+    # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
+    # square, so sqrt(C) grows by sqrt(a1/(2L))|dJ| per step.
+    root = np.sqrt(energy[:, :1]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
+        [[0.0], np.cumsum(np.abs(np.diff(J)))])
+    # The slacks are relative to the bound and to the material's energy
+    # and stress units, so the guards read the same in every unit system.
+    _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
+           "energy bound violated", named)
+    _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
+           + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", named)
+    _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
+           "stress exceeded the damage-onset plateau", named)
+    return a, sigma, theta, l_eps, energy, work
 
 
 def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
@@ -93,42 +143,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
         raise ValueError(f"need at least one cell, got {n_cells!r}")
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
-    s_plateau = m.yield_stress * plateau_factor(m, eps)
-    weak = eps * m.a0
-    L = m.L
-
-    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1.
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
-    sigma = J * a / L
-    theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-    l_eps = L * (1.0 - theta) / eps
-    energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
-    work = cumulative_work(sigma, J)
-
-    a_prev = np.concatenate([[m.a1], a[:-1]])
-    theta_prev = np.concatenate([[1.0], theta[:-1]])
-    _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
-           grid, "stress leaves an aggregate-strain residual")
-    a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
-    _guard(np.abs(a - a_identity) > _IDENTITY_TOL * a, grid,
-           "stiffness identity violated after damage update")
-    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar")
-    # Running a-priori bound: each step can raise the energy by at most the
-    # worst-case work of the increment.  The recursion
-    # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
-    # square, so sqrt(C) grows by sqrt(a1/(2L))|dJ| per step.
-    root = math.sqrt(energy[0]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
-        [[0.0], np.cumsum(np.abs(np.diff(J)))])
-    # The slacks are relative to the bound and to the material's energy
-    # and stress units, so the guards read the same in every unit system.
-    _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
-           "energy bound violated")
-    _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
-           + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated")
-    _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
-           "stress exceeded the damage-onset plateau")
-
+    a, sigma, theta, l_eps, energy, work = (row[0] for row in _scan(m, (eps,), J, grid, name_eps=False))
     shape = (grid.size, n_cells)
     return EpsTrajectory(
         m=m,

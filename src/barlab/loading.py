@@ -75,10 +75,14 @@ def jump_nodes(w: BoundaryDatum) -> tuple[np.ndarray, np.ndarray]:
 def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
     """Exact first instant with ``|J| > threshold``, or ``w.duration`` if there is none."""
     times, J = jump_nodes(w)
-    absJ = np.abs(J)
+    return _crossing(times, np.abs(J), threshold)
+
+
+def _crossing(times: np.ndarray, absJ: np.ndarray, threshold: float) -> float:
+    # First instant with |J| > threshold on the polyline of jump_nodes, or its last node.
     above = np.flatnonzero(absJ > threshold)
     if above.size == 0:
-        return w.duration
+        return float(times[-1])
     k = int(above[0])
     if k == 0:
         return float(times[0])
@@ -125,5 +129,6 @@ def validate_time_grid(w: BoundaryDatum, grid) -> np.ndarray:
 
 
 def cumulative_work(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoidal running integral of ``f dx`` over recorded samples, starting at 0."""
-    return np.cumsum(np.concatenate(([0.0], 0.5 * (f[:-1] + f[1:]) * np.diff(x))))
+    """Trapezoidal running integral of ``f dx`` along the last axis of ``f``, starting at 0."""
+    step = 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(x)
+    return np.cumsum(np.concatenate((np.zeros(step.shape[:-1] + (1,)), step), axis=-1), axis=-1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import ConfigError
-from .eps_evolution import EpsTrajectory, run_eps
+from .eps_evolution import EpsTrajectory, _scan, run_eps
 from .limit_evolution import LimitTrajectory, run_limit
 from .loading import BoundaryDatum, check_horizon, refined_time_grid
 
@@ -260,24 +260,18 @@ class SweepReport:
 
 
 def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
-    """Run every epsilon in the config against the limit model on one grid."""
+    """Run every epsilon in the config against the limit model, as one scan on the limit run's grid and jump."""
     if not cfg.eps_list:
         raise ConfigError("eps sweep needs a non-empty eps_list")
     eps = cfg.eps_list
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list must be strictly decreasing, got {eps!r}")
-    grid = refined_time_grid(cfg.datum, cfg.steps)
-    ref = run_limit(cfg.material, cfg.datum, grid)
-    sig, ell, en = [], [], []
-    for e in eps:
-        traj = run_eps(cfg.material, e, cfg.cells, cfg.datum, grid)
-        sig.append(float(np.max(np.abs(traj.sigma - ref.sigma))))
-        ell.append(float(np.max(np.abs(traj.l_eps - ref.l))))
-        en.append(float(np.max(np.abs(traj.energy - ref.E_closed))))
+    ref = run_limit(cfg.material, cfg.datum, refined_time_grid(cfg.datum, cfg.steps))
+    _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times, name_eps=True)
     return SweepReport(eps=eps,
-                       sup_sigma_dev=np.asarray(sig),
-                       sup_l_dev=np.asarray(ell),
-                       sup_energy_dev=np.asarray(en))
+                       sup_sigma_dev=np.max(np.abs(sigma - ref.sigma), axis=1),
+                       sup_l_dev=np.max(np.abs(l_eps - ref.l), axis=1),
+                       sup_energy_dev=np.max(np.abs(energy - ref.E_closed), axis=1))
 
 
 def textbook_plasticity(m: MaterialParams, J: np.ndarray) -> np.ndarray:

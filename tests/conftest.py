@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -26,6 +27,18 @@ def materials(draw) -> barlab.MaterialParams:
     a0 = draw(value)
     return barlab.MaterialParams(kappa=draw(value), a0=a0, a1=a0 * draw(st.floats(1.01, 10.0)),
                                  L=draw(value), T=draw(value))
+
+
+@st.composite
+def programs(draw, m: barlab.MaterialParams) -> barlab.BoundaryDatum:
+    """Random piecewise-linear programs on ``[0, m.T]``; knot values mix zeros and ties with the threshold."""
+    n = draw(st.integers(2, 6))
+    ends = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)))
+    times = np.concatenate([[0.0], m.T * ends[:-1] / ends[-1], [m.T]])
+    thr = m.jump_threshold
+    value = st.one_of(st.sampled_from([0.0, thr, -thr]), st.floats(-3.0 * thr, 3.0 * thr))
+    wL = draw(st.lists(value, min_size=n, max_size=n))
+    return barlab.BoundaryDatum(times=times, w0=np.zeros(n), wL=wL)
 
 
 def record_acceptance(criterion: int, passed: bool, detail: str) -> None:

@@ -93,6 +93,28 @@ def trapezoid_work(times, sigma, J):
     return np.concatenate([[0.0], np.cumsum(sbar * np.diff(J))])
 
 
+def trapezoid_balance(traj, spent):
+    """Elastic energy ``L*sigma**2/(2*a1)`` plus the energy ``spent`` on ``p``, less its start and the trapezoid work."""
+    m = traj.m
+    elastic = m.L * traj.sigma**2 / (2.0 * m.a1)
+    return elastic + spent - elastic[0] - trapezoid_work(traj.times, traj.sigma, traj.J)
+
+
+def trapezoid_residual_series(traj):
+    """Plasticity residual with the trapezoid work: the yield dissipation ``s* Var(p)`` as ``spent``."""
+    spent = traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
+    return trapezoid_balance(traj, spent)
+
+
+def fake_balance_residual_series(traj):
+    """Residual of the unconditional balance, with ``sigma*dp`` in place of the yield dissipation.
+
+    This balance is an identity of the limit model, so the series tends
+    to zero with the time step on every loading path.
+    """
+    return trapezoid_balance(traj, trapezoid_work(traj.times, traj.sigma, traj.p))
+
+
 def exhaustive_step_minimum(kappa: float, eps: float, a_weak: float,
                             theta_prev: np.ndarray, a_prev: np.ndarray,
                             dx: float, J_new: float, grid_points: int = 11):

@@ -13,15 +13,15 @@ import pytest
 
 from conftest import record_acceptance
 from oracles import (StepState, competitor_family, envelope_by_minimization,
-                     exhaustive_step_minimum, incremental_step, initial_energy_routes,
-                     mass_reconstruction, static_gamma_energy, total_energy)
+                     exhaustive_step_minimum, fake_balance_residual_series,
+                     incremental_step, initial_energy_routes, mass_reconstruction,
+                     static_gamma_energy, total_energy)
 
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     TwoWellParams, cns_classify, convex_envelope, dissipation,
                     plasticity_energy_balance_residual, preset, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit,
                     sweep_eps)
-from barlab.diagnostics import fake_balance_residual_series
 from barlab.envelope import envelope_slope_bounds
 from barlab.eps_evolution import plateau_factor
 from barlab.limit_evolution import initial_limit_state

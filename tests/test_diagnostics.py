@@ -10,11 +10,11 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     MaterialParams, classifier_consistency, cns_classify, dissipation,
                     plasticity_energy_balance_residual, preset_datum,
                     refined_time_grid, residual_series, run_limit)
-from barlab.diagnostics import fake_balance_residual_series, flow_rule_defects
+from barlab.diagnostics import flow_rule_defects
 from barlab.loading import jump_nodes, threshold_crossing
-from conftest import materials
-from oracles import (DiscreteDisplacement, competitor_family, path_admits_plasticity,
-                     static_gamma_energy)
+from conftest import materials, programs
+from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
+                     path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
 
 def run_preset(material, name, steps=400):
@@ -104,6 +104,25 @@ class TestPlasticityResidual:
         traj = run_preset(material, "monotone", steps=7)
         with pytest.raises(ValueError):
             plasticity_energy_balance_residual(traj, 0.123456)
+
+    def test_matches_the_trapezoid_reference_where_that_is_exact(self, material):
+        # The presets cross the threshold at t = 0.5, a grid point, so the
+        # trapezoid work is exact too and the two forms agree to rounding.
+        for name in ("monotone", "constant", "loading-unloading", "high-unload"):
+            traj = run_preset(material, name)
+            gap = np.abs(residual_series(traj) - trapezoid_residual_series(traj))
+            assert np.max(gap) <= 1e-12 * material.yield_stress * material.L
+
+    @pytest.mark.parametrize("steps", [7, 400])
+    def test_exact_when_the_crossing_is_off_the_grid(self, steps):
+        # Here the threshold crossing falls between grid points: the trapezoid
+        # work carries the onset step's error, the state form does not.
+        m = MaterialParams(kappa=0.3, a0=1.7, a1=3.1, L=1.4, T=5.0)
+        traj = run_preset(m, "loading-unloading", steps)
+        l1 = m.a0 * (m.L * m.T / 2.0 / m.yield_stress - m.L / m.a1)
+        want = 3.0 * m.kappa * l1
+        assert plasticity_energy_balance_residual(traj, m.T) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert abs(trapezoid_residual_series(traj)[-1] - want) > 1e-6 * want
 
 
 class TestFlowRule:
@@ -240,6 +259,20 @@ def test_path_test_on_random_programs(w, steps):
     assert c.t0_star == t0_star
     expected = PERFECT_PLASTICITY if path_admits_plasticity(w.wL - w.w0, THR) else DAMAGE_ONLY
     assert c.verdict == expected
+
+
+@settings(max_examples=50)
+@given(m=materials(), data=st.data())
+def test_residual_on_the_knots_alone_is_exact(m, data):
+    # p is monotone between knots, so the knots alone give the same R(T) as
+    # a grid with 4000 more instants, to rounding of the terms it sums.
+    w = data.draw(programs(m))
+    knots = residual_series(run_limit(m, w, refined_time_grid(w, 1)))
+    fine = residual_series(run_limit(m, w, refined_time_grid(w, 4000)))
+    J = w.wL - w.w0
+    scale = m.yield_stress * (np.max(np.abs(J)) + np.sum(np.abs(np.diff(J))))
+    assert abs(knots[-1] - fine[-1]) <= 1e-12 * scale
+    assert np.min(np.diff(fine)) >= -1e-12 * scale
 
 
 def _tied_start(m: MaterialParams, side: int) -> BoundaryDatum:

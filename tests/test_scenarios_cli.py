@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
                     NumericalError, ScenarioConfig, cns_classify, emit_figures,
-                    parse_config, preset, preset_datum, refined_time_grid, run_limit,
-                    run_scenario_limit, sweep_eps)
+                    parse_config, preset, preset_datum, refined_time_grid, run_eps,
+                    run_limit, run_scenario_limit, sweep_eps)
 from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
                               textbook_plasticity, write_config, write_csv)
-from conftest import materials
+from conftest import materials, programs
 
 
 class TestPresets:
@@ -169,6 +169,66 @@ class TestSweep:
         assert report.sup_sigma_dev[1] < report.sup_sigma_dev[0]
         assert report.sup_l_dev[1] < report.sup_l_dev[0]
         assert report.sup_energy_dev[1] < report.sup_energy_dev[0]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_one_run_per_eps(self, name):
+        cfg = replace(preset(name), steps=1000, eps_list=(0.1, 0.05, 0.02, 0.01))
+        assert_sweep_matches_runs(cfg)
+
+    def test_one_limit_run_and_one_jump_evaluation(self, monkeypatch):
+        calls = {"run_limit": 0, "jump": 0}
+        real_run_limit, real_jump = run_limit, BoundaryDatum.jump
+
+        def counted_run_limit(*args):
+            calls["run_limit"] += 1
+            return real_run_limit(*args)
+
+        def counted_jump(self, t):
+            calls["jump"] += 1
+            return real_jump(self, t)
+
+        monkeypatch.setattr("barlab.scenarios.run_limit", counted_run_limit)
+        monkeypatch.setattr(BoundaryDatum, "jump", counted_jump)
+        sweep_eps(replace(preset("loading-unloading"), steps=50, eps_list=(0.1, 0.05, 0.02, 0.01)))
+        assert calls == {"run_limit": 1, "jump": 1}
+
+    def test_guard_names_the_eps(self, monkeypatch):
+        # With no rounding allowance the aggregate-strain guard fires on the
+        # rounding of some eps and not of others: here 0.2 passes and 0.1 fails.
+        monkeypatch.setattr("barlab.eps_evolution._RESIDUAL_TOL", 0.0)
+        cfg = replace(preset("loading-unloading"), steps=20, eps_list=(0.2, 0.1))
+        grid = refined_time_grid(cfg.datum, cfg.steps)
+        run_eps(cfg.material, 0.2, 1, cfg.datum, grid)
+        with pytest.raises(NumericalError) as single:
+            run_eps(cfg.material, 0.1, 1, cfg.datum, grid)
+        assert str(single.value).startswith("time step ")
+        with pytest.raises(NumericalError) as swept:
+            sweep_eps(cfg)
+        assert str(swept.value) == f"eps=0.1, {single.value}"
+
+
+def assert_sweep_matches_runs(cfg):
+    """The sweep's deviations equal the maxima of one ``run_eps`` per eps, bit for bit."""
+    report = sweep_eps(cfg)
+    grid = refined_time_grid(cfg.datum, cfg.steps)
+    ref = run_limit(cfg.material, cfg.datum, grid)
+    runs = [run_eps(cfg.material, e, cfg.cells, cfg.datum, grid) for e in cfg.eps_list]
+    want = [[np.max(np.abs(r.sigma - ref.sigma)) for r in runs],
+            [np.max(np.abs(r.l_eps - ref.l)) for r in runs],
+            [np.max(np.abs(r.energy - ref.E_closed)) for r in runs]]
+    got = [report.sup_sigma_dev, report.sup_l_dev, report.sup_energy_dev]
+    assert report.eps == cfg.eps_list
+    for g, w in zip(got, want):
+        assert np.array_equal(g, np.asarray(w))
+
+
+@settings(max_examples=100)
+@given(m=materials(), data=st.data(),
+       eps=st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=5, unique=True),
+       steps=st.integers(1, 200))
+def test_random_sweeps_match_one_run_per_eps(m, data, eps, steps):
+    assert_sweep_matches_runs(ScenarioConfig(material=m, datum=data.draw(programs(m)), cells=2, steps=steps,
+                                             eps_list=tuple(sorted(eps, reverse=True))))
 
 
 class TestTextbookCurves:
