@@ -50,8 +50,9 @@ def main() -> int:
     print(f"damage onset t0 = {c.t0:g}, threshold crossing t0* = {c.t0_star:g}")
     print()
 
-    r_T = barlab.plasticity_energy_balance_residual(traj, m.T)
-    diss_return = barlab.dissipation(traj, m.T / 2.0, m.T)
+    r_T = barlab.residual_series(traj)[-1]
+    diss = barlab.yield_dissipation(traj)
+    diss_return = diss[-1] - diss[np.searchsorted(traj.times, m.T / 2.0)]
     k_end = traj.times.size - 1
     remainder = traj.l[k_end] * (m.yield_stress**2 - traj.sigma[k_end] ** 2) / (2.0 * m.a0)
     print(f"terminal balance residual R(T)   = {r_T:.6f}")

@@ -10,8 +10,8 @@ name lives in its module.
 """
 
 from .diagnostics import (DAMAGE_ONLY, PERFECT_PLASTICITY,
-                          classifier_consistency, cns_classify, dissipation,
-                          plasticity_energy_balance_residual, residual_series)
+                          classifier_consistency, cns_classify,
+                          residual_series, yield_dissipation)
 from .envelope import (MaterialParams, TwoWellParams, convex_envelope,
                        optimal_theta, raw_energy)
 from .eps_evolution import run_eps
@@ -42,9 +42,8 @@ __all__ = [
     "DAMAGE_ONLY",
     "cns_classify",
     "classifier_consistency",
-    "dissipation",
+    "yield_dissipation",
     "residual_series",
-    "plasticity_energy_balance_residual",
     "DEFAULT_MATERIAL",
     "PRESET_NAMES",
     "preset_datum",

@@ -23,9 +23,10 @@ from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
 from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
 from .loading import threshold_crossing
-from .scenarios import (PRESET_NAMES, ScenarioConfig, emit_figures,
-                        parse_config, preset, run_scenario_eps,
-                        run_scenario_limit, sweep_eps, write_csv)
+from .scenarios import (PRESET_NAMES, ScenarioConfig, _csv_lines, _open_out,
+                        _parse_float_list, emit_figures, parse_config, preset,
+                        run_scenario_eps, run_scenario_limit, sweep_eps,
+                        write_csv)
 
 __all__ = ["main"]
 
@@ -115,8 +116,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
@@ -124,14 +124,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_eps(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if args.eps_list:
-        try:
-            eps = tuple(float(p) for p in args.eps_list.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--eps-list {args.eps_list!r} is not a number list") from exc
-        cfg = replace(cfg, eps_list=eps)
-    if not cfg.eps_list:
-        raise ConfigError("provide eps_list via the config [run] section or --eps-list")
+    if args.eps_list is not None:
+        cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
     try:
         report = sweep_eps(cfg)
     except ValueError as exc:
@@ -154,9 +148,8 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
             print(f"  {e1:g} -> {e2:g}: sigma {r_s:.2f}, l {r_l:.2f}")
     flags = (report.sigma_monotone, report.l_monotone, report.energy_monotone)
     print(f"monotone decrease: sigma={flags[0]} l={flags[1]} energy={flags[2]}")
-    out = args.out or cfg.out_dir
-    if out:
-        path = os.path.join(out, "eps_sweep.csv")
+    if args.out:
+        path = os.path.join(args.out, "eps_sweep.csv")
         write_csv(path, ("eps", "sup_sigma_dev", "sup_l_dev", "sup_energy_dev"),
                   (report.eps, report.sup_sigma_dev, report.sup_l_dev,
                    report.sup_energy_dev))
@@ -169,7 +162,9 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
 
 def _cmd_emit_figures(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    for path in emit_figures(cfg, out_dir=args.out):
+    if not args.out:
+        raise ConfigError("emit-figures needs --out DIR")
+    for path in emit_figures(cfg, args.out):
         print(f"wrote {path}")
     return 0
 
@@ -192,9 +187,7 @@ def _cmd_envelope_table(args: argparse.Namespace) -> int:
         print(f"# kinks: xi1 = {xi1!r}, xi2 = {xi2!r}; affine slope = {slope!r}")
         print(f"wrote {args.out}")
     else:
-        print(",".join(header))
-        for row in zip(*cols):
-            print(",".join(repr(float(v)) for v in row))
+        sys.stdout.writelines(_csv_lines(header, cols))
     return 0
 
 

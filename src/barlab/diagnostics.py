@@ -26,8 +26,7 @@ from .loading import BoundaryDatum, _crossing, jump_nodes, refined_time_grid
 __all__ = [
     "PERFECT_PLASTICITY",
     "DAMAGE_ONLY",
-    "dissipation",
-    "plasticity_energy_balance_residual",
+    "yield_dissipation",
     "residual_series",
     "flow_rule_defects",
     "Classification",
@@ -46,33 +45,19 @@ _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
 
 
-def _locate(traj: LimitTrajectory, t: float) -> int:
-    # The nearer neighbour of t on the grid, within rounding of the horizon.
-    times = traj.times
-    k = int(np.clip(np.searchsorted(times, t), 1, times.size - 1))
-    idx = k - 1 if t - times[k - 1] <= times[k] - t else k
-    if abs(times[idx] - t) <= 1e-12 * times[-1]:
-        return idx
-    raise ValueError(f"t={t!r} is not a recorded instant")
+def yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
+    """Cumulative yield dissipation ``s* Var_0^t(p)`` at every recorded instant.
 
-
-def _yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
-    # Cumulative yield_stress * Var(p) from the first recorded instant.
+    The dissipation between two recorded instants is the difference of
+    two entries.
+    """
     return traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
-
-
-def dissipation(traj: LimitTrajectory, s: float, t: float) -> float:
-    """Yield dissipation ``yield_stress * variation of the plastic mass`` between the recorded instants ``s <= t``."""
-    if s > t:
-        raise ValueError(f"need s <= t, got s={s!r}, t={t!r}")
-    diss = _yield_dissipation(traj)
-    return float(diss[_locate(traj, t)] - diss[_locate(traj, s)])
 
 
 def residual_series(traj: LimitTrajectory) -> np.ndarray:
     """Plasticity energy-balance residual at every recorded instant.
 
-    ``R(t) = elastic(t) + dissipation(0, t) - elastic(0) - work(0, t)``
+    ``R(t) = elastic(t) + s* Var_0^t(p) - elastic(0) - work(0, t)``
     with the elastic part ``L*sigma**2/(2*a1)``.  The limit model balances
     its own damage energy, so the work cancels and
     ``R(t) = s* Var_0^t(p) - S(t) + S(0)`` with the stored part
@@ -83,12 +68,7 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     """
     m = traj.m
     stored = traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
-    return _yield_dissipation(traj) - (stored - stored[0])
-
-
-def plasticity_energy_balance_residual(traj: LimitTrajectory, t: float) -> float:
-    """Value of ``residual_series`` at the recorded instant ``t``."""
-    return float(residual_series(traj)[_locate(traj, t)])
+    return yield_dissipation(traj) - (stored - stored[0])
 
 
 def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:

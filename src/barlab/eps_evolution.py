@@ -34,6 +34,7 @@ from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_tim
 __all__ = ["EpsTrajectory", "plateau_factor", "run_eps"]
 
 _IDENTITY_TOL = 1e-12
+_U = 2.0**-53  # unit roundoff of float64
 _RESIDUAL_TOL = 1e-12
 _BOUND_SLACK = 1e-9
 
@@ -87,21 +88,26 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_
     L = m.L
     named = eps_list if name_eps else None
 
-    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1.
-    with np.errstate(divide="ignore", over="ignore"):
+    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1;
+    # a jump too large for floats overflows, and the first guard names the step.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
-    sigma = J * a / L
-    theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-    l_eps = L * (1.0 - theta) / eps
-    energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
-    work = cumulative_work(sigma, J)
+        sigma = J * a / L
+        theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
+        l_eps = L * (1.0 - theta) / eps
+        energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
+        work = cumulative_work(sigma, J)
+    _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", named)
 
     a_prev = np.concatenate([np.full_like(weak, m.a1), a[:, :-1]], axis=1)
     theta_prev = np.concatenate([np.ones_like(weak), theta[:, :-1]], axis=1)
     _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
            grid, "stress leaves an aggregate-strain residual", named)
     a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
-    _guard(np.abs(a - a_identity) > _IDENTITY_TOL * a, grid,
+    # theta's three roundings, at most 3u absolutely, reach a_identity through
+    # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
+    # stiff bar); the other roundings stay below 8u, inside _IDENTITY_TOL.
+    _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
            "stiffness identity violated after damage update", named)
     _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", named)
     # Running a-priori bound: each step can raise the energy by at most the
@@ -130,10 +136,10 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     ``s_p L/|J|`` clipped to ``[eps*a0, a1]``, the stress is ``J*a/L`` and
     the sound fraction follows from the stiffness identity.
 
-    Every step re-checks the closed form: the aggregate-strain residual,
-    the stiffness identity and irreversibility, which the scan satisfies by
-    construction and which therefore only catch rounding, and the running
-    a-priori energy bound and the stress bounds.  A violation raises
+    Every step re-checks the closed form: a finite energy and work, the
+    aggregate-strain residual, the stiffness identity and irreversibility,
+    which the scan satisfies by construction and which therefore only catch
+    rounding, and the a-priori energy bound and the stress bounds.  A violation raises
     ``NumericalError`` naming the first offending step.  The independent
     reference is the per-cell incremental minimization replayed step by
     step (``tests/oracles.py::stepwise_run_eps``).

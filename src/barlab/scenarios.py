@@ -1,10 +1,10 @@
 """Named loading programs, INI parameter files, sweeps, and figure data.
 
 A scenario bundles a material, a boundary displacement program, and the
-discretization knobs into one config object that can round-trip through
-an INI file without losing a bit (floats are written with 17 significant
-digits).  The module also provides the vanishing-regularization sweep
-and plain-CSV emission for plotting.
+discretization knobs into one config object, read from an INI file or
+built from a preset; where the results go is the caller's choice.  The
+module also provides the vanishing-regularization sweep and plain-CSV
+emission for plotting.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "preset",
     "ScenarioConfig",
     "parse_config",
-    "write_config",
     "run_scenario_limit",
     "run_scenario_eps",
     "SweepReport",
@@ -87,7 +86,6 @@ class ScenarioConfig:
     cells: int = 64
     steps: int = 400
     eps_list: tuple[float, ...] = ()
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
@@ -105,26 +103,22 @@ _KEYS = {
     "material": tuple(f.name for f in fields(MaterialParams)),
     "datum": ("preset", "times", "w0", "wL"),
     "run": ("cells", "steps", "eps_list"),
-    "output": ("out_dir",),
 }
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(name: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        raise ConfigError(f"{name} = {raw!r} is not a number") from exc
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> list[float]:
+def _parse_float_list(name: str, raw: str) -> list[float]:
+    """Comma-separated numbers; ``name`` says where they came from (``[run] eps_list``, ``--eps-list``)."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise ConfigError(f"[{section}] {key} must be a comma-separated list of numbers")
-    return [_parse_float(section, key, p) for p in parts]
+        raise ConfigError(f"{name} must be a comma-separated list of numbers")
+    return [_parse_float(name, p) for p in parts]
 
 
 def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
@@ -152,7 +146,7 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     material = DEFAULT_MATERIAL
     if cp.has_section("material"):
         sec = cp["material"]
-        values = {k: _parse_float("material", k, sec[k]) for k in sec}
+        values = {k: _parse_float(f"[material] {k}", sec[k]) for k in sec}
         try:
             material = replace(DEFAULT_MATERIAL, **values)
         except ValueError as exc:
@@ -169,9 +163,9 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
         elif has_lists:
             if "times" not in sec or "wL" not in sec:
                 raise ConfigError("[datum] explicit form needs at least times= and wL=")
-            times = _parse_float_list("datum", "times", sec["times"])
-            wL = _parse_float_list("datum", "wL", sec["wL"])
-            w0 = (_parse_float_list("datum", "w0", sec["w0"]) if "w0" in sec
+            times = _parse_float_list("[datum] times", sec["times"])
+            wL = _parse_float_list("[datum] wL", sec["wL"])
+            w0 = (_parse_float_list("[datum] w0", sec["w0"]) if "w0" in sec
                   else [0.0] * len(times))
             try:
                 datum = BoundaryDatum(times=times, w0=w0, wL=wL)
@@ -192,40 +186,12 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
                 except ValueError as exc:
                     raise ConfigError(f"[run] {key} = {sec[key]!r} is not an integer") from exc
         if "eps_list" in sec:
-            run["eps_list"] = tuple(_parse_float_list("run", "eps_list", sec["eps_list"]))
-
-    out_dir = None
-    if cp.has_section("output"):
-        sec = cp["output"]
-        if "out_dir" in sec:
-            out_dir = sec["out_dir"].strip() or None
+            run["eps_list"] = tuple(_parse_float_list("[run] eps_list", sec["eps_list"]))
 
     try:
-        return ScenarioConfig(material=material, datum=datum, out_dir=out_dir, **run)
+        return ScenarioConfig(material=material, datum=datum, **run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def write_config(cfg: ScenarioConfig, path: str | os.PathLike[str]) -> None:
-    """Write a scenario as an INI file that parses back to an equal config."""
-    import configparser
-
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    cp["material"] = {k: _fmt(getattr(cfg.material, k)) for k in _KEYS["material"]}
-    cp["datum"] = {
-        "times": ", ".join(_fmt(v) for v in cfg.datum.times),
-        "w0": ", ".join(_fmt(v) for v in cfg.datum.w0),
-        "wL": ", ".join(_fmt(v) for v in cfg.datum.wL),
-    }
-    run: dict[str, str] = {"cells": str(cfg.cells), "steps": str(cfg.steps)}
-    if cfg.eps_list:
-        run["eps_list"] = ", ".join(_fmt(v) for v in cfg.eps_list)
-    cp["run"] = run
-    if cfg.out_dir is not None:
-        cp["output"] = {"out_dir": cfg.out_dir}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cp.write(fh)
 
 
 def run_scenario_limit(cfg: ScenarioConfig) -> LimitTrajectory:
@@ -300,22 +266,27 @@ def textbook_damage(m: MaterialParams, J: np.ndarray) -> np.ndarray:
         return np.where(peak <= thr, m.a1 * J / m.L, s / np.sqrt(thr * peak) * J)
 
 
+def _open_out(path: str | os.PathLike[str]):
+    # Every output file: missing parent directories are created, text is UTF-8 with LF endings.
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _csv_lines(header, columns):
+    # One line at a time, so a long table is never held as text.
+    yield ",".join(header) + "\n"
+    for row in zip(*(np.asarray(c) for c in columns)):
+        yield ",".join(repr(float(v)) for v in row) + "\n"
+
+
 def write_csv(path: str | os.PathLike[str], header, columns) -> None:
     """Plain CSV with full-precision floats and LF line endings; creates the file's directory."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    cols = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    with _open_out(path) as fh:
+        fh.writelines(_csv_lines(header, columns))
 
 
-def emit_figures(cfg: ScenarioConfig, traj: LimitTrajectory | None = None,
-                 out_dir: str | None = None) -> list[str]:
-    """Write the standard plot data set for one scenario; returns the paths."""
-    out = out_dir or cfg.out_dir
-    if not out:
-        raise ConfigError("no output directory configured; set [output] out_dir or pass --out")
+def emit_figures(cfg: ScenarioConfig, out_dir: str, traj: LimitTrajectory | None = None) -> list[str]:
+    """Write the standard plot data set for one scenario into ``out_dir``; returns the paths."""
     if traj is None:
         traj = run_scenario_limit(cfg)
     t, J = traj.times, traj.J
@@ -323,7 +294,7 @@ def emit_figures(cfg: ScenarioConfig, traj: LimitTrajectory | None = None,
     written: list[str] = []
 
     def emit(name: str, header, cols) -> None:
-        path = os.path.join(out, name)
+        path = os.path.join(out_dir, name)
         write_csv(path, header, cols)
         written.append(path)
 

@@ -18,10 +18,9 @@ from oracles import (StepState, competitor_family, envelope_by_minimization,
                      static_gamma_energy, total_energy)
 
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
-                    TwoWellParams, cns_classify, convex_envelope, dissipation,
-                    plasticity_energy_balance_residual, preset, preset_datum,
-                    refined_time_grid, residual_series, run_eps, run_limit,
-                    sweep_eps)
+                    TwoWellParams, cns_classify, convex_envelope, preset,
+                    preset_datum, refined_time_grid, residual_series, run_eps,
+                    run_limit, sweep_eps, yield_dissipation)
 from barlab.envelope import envelope_slope_bounds
 from barlab.eps_evolution import plateau_factor
 from barlab.limit_evolution import initial_limit_state
@@ -99,8 +98,10 @@ def test_criterion_2_pinned_terminal_residual(classifier_results):
     w, _ = classifier_results["loading-unloading"]
     verdicts_ok = _verdicts_and_witnesses_ok(classifier_results)
     traj = run_limit(M, w, refined_time_grid(w, 400))
-    r_T = plasticity_energy_balance_residual(traj, M.T)
-    diss_return = dissipation(traj, M.T / 2.0, M.T)
+    r_T = residual_series(traj)[-1]
+    diss = yield_dissipation(traj)
+    k_peak = int(np.searchsorted(traj.times, M.T / 2.0))
+    diss_return = diss[-1] - diss[k_peak]
 
     # The program is the triangle J: 0 -> J_peak -> 0 with its peak at T/2.
     # Loading ends on the yield surface (sigma = s*) with damaged length
@@ -113,7 +114,7 @@ def test_criterion_2_pinned_terminal_residual(classifier_results):
     # elastic part L sigma^2/(2 a1) never held.  Hence R(T) = 3 kappa l1.
     J_peak = float(np.max(np.abs(w.wL - w.w0)))
     triangle = (w.jump(M.T / 2.0) == J_peak and w.jump(0.0) == 0.0
-                and w.jump(M.T) == 0.0)
+                and w.jump(M.T) == 0.0 and traj.times[k_peak] == M.T / 2.0)
     l1 = M.a0 * (J_peak / M.yield_stress - M.L / M.a1)
     expected_diss = 2.0 * M.kappa * l1
     expected = 3.0 * M.kappa * l1

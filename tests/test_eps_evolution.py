@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum,
+from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParams,
                     NumericalError, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps)
 from barlab.envelope import envelope_slope_bounds
@@ -247,6 +247,26 @@ def test_guard_names_the_first_offending_step():
     _guard(np.zeros(4, dtype=bool), grid, "never raised")
     with pytest.raises(NumericalError, match=r"^time step 2 \(t=1\.0\): energy bound violated$"):
         _guard(np.array([False, False, True, True]), grid, "energy bound violated")
+
+
+def test_an_overflowing_state_fails_a_guard(material):
+    # J = 2.5e159 at t = 0.5 puts sigma**2 past the float range: the energy is
+    # inf, which no comparison guard catches (inf > inf is False).
+    w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1e160])
+    with pytest.raises(NumericalError, match=r"^time step 1 \(t=0\.5\): energy or work is not finite$"):
+        run_eps(material, 0.1, 1, w, refined_time_grid(w, 4))
+
+
+def test_the_identity_guard_allows_for_the_rounding_of_theta():
+    # eps*a0 = 0.003 against a = 24.5 after onset: theta = 1 - 4.8e-6, and its
+    # rounding moves the identity by 1.5u a/weak = 1.4e-12 relative, past a
+    # flat 1e-12.  The run is sound and must not raise.
+    m = MaterialParams(kappa=4.0, a0=3.0, a1=25.5, L=5.0, T=1.0)
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])
+    traj = run_eps(m, 0.001, 1, w, refined_time_grid(w, 1))
+    a, theta = traj.stiffness[-1, 0], traj.theta[-1, 0]
+    weak = 0.001 * m.a0
+    assert abs(a - 1.0 / ((1.0 - theta) / weak + theta / m.a1)) > 1e-12 * a
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e6, 1e9])

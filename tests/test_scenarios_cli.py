@@ -18,8 +18,21 @@ from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams
 from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
-                              textbook_plasticity, write_config, write_csv)
+                              textbook_plasticity, write_csv)
 from conftest import materials, programs
+
+
+def ini_text(cfg: ScenarioConfig) -> str:
+    """The INI form of ``cfg``, floats with 17 significant digits."""
+    def nums(values):
+        return ", ".join("%.17g" % v for v in values)
+    material = "".join(f"{k} = {nums([getattr(cfg.material, k)])}\n"
+                       for k in ("kappa", "a0", "a1", "L", "T"))
+    text = (f"[material]\n{material}"
+            f"[datum]\ntimes = {nums(cfg.datum.times)}\nw0 = {nums(cfg.datum.w0)}\n"
+            f"wL = {nums(cfg.datum.wL)}\n"
+            f"[run]\ncells = {cfg.cells}\nsteps = {cfg.steps}\n")
+    return text + (f"eps_list = {nums(cfg.eps_list)}\n" if cfg.eps_list else "")
 
 
 class TestPresets:
@@ -91,17 +104,10 @@ class TestConfigFiles:
                           w0=[0.0, 0.05, 0.1],
                           wL=[0.0, 1.2, 0.3])
         cfg = ScenarioConfig(material=m, datum=w, cells=17, steps=33,
-                             eps_list=(0.1, 1.0 / 30.0, 0.01), out_dir="figs")
+                             eps_list=(0.1, 1.0 / 30.0, 0.01))
         path = tmp_path / "scenario.ini"
-        write_config(cfg, path)
+        path.write_text(ini_text(cfg))
         assert parse_config(path) == cfg
-
-    def test_write_is_deterministic(self, tmp_path):
-        cfg = preset("high-unload")
-        a, b = tmp_path / "a.ini", tmp_path / "b.ini"
-        write_config(cfg, a)
-        write_config(cfg, b)
-        assert a.read_bytes() == b.read_bytes()
 
     def test_minimal_preset_file(self, tmp_path):
         path = tmp_path / "min.ini"
@@ -135,11 +141,14 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    def test_percent_in_out_dir_round_trips(self, tmp_path):
-        cfg = replace(preset("monotone"), out_dir="figs%x")
-        path = tmp_path / "percent.ini"
-        write_config(cfg, path)
-        assert parse_config(path) == cfg
+    def test_an_output_section_is_refused(self, tmp_path, capsys):
+        # A scenario file describes the experiment only; --out says where results go.
+        path = tmp_path / "output.ini"
+        path.write_text("[datum]\npreset = monotone\n[output]\nout_dir = figs\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[output\]"):
+            parse_config(path)
+        assert main(["sweep-eps", "--config", str(path), "--eps-list", "0.1,0.05"]) == 2
+        assert "unknown config section [output]" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -191,6 +200,11 @@ class TestSweep:
         monkeypatch.setattr(BoundaryDatum, "jump", counted_jump)
         sweep_eps(replace(preset("loading-unloading"), steps=50, eps_list=(0.1, 0.05, 0.02, 0.01)))
         assert calls == {"run_limit": 1, "jump": 1}
+
+    def test_an_overflowing_sweep_names_the_eps(self):
+        w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1e160])
+        with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=0\.5\): energy or work"):
+            sweep_eps(ScenarioConfig(datum=w, steps=4, eps_list=(0.1, 0.05)))
 
     def test_guard_names_the_eps(self, monkeypatch):
         # With no rounding allowance the aggregate-strain guard fires on the
@@ -263,17 +277,17 @@ class TestEmitFigures:
     def test_file_set_and_determinism(self, tmp_path):
         cfg = replace(preset("loading-unloading"), steps=40)
         d1, d2 = tmp_path / "one", tmp_path / "two"
-        paths = emit_figures(cfg, out_dir=str(d1))
+        paths = emit_figures(cfg, str(d1))
         names = sorted(os.path.basename(p) for p in paths)
         assert names == ["comparison.csv", "energy_vs_t.csv", "l_vs_t.csv",
                          "sigma_vs_J.csv", "sigma_vs_t.csv"]
-        emit_figures(cfg, out_dir=str(d2))
+        emit_figures(cfg, str(d2))
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_hysteresis_data_contains_the_plateau_corner(self, tmp_path):
         cfg = replace(preset("loading-unloading"), steps=40)
-        emit_figures(cfg, out_dir=str(tmp_path))
+        emit_figures(cfg, str(tmp_path))
         rows = (tmp_path / "sigma_vs_J.csv").read_text().strip().splitlines()
         assert rows[0] == "J,sigma"
         data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
@@ -281,9 +295,11 @@ class TestEmitFigures:
         assert corner[0] == pytest.approx(1.0, abs=1e-12)
         assert corner[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_needs_an_output_directory(self):
-        with pytest.raises(ConfigError):
-            emit_figures(preset("monotone"))
+    def test_needs_an_output_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["emit-figures", "--preset", "monotone", "--steps", "10"]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_reuses_a_supplied_trajectory(self, tmp_path):
         cfg = replace(preset("monotone"), steps=10)
@@ -334,7 +350,7 @@ class TestCommandLine:
         m = DEFAULT_MATERIAL
         tiny = replace(m, kappa=m.kappa * 1e-9, a0=m.a0 * 1e-9, a1=m.a1 * 1e-9)
         ini, out = tmp_path / "tiny.ini", tmp_path / "tiny.csv"
-        write_config(preset("constant", tiny), ini)
+        ini.write_text(ini_text(preset("constant", tiny)))
         assert main(["simulate-limit", "--config", str(ini), "--out", str(out)]) == 0
         cols = np.loadtxt(out, delimiter=",", skiprows=1)
         # The same elastic bar in other units: it never damages and never saturates.
@@ -519,6 +535,23 @@ class TestCommandLine:
     def test_sweep_without_list_exits_2(self, capsys):
         assert main(["sweep-eps", "--preset", "monotone"]) == 2
 
+    @pytest.mark.parametrize("eps_list, message", [
+        ("", "--eps-list must be a comma-separated list of numbers"),
+        (" , ", "--eps-list must be a comma-separated list of numbers"),
+        ("0.1,abc", "--eps-list = 'abc' is not a number"),
+    ])
+    def test_eps_list_is_read_like_the_ini_list(self, eps_list, message, capsys):
+        assert main(["sweep-eps", "--preset", "monotone", "--eps-list", eps_list]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_overflowing_eps_run_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text("[datum]\ntimes = 0, 2\nwL = 0, 1e160\n[run]\nsteps = 4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate-eps", "--config", str(path), "--eps", "0.1"]) == 3
+        assert capsys.readouterr().err == "error: time step 1 (t=0.5): energy or work is not finite\n"
+
     def test_nonmonotone_sweep_exits_3(self, monkeypatch, capsys):
         fake = SweepReport(eps=(0.1, 0.05),
                            sup_sigma_dev=np.array([1.0, 2.0]),
@@ -539,7 +572,6 @@ _STARTUP_PROBE = """
 import contextlib, io, json, os, sys
 from barlab import parse_config, preset
 from barlab.cli import main
-from barlab.scenarios import write_config
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -550,9 +582,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                        "--steps", "40", "--cells", "8"]))
 after_cli = {name: name in sys.modules for name in ("numpy.ma", "configparser")}
 path = os.path.join(sys.argv[1], "s.ini")
-write_config(preset("high-unload"), path)
-round_trip = parse_config(path) == preset("high-unload")
-print(json.dumps({"codes": codes, "after_cli": after_cli, "round_trip": round_trip,
+with open(path, "w") as fh:
+    fh.write("[datum]\\npreset = high-unload\\n")
+parsed = parse_config(path) == preset("high-unload")
+print(json.dumps({"codes": codes, "after_cli": after_cli, "parsed": parsed,
                   "configparser_loaded": "configparser" in sys.modules}))
 """
 
@@ -573,7 +606,7 @@ def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
     report = json.loads(proc.stdout)
     assert report["codes"] == [0, 0, 0]
     assert report["after_cli"] == {"numpy.ma": False, "configparser": False}
-    assert report["round_trip"] and report["configparser_loaded"]
+    assert report["parsed"] and report["configparser_loaded"]
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error():
