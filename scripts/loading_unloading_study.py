@@ -62,7 +62,7 @@ def main() -> int:
 
     if args.out:
         cfg = barlab.ScenarioConfig(material=m, datum=w, steps=args.steps)
-        for path in barlab.emit_figures(cfg, traj=traj, out_dir=args.out):
+        for path in barlab.emit_figures(cfg, args.out):
             print(f"wrote {path}")
     return 0
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a reader that closed standard output early
-(nothing is printed), 2 configuration problems (including an input or
-output path that cannot be read or written), 3 numerical failures
+(nothing is printed), 2 rejected input (any ``ValueError``, ``ConfigError`` included)
+and any path that cannot be read or written (any ``OSError``), 3 numerical failures
 (including a vanishing-regularization sweep whose deviations fail to
 decrease monotonically).
 """
@@ -17,26 +17,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import cns_classify
+from .diagnostics import _SATURATION_TOL, cns_classify
 from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
                        optimal_theta, raw_energy)
 from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
 from .loading import threshold_crossing
-from .scenarios import (PRESET_NAMES, ScenarioConfig, _csv_lines, _open_out,
+from .scenarios import (PRESET_NAMES, ScenarioConfig, _PRESETS, _csv_lines, _open_out,
                         _parse_float_list, emit_figures, parse_config, preset,
                         run_scenario_eps, run_scenario_limit, sweep_eps,
                         write_csv)
 
 __all__ = ["main"]
-
-_PRESET_BLURBS = {
-    "monotone": "gap grows at unit rate over the whole horizon",
-    "constant": "gap clamped at 80% of the jump threshold",
-    "loading-unloading": "ramp to the midpoint, then back to zero",
-    "high-unload": "overload to twice the threshold, unload but stay above it",
-}
-
 
 def _add_common(sp: argparse.ArgumentParser, out_help: str, cells: bool = False) -> None:
     group = sp.add_mutually_exclusive_group()
@@ -69,7 +61,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     if args.out:
         e = traj.sigma / m.a1
         t0_flag = (traj.l == 0.0).astype(float)
-        saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - 1e-9)).astype(float)
+        saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - _SATURATION_TOL)).astype(float)
         write_csv(args.out,
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",
                    "e", "p_total", "t0_flag", "saturated"),
@@ -82,10 +74,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_eps(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    try:
-        traj = run_scenario_eps(cfg, args.eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    traj = run_scenario_eps(cfg, args.eps)
     print(f"epsilon = {traj.epsilon:g}, cells = {cfg.cells}, "
           f"steps = {traj.times.size - 1}")
     print(f"sigma(T)  = {traj.sigma[-1]:.12g}")
@@ -126,10 +115,7 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     if args.eps_list is not None:
         cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
-    try:
-        report = sweep_eps(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = sweep_eps(cfg)
     m = cfg.material
     print(f"{'eps':>10} {'plateau':>10} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
     for e, ds, dl, de in zip(report.eps, report.sup_sigma_dev,
@@ -170,10 +156,7 @@ def _cmd_emit_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_envelope_table(args: argparse.Namespace) -> int:
-    try:
-        p = TwoWellParams(a=args.a, b=args.b, K=args.K)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    p = TwoWellParams(a=args.a, b=args.b, K=args.K)
     if not (np.isfinite(args.xi_min) and np.isfinite(args.xi_max)):
         raise ConfigError(f"need finite xi-min and xi-max, got {args.xi_min!r}, {args.xi_max!r}")
     if args.n < 2 or args.xi_max <= args.xi_min:
@@ -192,8 +175,8 @@ def _cmd_envelope_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset_list(args: argparse.Namespace) -> int:
-    for name in PRESET_NAMES:
-        print(f"{name:18s} {_PRESET_BLURBS[name]}")
+    for name, blurb in _PRESETS.items():
+        print(f"{name:18s} {blurb}")
     return 0
 
 
@@ -255,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early: send what is still buffered nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -114,14 +114,18 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_
     # worst-case work of the increment.  The recursion
     # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
     # square, so sqrt(C) grows by sqrt(a1/(2L))|dJ| per step.
-    root = np.sqrt(energy[:, :1]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
-        [[0.0], np.cumsum(np.abs(np.diff(J)))])
-    # The slacks are relative to the bound and to the material's energy
-    # and stress units, so the guards read the same in every unit system.
-    _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
-           "energy bound violated", named)
-    _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
-           + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", named)
+    # The bounds grow like a1 J^2/L, the energy only like eps a0 J^2/L: a bound
+    # may overflow while the energy and stress stay finite (first guard), and
+    # then the infinite bound is truly above them, so its overflow is silent.
+    with np.errstate(over="ignore"):
+        root = np.sqrt(energy[:, :1]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
+            [[0.0], np.cumsum(np.abs(np.diff(J)))])
+        # The slacks are relative to the bound and to the material's energy
+        # and stress units, so the guards read the same in every unit system.
+        _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
+               "energy bound violated", named)
+        _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
+               + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", named)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", named)
     return a, sigma, theta, l_eps, energy, work

@@ -22,7 +22,6 @@ from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_tim
 __all__ = [
     "LimitState",
     "LimitTrajectory",
-    "initial_limit_state",
     "limit_step",
     "run_limit",
 ]
@@ -57,18 +56,8 @@ def _trial_mass(m: MaterialParams, J: float) -> float:
     return m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress
 
 
-def initial_limit_state(m: MaterialParams, J0: float, t: float = 0.0) -> LimitState:
-    """Globally minimal state under the initial jump ``J0``.
-
-    Purely elastic when ``|J0|`` is below ``m.jump_threshold``; otherwise
-    the damage mass jumps so that the stress sits exactly at yield.
-    """
-    l0 = max(0.0, _trial_mass(m, J0))
-    return _assemble(m, t, J0, l0)
-
-
 def limit_step(prev: LimitState, m: MaterialParams, J_new: float, t_new: float) -> LimitState:
-    """Return map of the effective model: ``l`` ratchets up, never down."""
+    """Return map of the effective model: ``l`` ratchets up, never down; from ``l = 0``, the first state."""
     l_new = max(prev.l, _trial_mass(m, J_new))
     return _assemble(m, t_new, J_new, l_new)
 
@@ -104,9 +93,8 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     mass = np.zeros(steps)
     e_closed = np.zeros(steps)
 
-    state = initial_limit_state(m, float(J[0]), t=float(grid[0]))
-    sigma[0], mass[0], e_closed[0] = state.sigma, state.l, state.E
-    for k in range(1, steps):
+    state = LimitState(float(grid[0]), 0.0, 0.0, 0.0)
+    for k in range(steps):
         state = limit_step(state, m, float(J[k]), float(grid[k]))
         sigma[k], mass[k], e_closed[k] = state.sigma, state.l, state.E
     work = cumulative_work(sigma, J)

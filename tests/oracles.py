@@ -259,6 +259,25 @@ def path_admits_plasticity(J, threshold: float) -> bool:
     return True
 
 
+def closed_form_limit(m, J, times) -> dict:
+    """The limit model as one running-maximum scan instead of a return map per step.
+
+    ``l = max(0, a0 (cummax|J| - thr)/s*)``: ``x -> a0 (x - thr)/s*`` is
+    nondecreasing under correct rounding, so the largest trial mass seen so
+    far is the trial mass of the largest ``|J|`` seen so far, bit for bit.
+    Then ``sigma = J/(l/a0 + L/a1)`` clamped to ``[-s*, s*]``,
+    ``E = J sigma/2 + kappa l``, and ``t0`` is the last instant with
+    ``l = 0`` (the start when there is none).
+    """
+    J = np.asarray(J, dtype=float)
+    s = m.yield_stress
+    l = np.maximum(0.0, m.a0 * (np.maximum.accumulate(np.abs(J)) - m.jump_threshold) / s)
+    sigma = np.clip(J / (l / m.a0 + m.L / m.a1), -s, s)
+    undamaged = np.count_nonzero(l == 0.0)
+    return {"sigma": sigma, "l": l, "E_closed": 0.5 * J * sigma + m.kappa * l,
+            "t0": float(times[max(undamaged - 1, 0)])}
+
+
 def mass_reconstruction(m, E: float, J: float) -> tuple[float, float]:
     """Recover the damage mass from energy and jump alone.
 

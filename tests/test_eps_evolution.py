@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParams,
-                    NumericalError, TwoWellParams, convex_envelope,
-                    optimal_theta, preset_datum, refined_time_grid, run_eps)
+                    NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
+                    optimal_theta, preset_datum, refined_time_grid, run_eps, sweep_eps)
 from barlab.envelope import envelope_slope_bounds
 from barlab.eps_evolution import _guard, plateau_factor
 from oracles import (StepState, exhaustive_step_minimum, incremental_step, initial_step,
@@ -255,6 +256,18 @@ def test_an_overflowing_state_fails_a_guard(material):
     w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1e160])
     with pytest.raises(NumericalError, match=r"^time step 1 \(t=0\.5\): energy or work is not finite$"):
         run_eps(material, 0.1, 1, w, refined_time_grid(w, 4))
+
+
+def test_an_overflowing_energy_bound_is_silent():
+    # At eps = 1e-6 the energy grows like eps a0 J^2/L and stays finite, while
+    # the bound grows like a1 J^2/L and overflows: a sound run, no warning.
+    m = MaterialParams(kappa=0.5, a0=1.0, a1=2.0, L=1.0, T=3.0)
+    w = BoundaryDatum(times=[0.0, 1.0, 2.0, 3.0], w0=[0.0] * 4, wL=[0.0, 1e154, -1e154, 1e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_eps(m, 1e-6, 1, w, refined_time_grid(w, 3))
+        sweep_eps(ScenarioConfig(material=m, datum=w, steps=3, eps_list=(1e-5, 1e-6)))
+    assert traj.energy == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
 
 
 def test_the_identity_guard_allows_for_the_rounding_of_theta():

@@ -4,24 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import BoundaryDatum, preset_datum, refined_time_grid, run_limit
-from barlab.limit_evolution import initial_limit_state, limit_step
+from barlab.limit_evolution import LimitState, limit_step
 from barlab.loading import threshold_crossing
-from oracles import mass_reconstruction
+from conftest import materials, programs
+from oracles import closed_form_limit, mass_reconstruction
+
+
+# The first state of a run: the return map from the pristine bar.
+PRISTINE = LimitState(t=0.0, sigma=0.0, l=0.0, E=0.0)
 
 
 class TestInitialState:
     def test_zero_load(self, material):
-        s = initial_limit_state(material, 0.0)
+        s = limit_step(PRISTINE, material, 0.0, 0.0)
         assert (s.sigma, s.l, s.E) == (0.0, 0.0, 0.0)
 
     def test_elastic_branch(self, material):
-        s = initial_limit_state(material, 0.4)
+        s = limit_step(PRISTINE, material, 0.4, 0.0)
         assert s.sigma == pytest.approx(0.8, abs=1e-15)
         assert s.l == 0.0
         assert s.E == pytest.approx(0.16, abs=1e-15)
 
     def test_saturated_branch_and_dual_energy_form(self, material):
-        s = initial_limit_state(material, 1.0)
+        s = limit_step(PRISTINE, material, 1.0, 0.0)
         assert s.sigma == pytest.approx(1.0, abs=1e-14)
         assert s.l == pytest.approx(0.5, abs=1e-14)
         assert s.E == pytest.approx(0.75, abs=1e-14)
@@ -31,7 +36,7 @@ class TestInitialState:
         assert elastic + material.yield_stress * abs(plastic) == pytest.approx(s.E, abs=1e-12)
 
     def test_negative_load_is_odd(self, material):
-        s = initial_limit_state(material, -1.5)
+        s = limit_step(PRISTINE, material, -1.5, 0.0)
         assert s.sigma == pytest.approx(-1.0, abs=1e-14)
         assert s.l == pytest.approx(1.0, abs=1e-14)
         assert s.E == pytest.approx(1.25, abs=1e-14)
@@ -39,19 +44,19 @@ class TestInitialState:
 
 class TestLimitStep:
     def test_unloading_keeps_mass(self, material):
-        prev = initial_limit_state(material, 1.0)
+        prev = limit_step(PRISTINE, material, 1.0, 0.0)
         s = limit_step(prev, material, 0.4, 0.1)
         assert s.sigma == pytest.approx(0.4, abs=1e-14)
         assert s.l == 0.5
 
     def test_growth_saturates_stress(self, material):
-        prev = initial_limit_state(material, 1.0)
+        prev = limit_step(PRISTINE, material, 1.0, 0.0)
         s = limit_step(prev, material, 1.2, 0.1)
         assert s.l == pytest.approx(0.7, abs=1e-14)
         assert s.sigma == pytest.approx(1.0, abs=1e-14)
 
     def test_sign_symmetric_reload_is_idempotent(self, material):
-        prev = initial_limit_state(material, 1.0)
+        prev = limit_step(PRISTINE, material, 1.0, 0.0)
         s = limit_step(prev, material, -1.0, 0.1)
         assert s.sigma == pytest.approx(-1.0, abs=1e-14)
         assert s.l == 0.5
@@ -136,6 +141,17 @@ class TestRunLimit:
             bound = (material.a1 / material.L) * (tv[j] - tv[i]) \
                 * np.exp((traj.times[j] - traj.times[i]) / 2.0)
             assert abs(traj.sigma[j] - traj.sigma[i]) <= bound + 1e-12
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), steps=st.integers(1, 500))
+def test_run_limit_is_the_closed_form_scan(m, data, steps):
+    w = data.draw(programs(m))
+    traj = run_limit(m, w, refined_time_grid(w, steps))
+    want = closed_form_limit(m, traj.J, traj.times)
+    for name in ("sigma", "l", "E_closed"):
+        assert np.array_equal(getattr(traj, name), want[name]), name
+    assert traj.t0 == want["t0"]
 
 
 @st.composite

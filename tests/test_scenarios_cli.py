@@ -4,7 +4,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams,
                     NumericalError, ScenarioConfig, cns_classify, emit_figures,
                     parse_config, preset, preset_datum, refined_time_grid, run_eps,
-                    run_limit, run_scenario_limit, sweep_eps)
+                    run_limit, sweep_eps)
 from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
@@ -153,6 +152,15 @@ class TestConfigFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nowhere.ini")
+
+    def test_a_file_that_is_not_utf8_cannot_be_read(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[material]\nkappa = 0.5\xff\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value).startswith(f"cannot read config file {path}: 'utf-8' codec")
+        assert main(["classify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
 
     def test_explicit_datum_defaults_left_trace_to_zero(self, tmp_path):
         path = tmp_path / "explicit.ini"
@@ -300,13 +308,6 @@ class TestEmitFigures:
         assert main(["emit-figures", "--preset", "monotone", "--steps", "10"]) == 2
         assert "--out" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    def test_reuses_a_supplied_trajectory(self, tmp_path):
-        cfg = replace(preset("monotone"), steps=10)
-        traj = run_scenario_limit(cfg)
-        paths = emit_figures(cfg, traj=traj, out_dir=str(tmp_path))
-        rows = Path(paths[0]).read_text().strip().splitlines()
-        assert len(rows) == traj.times.size + 1
 
     def test_write_csv_creates_a_missing_directory(self, tmp_path):
         path = tmp_path / "new" / "deeper" / "table.csv"
