@@ -117,11 +117,11 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
         cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
     report = sweep_eps(cfg)
     m = cfg.material
-    print(f"{'eps':>10} {'plateau':>10} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
+    print(f"{'eps':>10} {'plateau':>14} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
     for e, ds, dl, de in zip(report.eps, report.sup_sigma_dev,
                              report.sup_l_dev, report.sup_energy_dev):
         plateau = m.yield_stress * plateau_factor(m, e)
-        print(f"{e:>10g} {plateau:>10.6f} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
+        print(f"{e:>10g} {plateau:>14.6e} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
     if len(report.eps) > 1:
         eps = np.asarray(report.eps)
         h = np.log(eps[:-1] / eps[1:])

@@ -69,24 +69,22 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
-def _guard(bad: np.ndarray, grid: np.ndarray, what: str, eps=None) -> None:
+def _guard(bad: np.ndarray, grid: np.ndarray, what: str, eps_list) -> None:
     if np.any(bad):
         row, k = divmod(int(np.argmax(bad)), grid.size)
-        which = "" if eps is None else f"eps={eps[row]!r}, "
-        raise NumericalError(f"{which}time step {k} (t={float(grid[k])!r}): {what}")
+        raise NumericalError(f"eps={float(eps_list[row])!r}, time step {k} (t={float(grid[k])!r}): {what}")
 
 
-def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_eps: bool):
+def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     """Histories ``(a, sigma, theta, l_eps, energy, work)``, one row per eps, of the jump ``J`` on ``grid``.
 
-    Every eps passes ``plateau_factor`` before any array work; with
-    ``name_eps`` a guard's ``NumericalError`` names the eps of its row.
+    Every eps passes ``plateau_factor`` before any array work; a guard's
+    ``NumericalError`` names the eps of its row.
     """
     s_plateau = np.array([[m.yield_stress * plateau_factor(m, e)] for e in eps_list])
     eps = np.array(eps_list, dtype=float)[:, None]
     weak = eps * m.a0
     L = m.L
-    named = eps_list if name_eps else None
 
     # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1;
     # a jump too large for floats overflows, and the first guard names the step.
@@ -97,19 +95,19 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_
         l_eps = L * (1.0 - theta) / eps
         energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
         work = cumulative_work(sigma, J)
-    _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", named)
+    _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)
 
     a_prev = np.concatenate([np.full_like(weak, m.a1), a[:, :-1]], axis=1)
     theta_prev = np.concatenate([np.ones_like(weak), theta[:, :-1]], axis=1)
     _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
-           grid, "stress leaves an aggregate-strain residual", named)
+           grid, "stress leaves an aggregate-strain residual", eps_list)
     a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
     # theta's three roundings, at most 3u absolutely, reach a_identity through
     # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
     # stiff bar); the other roundings stay below 8u, inside _IDENTITY_TOL.
     _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
-           "stiffness identity violated after damage update", named)
-    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", named)
+           "stiffness identity violated after damage update", eps_list)
+    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", eps_list)
     # Running a-priori bound: each step can raise the energy by at most the
     # worst-case work of the increment.  The recursion
     # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
@@ -123,11 +121,11 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray, *, name_
         # The slacks are relative to the bound and to the material's energy
         # and stress units, so the guards read the same in every unit system.
         _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
-               "energy bound violated", named)
+               "energy bound violated", eps_list)
         _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
-               + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", named)
+               + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
-           "stress exceeded the damage-onset plateau", named)
+           "stress exceeded the damage-onset plateau", eps_list)
     return a, sigma, theta, l_eps, energy, work
 
 
@@ -144,7 +142,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     aggregate-strain residual, the stiffness identity and irreversibility,
     which the scan satisfies by construction and which therefore only catch
     rounding, and the a-priori energy bound and the stress bounds.  A violation raises
-    ``NumericalError`` naming the first offending step.  The independent
+    ``NumericalError`` naming ``eps`` and the first offending step.  The independent
     reference is the per-cell incremental minimization replayed step by
     step (``tests/oracles.py::stepwise_run_eps``).
     """
@@ -153,7 +151,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
         raise ValueError(f"need at least one cell, got {n_cells!r}")
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
-    a, sigma, theta, l_eps, energy, work = (row[0] for row in _scan(m, (eps,), J, grid, name_eps=False))
+    a, sigma, theta, l_eps, energy, work = (row[0] for row in _scan(m, (eps,), J, grid))
     shape = (grid.size, n_cells)
     return EpsTrajectory(
         m=m,

@@ -10,7 +10,7 @@ emission for plotting.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -75,10 +75,6 @@ def preset_datum(name: str, m: MaterialParams) -> BoundaryDatum:
     raise ConfigError(f"unknown preset {name!r}; choose from: {', '.join(PRESET_NAMES)}")
 
 
-def _default_datum() -> BoundaryDatum:
-    return preset_datum("monotone", DEFAULT_MATERIAL)
-
-
 def preset(name: str, material: MaterialParams = DEFAULT_MATERIAL) -> "ScenarioConfig":
     """Fully specified config for a named loading program."""
     return ScenarioConfig(material=material, datum=preset_datum(name, material))
@@ -89,13 +85,15 @@ class ScenarioConfig:
     """One fully specified run: material, loading, and discretization."""
 
     material: MaterialParams = DEFAULT_MATERIAL
-    datum: BoundaryDatum = field(default_factory=_default_datum)
+    datum: BoundaryDatum | None = None  # None: the monotone program of ``material``
     cells: int = 64
     steps: int = 400
     eps_list: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
+        if self.datum is None:
+            object.__setattr__(self, "datum", preset_datum("monotone", self.material))
         if self.cells < 1:
             raise ConfigError(f"cells must be positive, got {self.cells!r}")
         if self.steps < 1:
@@ -106,18 +104,18 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_KEYS = {
-    "material": tuple(f.name for f in fields(MaterialParams)),
-    "datum": ("preset", "times", "w0", "wL"),
-    "run": ("cells", "steps", "eps_list"),
-}
-
-
 def _parse_float(name: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"{name} = {raw!r} is not a number") from exc
+
+
+def _parse_int(name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name} = {raw!r} is not an integer") from exc
 
 
 def _parse_float_list(name: str, raw: str) -> list[float]:
@@ -128,12 +126,22 @@ def _parse_float_list(name: str, raw: str) -> list[float]:
     return [_parse_float(name, p) for p in parts]
 
 
+# Every INI section, every key it takes and the parser of its value.
+_KEYS = {
+    "material": {f.name: _parse_float for f in fields(MaterialParams)},
+    "datum": {"preset": lambda name, raw: raw.strip(), "times": _parse_float_list,
+              "w0": _parse_float_list, "wL": _parse_float_list},
+    "run": {"cells": _parse_int, "steps": _parse_int, "eps_list": _parse_float_list},
+}
+
+
 def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     """Read a scenario from an INI file; raises ConfigError on any defect."""
     import configparser  # imported here: only INI runs pay for it
 
-    # No interpolation: a '%' in a value is literal.
-    cp = configparser.ConfigParser(interpolation=None)
+    # No interpolation: a '%' in a value is literal.  No default section:
+    # [DEFAULT] is an unknown section like any other.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys are case-sensitive: L, T, wL
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -143,59 +151,41 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path!s}: {exc}") from exc
 
+    values: dict[str, dict] = {}
     for section in cp.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
+        values[section] = {}
+        for key, raw in cp.items(section):
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            values[section][key] = _KEYS[section][key](f"[{section}] {key}", raw)
 
-    material = DEFAULT_MATERIAL
-    if cp.has_section("material"):
-        sec = cp["material"]
-        values = {k: _parse_float(f"[material] {k}", sec[k]) for k in sec}
-        try:
-            material = replace(DEFAULT_MATERIAL, **values)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [material]: {exc}") from exc
+    try:
+        material = replace(DEFAULT_MATERIAL, **values.get("material", {}))
+    except ValueError as exc:
+        raise ConfigError(f"invalid [material]: {exc}") from exc
 
-    if cp.has_section("datum"):
-        sec = cp["datum"]
-        has_preset = "preset" in sec
+    datum = None
+    if "datum" in values:
+        sec = values["datum"]
         has_lists = any(k in sec for k in ("times", "w0", "wL"))
-        if has_preset and has_lists:
+        if "preset" in sec and has_lists:
             raise ConfigError("[datum] takes either preset= or explicit times/w0/wL, not both")
-        if has_preset:
-            datum = preset_datum(sec["preset"].strip(), material)
-        elif has_lists:
-            if "times" not in sec or "wL" not in sec:
-                raise ConfigError("[datum] explicit form needs at least times= and wL=")
-            times = _parse_float_list("[datum] times", sec["times"])
-            wL = _parse_float_list("[datum] wL", sec["wL"])
-            w0 = (_parse_float_list("[datum] w0", sec["w0"]) if "w0" in sec
-                  else [0.0] * len(times))
+        if "preset" in sec:
+            datum = preset_datum(sec["preset"], material)
+        elif not has_lists:
+            raise ConfigError("[datum] needs preset= or explicit times/w0/wL")
+        elif "times" not in sec or "wL" not in sec:
+            raise ConfigError("[datum] explicit form needs at least times= and wL=")
+        else:
             try:
-                datum = BoundaryDatum(times=times, w0=w0, wL=wL)
+                datum = BoundaryDatum(times=sec["times"], wL=sec["wL"],
+                                      w0=sec.get("w0", [0.0] * len(sec["times"])))
             except ValueError as exc:
                 raise ConfigError(f"invalid [datum]: {exc}") from exc
-        else:
-            raise ConfigError("[datum] needs preset= or explicit times/w0/wL")
-    else:
-        datum = preset_datum("monotone", material)
 
-    run: dict = {}
-    if cp.has_section("run"):
-        sec = cp["run"]
-        for key in ("cells", "steps"):
-            if key in sec:
-                try:
-                    run[key] = int(sec[key])
-                except ValueError as exc:
-                    raise ConfigError(f"[run] {key} = {sec[key]!r} is not an integer") from exc
-        if "eps_list" in sec:
-            run["eps_list"] = tuple(_parse_float_list("[run] eps_list", sec["eps_list"]))
-
-    return ScenarioConfig(material=material, datum=datum, **run)
+    return ScenarioConfig(material=material, datum=datum, **values.get("run", {}))
 
 
 def run_scenario_limit(cfg: ScenarioConfig) -> LimitTrajectory:
@@ -234,7 +224,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list must be strictly decreasing, got {eps!r}")
     ref = run_limit(cfg.material, cfg.datum, refined_time_grid(cfg.datum, cfg.steps))
-    _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times, name_eps=True)
+    _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times)
     return SweepReport(eps=eps,
                        sup_sigma_dev=np.max(np.abs(sigma - ref.sigma), axis=1),
                        sup_l_dev=np.max(np.abs(l_eps - ref.l), axis=1),

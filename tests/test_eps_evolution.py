@@ -245,16 +245,16 @@ def test_random_programs_scan_matches_stepwise(knots, w_start, n_cells, eps, ste
 
 def test_guard_names_the_first_offending_step():
     grid = np.array([0.0, 0.5, 1.0, 1.5])
-    _guard(np.zeros(4, dtype=bool), grid, "never raised")
-    with pytest.raises(NumericalError, match=r"^time step 2 \(t=1\.0\): energy bound violated$"):
-        _guard(np.array([False, False, True, True]), grid, "energy bound violated")
+    _guard(np.zeros(4, dtype=bool), grid, "never raised", (0.05,))
+    with pytest.raises(NumericalError, match=r"^eps=0\.05, time step 2 \(t=1\.0\): energy bound violated$"):
+        _guard(np.array([False, False, True, True]), grid, "energy bound violated", (0.05,))
 
 
 def test_an_overflowing_state_fails_a_guard(material):
     # J = 2.5e159 at t = 0.5 puts sigma**2 past the float range: the energy is
     # inf, which no comparison guard catches (inf > inf is False).
     w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1e160])
-    with pytest.raises(NumericalError, match=r"^time step 1 \(t=0\.5\): energy or work is not finite$"):
+    with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=0\.5\): energy or work is not finite$"):
         run_eps(material, 0.1, 1, w, refined_time_grid(w, 4))
 
 

@@ -90,6 +90,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(material=material, datum=w)
 
+    def test_a_missing_datum_is_the_monotone_program_of_the_material(self, material):
+        m = replace(material, T=5.0)
+        assert ScenarioConfig(material=m).datum == preset_datum("monotone", m)
+
     def test_value_equality(self, material):
         assert preset("monotone") == preset("monotone")
         assert preset("monotone") != preset("constant")
@@ -107,6 +111,21 @@ class TestConfigFiles:
         path = tmp_path / "scenario.ini"
         path.write_text(ini_text(cfg))
         assert parse_config(path) == cfg
+
+    @settings(max_examples=100)
+    @given(m=materials(), data=st.data(), cells=st.integers(1, 4096), steps=st.integers(1, 10**6),
+           eps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5, unique=True))
+    def test_every_config_round_trips(self, tmp_path_factory, m, data, cells, steps, eps):
+        w = data.draw(programs(m))
+        w0 = data.draw(st.lists(st.floats(-3.0, 3.0).filter(bool),
+                                min_size=w.times.size, max_size=w.times.size))
+        cfg = ScenarioConfig(material=m, datum=BoundaryDatum(times=w.times, w0=w0, wL=w.wL),
+                             cells=cells, steps=steps, eps_list=tuple(sorted(eps, reverse=True)))
+        path = tmp_path_factory.mktemp("ini") / "scenario.ini"
+        path.write_text(ini_text(cfg))
+        got = parse_config(path)
+        assert got == cfg
+        assert type(got.cells) is int and type(got.steps) is int
 
     def test_minimal_preset_file(self, tmp_path):
         path = tmp_path / "min.ini"
@@ -148,6 +167,20 @@ class TestConfigFiles:
             parse_config(path)
         assert main(["sweep-eps", "--config", str(path), "--eps-list", "0.1,0.05"]) == 2
         assert "unknown config section [output]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nkappa = 0.3\n",
+        "[DEFAULT]\nsteps = 7\n[run]\ncells = 4\n",
+        "[DEFAULT]\nsteps = 7\n[material]\nkappa = 0.4\n",
+    ])
+    def test_a_default_section_is_refused(self, tmp_path, text, capsys):
+        # [DEFAULT] is no schema section: its keys neither apply nor leak into others.
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(path)
+        assert main(["classify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -223,10 +256,10 @@ class TestSweep:
         run_eps(cfg.material, 0.2, 1, cfg.datum, grid)
         with pytest.raises(NumericalError) as single:
             run_eps(cfg.material, 0.1, 1, cfg.datum, grid)
-        assert str(single.value).startswith("time step ")
+        assert str(single.value).startswith("eps=0.1, time step ")
         with pytest.raises(NumericalError) as swept:
             sweep_eps(cfg)
-        assert str(swept.value) == f"eps=0.1, {single.value}"
+        assert str(swept.value) == str(single.value)
 
 
 def assert_sweep_matches_runs(cfg):
@@ -448,6 +481,20 @@ class TestCommandLine:
         # The stress deviation is the plateau amplification, first order in eps.
         assert all(0.9 < r < 1.1 for pair in rates for r in pair)
 
+    def test_sweep_prints_the_plateau_in_any_stress_unit(self, tmp_path, capsys):
+        m = MaterialParams(kappa=0.5e-12, a0=1e-12, a1=2e-12, L=1.0, T=2.0)
+        path = tmp_path / "pico.ini"
+        path.write_text("[material]\nkappa = 0.5e-12\na0 = 1e-12\na1 = 2e-12\n"
+                        "[datum]\npreset = loading-unloading\n"
+                        "[run]\nsteps = 100\neps_list = 0.1, 0.05, 0.02\n")
+        assert parse_config(path).material == m
+        assert main(["sweep-eps", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        for row, e in zip(rows, (0.1, 0.05, 0.02), strict=True):
+            assert float(row.split()[0]) == e
+            assert float(row.split()[1]) == pytest.approx(m.yield_stress * plateau_factor(m, e),
+                                                          rel=1e-6)
+
     def test_sweep_rates_of_an_undamaged_run_are_nan(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -551,7 +598,7 @@ class TestCommandLine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate-eps", "--config", str(path), "--eps", "0.1"]) == 3
-        assert capsys.readouterr().err == "error: time step 1 (t=0.5): energy or work is not finite\n"
+        assert capsys.readouterr().err == "error: eps=0.1, time step 1 (t=0.5): energy or work is not finite\n"
 
     def test_nonmonotone_sweep_exits_3(self, monkeypatch, capsys):
         fake = SweepReport(eps=(0.1, 0.05),
