@@ -85,7 +85,7 @@ def _cmd_simulate_eps(args: argparse.Namespace) -> int:
         write_csv(args.out,
                   ("t", "J", "sigma", "Theta_mean", "l_eps", "energy",
                    "work_cum", "eb_residual"),
-                  (traj.times, traj.J, traj.sigma, traj.theta.mean(axis=1),
+                  (traj.times, traj.J, traj.sigma, traj.theta[:, 0],
                    traj.l_eps, traj.energy, traj.work_cum, traj.eb_residual))
         print(f"wrote {args.out}")
     return 0

@@ -19,16 +19,11 @@ from .envelope import MaterialParams
 from .errors import NumericalError
 from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_time_grid
 
-__all__ = [
-    "LimitState",
-    "LimitTrajectory",
-    "limit_step",
-    "run_limit",
-]
+__all__ = ["LimitTrajectory", "run_limit"]
 
 
 @dataclass(frozen=True)
-class LimitState:
+class _LimitState:
     """Effective state: stress, damage mass and energy."""
 
     t: float
@@ -37,9 +32,12 @@ class LimitState:
     E: float
 
 
-def _assemble(m: MaterialParams, t: float, J: float, l: float) -> LimitState:
-    compliance = l / m.a0 + m.L / m.a1
-    sigma = J / compliance
+def _limit_step(prev: _LimitState, m: MaterialParams, J: float, t: float) -> _LimitState:
+    """Return map of the effective model: ``l`` ratchets up, never down; from ``l = 0``, the first state."""
+    # The trial mass carries J at exactly the yield stress; it is positive exactly
+    # when |J| > m.jump_threshold, the one test of the elastic limit.
+    l = max(prev.l, m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress)
+    sigma = J / (l / m.a0 + m.L / m.a1)
     s = m.yield_stress
     if abs(sigma) > s:
         # Analytically |sigma| <= s always; only rounding dust may poke out.
@@ -47,19 +45,7 @@ def _assemble(m: MaterialParams, t: float, J: float, l: float) -> LimitState:
             raise NumericalError(f"stress {sigma!r} left the yield interval at t={t!r}")
         sigma = s if sigma > 0.0 else -s
     E = 0.5 * J * sigma + m.kappa * l
-    return LimitState(t=float(t), sigma=float(sigma), l=float(l), E=float(E))
-
-
-def _trial_mass(m: MaterialParams, J: float) -> float:
-    # Mass needed to carry J at exactly the yield stress; positive exactly when
-    # |J| > m.jump_threshold, the one test of the elastic limit.
-    return m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress
-
-
-def limit_step(prev: LimitState, m: MaterialParams, J_new: float, t_new: float) -> LimitState:
-    """Return map of the effective model: ``l`` ratchets up, never down; from ``l = 0``, the first state."""
-    l_new = max(prev.l, _trial_mass(m, J_new))
-    return _assemble(m, t_new, J_new, l_new)
+    return _LimitState(t=float(t), sigma=float(sigma), l=float(l), E=float(E))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +79,9 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     mass = np.zeros(steps)
     e_closed = np.zeros(steps)
 
-    state = LimitState(float(grid[0]), 0.0, 0.0, 0.0)
+    state = _LimitState(float(grid[0]), 0.0, 0.0, 0.0)
     for k in range(steps):
-        state = limit_step(state, m, float(J[k]), float(grid[k]))
+        state = _limit_step(state, m, float(J[k]), float(grid[k]))
         sigma[k], mass[k], e_closed[k] = state.sigma, state.l, state.E
     work = cumulative_work(sigma, J)
 

@@ -8,6 +8,7 @@ be reconstructed with the correct rigid offset.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +91,24 @@ def _crossing(times: np.ndarray, absJ: np.ndarray, threshold: float) -> float:
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
+def _count(name: str, value) -> int:
+    # The one rule for a count (steps, cells): an int or a numpy integer, nothing else.
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def refined_time_grid(w: BoundaryDatum, steps: int) -> np.ndarray:
     """Uniform grid with ``steps`` intervals over the loading span, merged with the datum knots.
 
     Merging keeps every kink of the loading program on the grid, so
     piecewise-linear data are sampled exactly.
     """
-    if steps < 1:
+    n = _count("steps", steps)
+    if n < 1:
         raise ValueError(f"need at least one step, got {steps!r}")
-    uniform = np.linspace(0.0, w.duration, steps + 1)
+    uniform = np.linspace(0.0, w.duration, n + 1)
     grid = np.sort(np.concatenate([uniform, w.times]))
     # Not np.unique: it imports numpy.ma, about 12 ms of every CLI process's start-up.
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]

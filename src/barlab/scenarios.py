@@ -18,7 +18,7 @@ from .envelope import MaterialParams
 from .errors import ConfigError
 from .eps_evolution import EpsTrajectory, _scan, run_eps
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, check_horizon, refined_time_grid
+from .loading import BoundaryDatum, _count, check_horizon, refined_time_grid
 
 __all__ = [
     "DEFAULT_MATERIAL",
@@ -94,11 +94,10 @@ class ScenarioConfig:
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
         if self.datum is None:
             object.__setattr__(self, "datum", preset_datum("monotone", self.material))
-        if self.cells < 1:
-            raise ConfigError(f"cells must be positive, got {self.cells!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps!r}")
         try:
+            for name in ("cells", "steps"):
+                if _count(name, getattr(self, name)) < 1:
+                    raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
             check_horizon(self.datum, self.material.T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

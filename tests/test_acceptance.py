@@ -23,7 +23,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     run_limit, sweep_eps, yield_dissipation)
 from barlab.envelope import envelope_slope_bounds
 from barlab.eps_evolution import plateau_factor
-from barlab.limit_evolution import LimitState, limit_step
+from barlab.limit_evolution import _LimitState as LimitState, _limit_step as limit_step
 from barlab.loading import threshold_crossing
 
 M = DEFAULT_MATERIAL

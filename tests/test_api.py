@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -54,3 +56,52 @@ def test_every_package_name_is_reached_or_standing():
         reached.update(re.findall(r"barlab\.(\w+)", path.read_text(encoding="utf-8")))
     assert sorted(set(pkg.__all__) - reached - STANDING_EXTRAS) == []
     assert len(pkg.__all__) == len(set(pkg.__all__))
+
+
+def _public_codes() -> set:
+    # Code objects of every function in a module's __all__ and of the public
+    # methods of its classes: what perfbench's tracer can wrap and time.
+    codes = set()
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr in mod.__all__:
+            obj = getattr(mod, attr)
+            if inspect.isfunction(obj):
+                codes.add(obj.__code__)
+            elif inspect.isclass(obj):
+                codes.update(v.__code__ for k, v in vars(obj).items()
+                             if inspect.isfunction(v) and not k.startswith("_"))
+    return codes
+
+
+def _public_calls(fn) -> int:
+    codes = _public_codes()
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("entry", ["run_limit", "cns_classify"])
+def test_public_calls_do_not_grow_with_the_step_count(entry):
+    # A public function called once per time step puts a traced span on every
+    # step, so the tracer would time its own overhead instead of the layer.
+    import barlab
+
+    m = barlab.DEFAULT_MATERIAL
+    w = barlab.preset_datum("loading-unloading", m)
+    runs = {
+        "run_limit": lambda steps: barlab.run_limit(m, w, barlab.refined_time_grid(w, steps)),
+        "cns_classify": lambda steps: barlab.cns_classify(w, m, steps=steps),
+    }
+    counts = [_public_calls(lambda: runs[entry](steps)) for steps in (40, 400)]
+    assert counts[0] == counts[1] > 0

@@ -201,6 +201,11 @@ class TestClassifier:
         assert c.verdict == DAMAGE_ONLY
         assert c.witness == pytest.approx((T / 2, 5 * T / 8), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("steps", [2.5, "3"])
+    def test_a_step_count_must_be_an_integer(self, material, steps):
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+            cns_classify(preset_datum("monotone", material), material, steps=steps)
+
     def test_onset_pinned_to_threshold_crossing(self, material):
         for name in ("monotone", "loading-unloading", "high-unload"):
             w = preset_datum(name, material)
@@ -472,6 +477,12 @@ def test_classifier_is_invariant_under_unit_scaling(w):
     # breaks either way, so such programs are left out.
     _, J = jump_nodes(w)
     assume(np.all(np.abs(np.abs(J) - THR) > 1e-12 * THR))
+    # So are near-ties of two consecutive knots: the program decides on the float
+    # jump wL - w0, which can round a drop of |J| by 1e-96 away, while the exact
+    # witness sees it (test_a_drop_the_float_jump_rounds_away_is_not_seen).
+    exact_absJ = [abs(Fraction(b) - Fraction(a)) for a, b in zip(w.w0, w.wL)]
+    assume(not any(0 < abs(x - y) <= Fraction(1, 10**12) * max(x, y)
+                   for x, y in zip(exact_absJ, exact_absJ[1:])))
     m = replace(DEFAULT_MATERIAL, T=w.duration)
     base, base_ok = _classify_and_check(w, m, 100)
     exact, kappa = _exact_witness(w, m)
@@ -490,6 +501,22 @@ def test_classifier_is_invariant_under_unit_scaling(w):
         _assert_witness_within(c.witness, exact_s, kappa_s, C_RUN)
         expected = (tau * base.witness[0], tau * base.witness[1])
         _assert_witness_within(c.witness, expected, max(kappa, kappa_s), C)
+
+
+@pytest.mark.parametrize("times, w0, wL, verdict, witness, t0", [
+    # |J| falls from 1 + 1.2e-96 to 1 on [0, 1]: in floats it stays at 1 until t = 1.
+    ([0.0, 1.0, 2.0, 3.0], [1.21399624e-96, 0.0, 0.0, 0.0], [-1.0, -1.0, 0.0, 0.0],
+     DAMAGE_ONLY, (1.0, 1.25), 0.0),
+    # |J| falls from 1 + 1.2e-96 to 1 on [1, 2]: in floats it is flat there.
+    ([0.0, 1.0, 2.0], [0.0, 1.21399624e-96, 0.0], [0.0, -1.0, -1.0],
+     PERFECT_PLASTICITY, None, 0.5),
+])
+def test_a_drop_the_float_jump_rounds_away_is_not_seen(times, w0, wL, verdict, witness, t0):
+    # The classifier decides on the float jump wL - w0, so a drop of |J| below
+    # its resolution is no drop; the unit-scaling property leaves such near-ties out.
+    w = BoundaryDatum(times=times, w0=w0, wL=wL)
+    c = cns_classify(w, replace(DEFAULT_MATERIAL, T=w.duration), steps=100)
+    assert (c.verdict, c.witness, c.t0, c.t0_star) == (verdict, witness, t0, t0)
 
 
 @settings(max_examples=25)

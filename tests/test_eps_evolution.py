@@ -127,6 +127,13 @@ class TestRunEps:
         with pytest.raises(ValueError):
             run_eps(material, 0.05, 4, w, np.linspace(0.0, 1.0, 11))
 
+    def test_a_cell_count_must_be_an_integer(self, material):
+        w = preset_datum("monotone", material)
+        grid = refined_time_grid(w, 10)
+        with pytest.raises(ValueError, match=r"^n_cells must be an integer, got 2\.5$"):
+            run_eps(material, 0.05, 2.5, w, grid)
+        assert run_eps(material, 0.05, np.int64(3), w, grid).theta.shape == (grid.size, 3)
+
     def test_grid_must_refine_knots(self, material):
         w = preset_datum("loading-unloading", material)
         with pytest.raises(ValueError):

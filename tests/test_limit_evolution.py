@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import BoundaryDatum, preset_datum, refined_time_grid, run_limit
-from barlab.limit_evolution import LimitState, limit_step
+from barlab.limit_evolution import _LimitState as LimitState, _limit_step as limit_step
 from barlab.loading import threshold_crossing
 from conftest import materials, programs
 from oracles import closed_form_limit, mass_reconstruction

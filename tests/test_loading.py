@@ -123,6 +123,17 @@ class TestTimeGrids:
             assert np.min(np.abs(grid - knot)) == 0.0
         assert np.all(np.diff(grid) > 0.0)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, "3", None])
+    def test_a_step_count_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+            refined_time_grid(lu_datum(), steps)
+
+    def test_a_numpy_integer_step_count_is_a_count(self):
+        w = lu_datum()
+        assert np.array_equal(refined_time_grid(w, np.int64(7)), refined_time_grid(w, 7))
+        with pytest.raises(ValueError, match=r"^need at least one step, got np\.int64\(0\)$"):
+            refined_time_grid(w, np.int64(0))
+
     def test_validate_accepts_refined_grid(self):
         w = lu_datum()
         grid = refined_time_grid(w, 50)

@@ -85,6 +85,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(steps=0)
 
+    @pytest.mark.parametrize("field", ["cells", "steps"])
+    def test_a_count_must_be_an_integer(self, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got 2\.5$"):
+            ScenarioConfig(**{field: 2.5})
+        with pytest.raises(ConfigError, match=rf"^{field} must be positive, got np\.int64\(0\)$"):
+            ScenarioConfig(**{field: np.int64(0)})
+        assert getattr(ScenarioConfig(**{field: np.int64(3)}), field) == 3
+
     def test_rejects_horizon_mismatch(self, material):
         w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])
         with pytest.raises(ConfigError):
@@ -407,6 +415,21 @@ class TestCommandLine:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "t,J,sigma,Theta_mean,l_eps,energy,work_cum,eb_residual"
         assert len(rows) == 1 + 21
+
+    def test_simulate_eps_csv_is_the_same_for_any_cell_count(self, tmp_path, capsys):
+        # Theta_mean is the sound fraction of the homogeneous run, not a mean
+        # whose last bits depend on how many identical cells it averages.
+        texts = []
+        for cells in ("1", "7", "64"):
+            out = tmp_path / f"eps{cells}.csv"
+            assert main(["simulate-eps", "--preset", "monotone", "--eps", "0.05",
+                         "--cells", cells, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        cfg = preset("monotone")
+        theta = run_eps(cfg.material, 0.05, 1, cfg.datum, refined_time_grid(cfg.datum, cfg.steps)).theta
+        column = [float(row.split(",")[3]) for row in texts[0].splitlines()[1:]]
+        assert np.array_equal(column, theta[:, 0])
 
     def test_envelope_table_stdout(self, capsys):
         assert main(["envelope-table", "--n", "5", "--xi-max", "2.0"]) == 0
