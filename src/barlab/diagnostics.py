@@ -88,7 +88,7 @@ class Classification:
     verdict: str
     witness: tuple[float, float] | None
     t0: float           # last recorded instant without damage
-    t0_star: float      # exact crossing of the jump threshold by |J|, or T if it never crosses
+    t0_star: float      # exact crossing of the jump threshold by |J|, or the datum's end if it never crosses
     max_eb_residual: float
     flow_rule_violations: int
 
@@ -164,6 +164,8 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     below by the instantaneous stress-gap term and by the misaligned-flow
     dissipation; both bounds hold along every reachable trajectory.
     """
+    if verdict not in (PERFECT_PLASTICITY, DAMAGE_ONLY):
+        raise ValueError(f"unknown verdict {verdict!r}; expected {PERFECT_PLASTICITY!r} or {DAMAGE_ONLY!r}")
     m = traj.m
     s = m.yield_stress
     sat_tol = _SATURATION_TOL * s

@@ -57,7 +57,8 @@ class TwoWellParams:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Bar material: toughness ``kappa``, damaged/sound stiffnesses ``a0 < a1``, length ``L``, time horizon ``T``."""
+    """Bar material: toughness ``kappa``, damaged/sound stiffnesses ``a0 < a1``, length ``L``, and
+    ``T``, the horizon of the built-in programs and of a scenario (a run's horizon is its datum's)."""
 
     kappa: float
     a0: float
@@ -66,7 +67,7 @@ class MaterialParams:
     T: float
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "a0", "a1", "L", "T"):
+        for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "jump_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"need {name} finite and > 0, got {value!r}")

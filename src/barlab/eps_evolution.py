@@ -29,7 +29,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, _count, check_horizon, cumulative_work, validate_time_grid
+from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
 __all__ = ["EpsTrajectory", "plateau_factor", "run_eps"]
 
@@ -146,7 +146,6 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     reference is the per-cell incremental minimization replayed step by
     step (``tests/oracles.py::stepwise_run_eps``).
     """
-    check_horizon(w, m.T)
     if _count("n_cells", n_cells) < 1:
         raise ValueError(f"need at least one cell, got {n_cells!r}")
     grid = validate_time_grid(w, time_grid)

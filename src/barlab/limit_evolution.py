@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import MaterialParams
 from .errors import NumericalError
-from .loading import BoundaryDatum, check_horizon, cumulative_work, validate_time_grid
+from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 
 __all__ = ["LimitTrajectory", "run_limit"]
 
@@ -70,7 +70,6 @@ class LimitTrajectory:
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
     """Run the return map along ``w`` and record closed-form and integrated energies."""
-    check_horizon(w, m.T)
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
     steps = grid.size

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BoundaryDatum", "jump_nodes", "threshold_crossing", "refined_time_grid",
-           "check_horizon", "validate_time_grid", "cumulative_work"]
+           "validate_time_grid", "cumulative_work"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +112,6 @@ def refined_time_grid(w: BoundaryDatum, steps: int) -> np.ndarray:
     grid = np.sort(np.concatenate([uniform, w.times]))
     # Not np.unique: it imports numpy.ma, about 12 ms of every CLI process's start-up.
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-
-
-def check_horizon(w: BoundaryDatum, T: float) -> None:
-    """Raise ``ValueError`` unless ``w`` ends at the horizon ``T``, to rounding relative to ``T``."""
-    if abs(w.duration - T) > 1e-12 * T:
-        raise ValueError(f"loading ends at t={w.duration!r} but the horizon is T={T!r}")
 
 
 def validate_time_grid(w: BoundaryDatum, grid) -> np.ndarray:

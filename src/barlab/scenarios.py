@@ -18,7 +18,7 @@ from .envelope import MaterialParams
 from .errors import ConfigError
 from .eps_evolution import EpsTrajectory, _scan, run_eps
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, _count, check_horizon, refined_time_grid
+from .loading import BoundaryDatum, _count, refined_time_grid
 
 __all__ = [
     "DEFAULT_MATERIAL",
@@ -91,16 +91,20 @@ class ScenarioConfig:
     eps_list: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
+        eps = tuple(self.eps_list) if np.iterable(self.eps_list) else None
+        if eps is None or not all(isinstance(e, (int, float, np.integer, np.floating)) for e in eps):
+            raise ConfigError(f"eps_list must be a sequence of numbers, got {self.eps_list!r}")
+        object.__setattr__(self, "eps_list", tuple(float(e) for e in eps))
         if self.datum is None:
             object.__setattr__(self, "datum", preset_datum("monotone", self.material))
         try:
             for name in ("cells", "steps"):
                 if _count(name, getattr(self, name)) < 1:
                     raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-            check_horizon(self.datum, self.material.T)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if abs((end := self.datum.duration) - (T := self.material.T)) > 1e-12 * T:
+            raise ConfigError(f"loading ends at t={end!r} but the horizon is T={T!r}")
 
 
 def _parse_float(name: str, raw: str) -> float:

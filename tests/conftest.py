@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,6 +41,12 @@ def programs(draw, m: barlab.MaterialParams) -> barlab.BoundaryDatum:
     value = st.one_of(st.sampled_from([0.0, thr, -thr]), st.floats(-3.0 * thr, 3.0 * thr))
     wL = draw(st.lists(value, min_size=n, max_size=n))
     return barlab.BoundaryDatum(times=times, w0=np.zeros(n), wL=wL)
+
+
+def assert_fields_equal(got, want, names=None) -> None:
+    """``np.array_equal`` on the named fields of two run records; by default every field but the material ``m``."""
+    for name in names or [f.name for f in fields(want) if f.name != "m"]:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def record_acceptance(criterion: int, passed: bool, detail: str) -> None:

@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryDatum,
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
-                    refined_time_grid, residual_series, run_limit, yield_dissipation)
+                    refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
 from barlab.diagnostics import flow_rule_defects
 from barlab.loading import jump_nodes, threshold_crossing
-from conftest import materials, programs
+from conftest import assert_fields_equal, materials, programs
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
@@ -185,8 +186,7 @@ class TestClassifier:
     def test_rate_independent_verdict(self, material):
         slow = BoundaryDatum(times=[0.0, 1.0, 4.0], w0=np.zeros(3), wL=[0.0, 1.0, 0.0])
         fast = preset_datum("loading-unloading", material)
-        m_slow = replace(material, T=4.0)
-        c_slow = cns_classify(slow, m_slow, steps=400)
+        c_slow = cns_classify(slow, material, steps=400)
         c_fast = cns_classify(fast, material, steps=400)
         assert c_slow.verdict == c_fast.verdict == DAMAGE_ONLY
         assert slow.jump(c_slow.witness[0]) == pytest.approx(fast.jump(c_fast.witness[0]), abs=1e-9)
@@ -197,7 +197,7 @@ class TestClassifier:
         # |J| rises to 1 at T/2 and falls back to 0; the witness ends where it is
         # half-way down to the threshold 1/2, at 5T/8.
         w = BoundaryDatum(times=[0.0, T / 2, T], w0=np.zeros(3), wL=[0.0, 1.0, 0.0])
-        c = cns_classify(w, replace(material, T=T), steps=400)
+        c = cns_classify(w, material, steps=400)
         assert c.verdict == DAMAGE_ONLY
         assert c.witness == pytest.approx((T / 2, 5 * T / 8), rel=1e-12, abs=0.0)
 
@@ -241,8 +241,7 @@ def test_path_test_on_random_programs(w, steps):
     t0_star = threshold_crossing(w, THR)
     assert np.all(np.abs(J[times < t0_star]) <= THR)
 
-    m = replace(DEFAULT_MATERIAL, T=w.duration)
-    c = cns_classify(w, m, steps=steps)
+    c = cns_classify(w, DEFAULT_MATERIAL, steps=steps)
     assert c.t0_star == t0_star
     expected = PERFECT_PLASTICITY if path_admits_plasticity(w.wL - w.w0, THR) else DAMAGE_ONLY
     assert c.verdict == expected
@@ -292,6 +291,13 @@ def test_a_tie_in_scaled_units_has_one_onset(T):
 
 
 class TestConsistency:
+    @pytest.mark.parametrize("verdict", ["garbage", "perfectplasticity", None])
+    def test_an_unknown_verdict_is_refused(self, material, verdict):
+        traj = run_preset(material, "loading-unloading")
+        with pytest.raises(ValueError, match=rf"^unknown verdict {re.escape(repr(verdict))}; expected "
+                                             r"'PerfectPlasticity' or 'DamageOnly'$"):
+            classifier_consistency(traj, verdict)
+
     def test_presets_agree_with_their_verdicts(self, material):
         # Stiffnesses and toughness in other units leave every count unchanged.
         counts = {"monotone": 0, "constant": 0, "loading-unloading": 200, "high-unload": 200}
@@ -483,7 +489,7 @@ def test_classifier_is_invariant_under_unit_scaling(w):
     exact_absJ = [abs(Fraction(b) - Fraction(a)) for a, b in zip(w.w0, w.wL)]
     assume(not any(0 < abs(x - y) <= Fraction(1, 10**12) * max(x, y)
                    for x, y in zip(exact_absJ, exact_absJ[1:])))
-    m = replace(DEFAULT_MATERIAL, T=w.duration)
+    m = DEFAULT_MATERIAL
     base, base_ok = _classify_and_check(w, m, 100)
     exact, kappa = _exact_witness(w, m)
     assert (base.witness is None) == (exact is None)
@@ -515,7 +521,7 @@ def test_a_drop_the_float_jump_rounds_away_is_not_seen(times, w0, wL, verdict, w
     # The classifier decides on the float jump wL - w0, so a drop of |J| below
     # its resolution is no drop; the unit-scaling property leaves such near-ties out.
     w = BoundaryDatum(times=times, w0=w0, wL=wL)
-    c = cns_classify(w, replace(DEFAULT_MATERIAL, T=w.duration), steps=100)
+    c = cns_classify(w, DEFAULT_MATERIAL, steps=100)
     assert (c.verdict, c.witness, c.t0, c.t0_star) == (verdict, witness, t0, t0)
 
 
@@ -544,3 +550,45 @@ def test_limit_trajectory_scales_with_the_units(m, data, n):
             assert gap <= 1e-12 * unit, (name, lam, mu, tau)
         gap = np.max(np.abs(residual_series(got) - lam * mu * residual_series(base)))
         assert gap <= 1e-12 * s * J_s, ("R", lam, mu, tau)
+
+
+def _runs(m: MaterialParams, w: BoundaryDatum):
+    # Both solvers on the knots of the datum alone, and the classifier on the same grid.
+    return run_limit(m, w, w.times), run_eps(m, 0.05, 2, w, w.times), cns_classify(w, m, steps=1)
+
+
+LIMIT_FIELDS = ("J", "sigma", "l", "E_closed", "E_integrated", "work_cum")
+EPS_FIELDS = ("J", "sigma", "l_eps", "energy", "work_cum")
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), horizon=st.floats(1e-2, 1e2))
+def test_a_change_of_time_changes_nothing_but_the_times(m, data, horizon):
+    # Rate independence: the same traces on other knot times give the same states
+    # bit for bit, and the witness is carried by the change of time.
+    w = data.draw(programs(m))
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=w.times.size - 1, max_size=w.times.size - 1))
+    times = np.concatenate([[0.0], horizon * np.cumsum(gaps)[:-1] / sum(gaps), [horizon]])
+    ws = BoundaryDatum(times=times, w0=w.w0, wL=w.wL)
+    (limit, eps, c), (limit_s, eps_s, c_s) = _runs(m, w), _runs(m, ws)
+    assert_fields_equal(limit_s, limit, LIMIT_FIELDS)
+    assert np.array_equal(residual_series(limit_s), residual_series(limit))
+    assert_fields_equal(eps_s, eps, EPS_FIELDS)
+    assert c_s.verdict == c.verdict
+    assert (c_s.witness is None) == (c.witness is None)
+    if c.witness is not None:
+        carried = np.interp(c.witness, w.times, times)
+        assert np.max(np.abs(np.asarray(c_s.witness) - carried)) <= 1e-12 * horizon
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data())
+def test_a_reversed_jump_reverses_the_stress_alone(m, data):
+    # Swapping the two traces turns J into -J exactly: sigma changes sign and
+    # nothing else changes, the verdict and the witness included.
+    w = data.draw(programs(m))
+    (limit, eps, c), (limit_r, eps_r, c_r) = _runs(m, w), _runs(m, BoundaryDatum(w.times, w.wL, w.w0))
+    assert_fields_equal(replace(limit_r, J=-limit_r.J, sigma=-limit_r.sigma), limit)
+    assert np.array_equal(residual_series(limit_r), residual_series(limit))
+    assert_fields_equal(replace(eps_r, J=-eps_r.J, sigma=-eps_r.sigma), eps)
+    assert_fields_equal(c_r, c)

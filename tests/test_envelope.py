@@ -50,6 +50,21 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"need {field} finite and > 0"):
             replace(material, **{field: value})
 
+    # kappa a0 underflows to a zero yield stress; 2 kappa a0 overflows.
+    @pytest.mark.parametrize("values, got", [
+        ({"kappa": 1e-200, "a0": 1e-200}, r"0\.0"),
+        ({"kappa": 1e200, "a0": 1e200, "a1": 1e201}, "inf"),
+    ], ids=["underflow", "overflow"])
+    def test_material_rejects_a_yield_stress_floats_cannot_hold(self, material, values, got):
+        with pytest.raises(ValueError, match=f"^need yield_stress finite and > 0, got {got}$"):
+            replace(material, **values)
+
+    def test_material_rejects_a_jump_threshold_floats_cannot_hold(self, material):
+        with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got inf$"):
+            replace(material, kappa=1e10, L=1e308)
+        with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got 0\.0$"):
+            replace(material, L=1e-200, a1=1e200)
+
     def test_derived_material_scales(self, material):
         assert material.yield_stress == pytest.approx(1.0, abs=1e-15)
         assert material.jump_threshold == pytest.approx(0.5, abs=1e-15)

@@ -122,11 +122,6 @@ class TestRunEps:
         assert np.max(np.abs(traj.work_cum)) == 0.0
         assert np.max(np.abs(traj.eb_residual)) == 0.0
 
-    def test_horizon_mismatch_rejected(self, material):
-        w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])
-        with pytest.raises(ValueError):
-            run_eps(material, 0.05, 4, w, np.linspace(0.0, 1.0, 11))
-
     def test_a_cell_count_must_be_an_integer(self, material):
         w = preset_datum("monotone", material)
         grid = refined_time_grid(w, 10)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
-                    ScenarioConfig, preset_datum, refined_time_grid, run_eps, run_limit)
+                    ScenarioConfig, cns_classify, preset_datum, refined_time_grid, run_eps,
+                    run_limit)
 from barlab.loading import jump_nodes, threshold_crossing, validate_time_grid
+from conftest import assert_fields_equal
 from oracles import trapezoid_work
 
 
@@ -156,29 +158,40 @@ class TestTimeGrids:
             validate_time_grid(w, np.array([0.0, 1.0, 0.5, 2.0]))
 
 
-# Every entry point that checks the horizon, with the error it raises.
-HORIZON_CHECKS = {
-    "ScenarioConfig": (lambda m, w: ScenarioConfig(material=m, datum=w), ConfigError),
-    "run_limit": (lambda m, w: run_limit(m, w, refined_time_grid(w, 10)), ValueError),
-    "run_eps": (lambda m, w: run_eps(m, 0.05, 2, w, refined_time_grid(w, 10)), ValueError),
+# Every entry point that takes a material and a datum.
+ENTRY_POINTS = {
+    "ScenarioConfig": lambda m, w: ScenarioConfig(material=m, datum=w),
+    "run_limit": lambda m, w: run_limit(m, w, refined_time_grid(w, 10)),
+    "run_eps": lambda m, w: run_eps(m, 0.05, 2, w, refined_time_grid(w, 10)),
+    "cns_classify": lambda m, w: cns_classify(w, m, steps=10),
 }
+# The one that checks a datum against the material's horizon T, with the error it raises.
+HORIZON_CHECKS = {"ScenarioConfig": ConfigError}
 
 
 class TestHorizon:
     @pytest.mark.parametrize("entry", sorted(HORIZON_CHECKS))
     def test_a_datum_far_past_a_tiny_horizon_is_refused(self, entry):
         # The datum ends at 500 times the horizon.
-        run, error = HORIZON_CHECKS[entry]
         w = BoundaryDatum(times=[0.0, 5e-13], w0=[0.0, 0.0], wL=[0.0, 1.0])
-        with pytest.raises(error):
-            run(replace(DEFAULT_MATERIAL, T=1e-15), w)
+        with pytest.raises(HORIZON_CHECKS[entry]):
+            ENTRY_POINTS[entry](replace(DEFAULT_MATERIAL, T=1e-15), w)
 
-    @pytest.mark.parametrize("entry", sorted(HORIZON_CHECKS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_a_datum_two_ulps_short_of_a_long_horizon_is_accepted(self, entry):
-        run, _ = HORIZON_CHECKS[entry]
+        run = ENTRY_POINTS[entry]
         m = replace(DEFAULT_MATERIAL, T=1e5 + 3e-11)
         assert np.nextafter(np.nextafter(1e5, np.inf), np.inf) == m.T
         run(m, BoundaryDatum(times=[0.0, 1e5], w0=[0.0, 0.0], wL=[0.0, 1.0]))
+
+    @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - set(HORIZON_CHECKS)))
+    @pytest.mark.parametrize("end", [1e-13, 1e5])
+    def test_a_run_takes_the_horizon_of_its_datum(self, entry, end):
+        # T = 2 is far from either end: the run is the run on the material whose T is the end.
+        m = replace(DEFAULT_MATERIAL, T=2.0)
+        w = BoundaryDatum(times=[0.0, end / 2, end], w0=[0.0, 0.0, 0.0], wL=[0.0, 1.0, 0.2])
+        run = ENTRY_POINTS[entry]
+        assert_fields_equal(run(m, w), run(replace(m, T=w.duration), w))
 
 
 def assert_work_is_the_trapezoid_oracle(w: BoundaryDatum, steps: int) -> None:

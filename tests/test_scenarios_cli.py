@@ -98,6 +98,18 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(material=material, datum=w)
 
+    @pytest.mark.parametrize("eps_list", ["0.1", 0.1, np.array(0.1), [0.1, "0.05"], [0.1, None], [[0.1]]],
+                             ids=["string", "scalar", "0-d array", "string entry", "None entry", "list entry"])
+    def test_eps_list_must_be_a_sequence_of_numbers(self, eps_list):
+        with pytest.raises(ConfigError, match=r"^eps_list must be a sequence of numbers, got "):
+            ScenarioConfig(eps_list=eps_list)
+
+    def test_a_sequence_of_numbers_is_an_eps_list(self):
+        eps = (0.1, 1, np.float32(0.25), np.int64(2), np.float64(0.05))
+        for given in (eps, list(eps), np.array(eps), iter(eps)):
+            got = ScenarioConfig(eps_list=given).eps_list
+            assert got == (0.1, 1.0, 0.25, 2.0, 0.05) and all(type(e) is float for e in got)
+
     def test_a_missing_datum_is_the_monotone_program_of_the_material(self, material):
         m = replace(material, T=5.0)
         assert ScenarioConfig(material=m).datum == preset_datum("monotone", m)
@@ -602,6 +614,17 @@ class TestCommandLine:
         path.write_text(f"[material]\n{field} = inf\n")
         assert main(["classify", "--config", str(path)]) == 2
         assert f"need {field} finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, got", [
+        ("kappa = 1e-200\na0 = 1e-200\n", "0.0"),
+        ("kappa = 1e200\na0 = 1e200\na1 = 1e201\n", "inf"),
+    ], ids=["underflow", "overflow"])
+    def test_a_material_whose_yield_stress_is_not_a_float_exits_2(self, tmp_path, text, got, capsys):
+        path = tmp_path / "extreme.ini"
+        path.write_text("[material]\n" + text)
+        assert main(["classify", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: invalid [material]: need yield_stress finite and > 0, got {got}\n")
 
     def test_sweep_without_list_exits_2(self, capsys):
         assert main(["sweep-eps", "--preset", "monotone"]) == 2
