@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import _SATURATION_TOL, cns_classify
+from .diagnostics import cns_classify, stress_saturated
 from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
                        optimal_theta, raw_energy)
 from .eps_evolution import plateau_factor
@@ -61,7 +61,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     if args.out:
         e = traj.sigma / m.a1
         t0_flag = (traj.l == 0.0).astype(float)
-        saturated = (np.abs(traj.sigma) >= m.yield_stress * (1.0 - _SATURATION_TOL)).astype(float)
+        saturated = stress_saturated(traj).astype(float)
         write_csv(args.out,
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",
                    "e", "p_total", "t0_flag", "saturated"),

@@ -29,6 +29,7 @@ __all__ = [
     "yield_dissipation",
     "residual_series",
     "flow_rule_defects",
+    "stress_saturated",
     "Classification",
     "cns_classify",
     "ConsistencyReport",
@@ -39,10 +40,31 @@ PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
 
 # Tolerances of the classifier: stress saturation in units of s*, residual
-# size in units of s* L, and the flow-rule defect count in units of s* L.
+# size in units of s* L, and the flow-rule defect count in units of s* L;
+# the last two are raised to the ledger's rounding bound where it is larger.
 _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
+_U = 2.0**-53  # unit roundoff of float64
+
+# Rounding of the ledger, counted to first order in _U against exact
+# arithmetic on the recorded J and the material's floats.
+#   Per instant: p = sigma l/a0 = J x/(x + c) with x = l/a0, c = L/a1, so a
+#   relative error u in sigma, x or c moves p by at most u|J|; a mass kept
+#   from an earlier |J| = M >= |J| too.  sigma takes 11 roundings: s* (2:
+#   2 kappa a0, sqrt), thr (2: *L, /a1), the trial mass (3: -, *a0, /s*) and
+#   J/(l/a0 + L/a1) (4); p adds sigma*l and /a0, so its error is at most
+#   13 u |J|.  S = l (sigma^2/(2 a0) + kappa) <= 2 kappa l <= s* M: its mass
+#   (7 roundings) enters with weight at most s*^2/a0, its stress (11) with
+#   weight |p| <= |J|, and its own four operations add 4 u S: 22 u s* max|J|.
+#   Flow defect s*|dp| - sigma_k dp per step: dp carries 13 u (|J_k| + |J_k-1|)
+#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 28.  s*
+#   (2), sigma_k (11), the two products and the subtraction (2) add
+#   17 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 45 u s* (|J_k| + |J_k-1|).
+#   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp|
+#   carries 28 u max|J|; the running sum (n - 1), s* and the product (3) add
+#   (n + 2) u s* Var(p); S and S(0) add 44 u s* max|J|, the two subtractions
+#   u (s* Var(p) + 2 s* max|J|): u ((n + 3) s* Var(p) + (28 n + 46) s* max|J|).
 
 
 def yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
@@ -79,6 +101,11 @@ def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
     """
     dp = np.diff(traj.p)
     return traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
+
+
+def stress_saturated(traj: LimitTrajectory) -> np.ndarray:
+    """Instants where ``|sigma|`` sits on the yield stress ``s*``, to ``1e-9`` relative."""
+    return np.abs(traj.sigma) >= traj.m.yield_stress * (1.0 - _SATURATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -133,7 +160,9 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
         )
 
     series = residual_series(traj)
-    violations = int(np.sum(flow_rule_defects(traj) > _DEFECT_TOL * m.yield_stress * m.L))
+    s, absJ = m.yield_stress, np.abs(traj.J)
+    defect_tol = np.maximum(_DEFECT_TOL * s * m.L, 45.0 * _U * s * (absJ[1:] + absJ[:-1]))
+    violations = int(np.sum(flow_rule_defects(traj) > defect_tol))
 
     return Classification(
         verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
@@ -168,12 +197,13 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
         raise ValueError(f"unknown verdict {verdict!r}; expected {PERFECT_PLASTICITY!r} or {DAMAGE_ONLY!r}")
     m = traj.m
     s = m.yield_stress
-    sat_tol = _SATURATION_TOL * s
-    res_tol = _RESIDUAL_TOL * s * m.L
+    n = traj.times.size - 1
+    rounding = _U * ((n + 3) * yield_dissipation(traj)[-1] + (28 * n + 46) * s * np.max(np.abs(traj.J)))
+    res_tol = max(_RESIDUAL_TOL * s * m.L, float(rounding))
     series = residual_series(traj)
 
     damaged = traj.l > 0.0
-    unsaturated = damaged & (s - np.abs(traj.sigma) > sat_tol)
+    unsaturated = damaged & ~stress_saturated(traj)
     saturated = not unsaturated.any()
     small_residual = bool(series.max() <= res_tol)
     says_plastic = verdict == PERFECT_PLASTICITY

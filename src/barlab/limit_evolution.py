@@ -22,21 +22,11 @@ from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 __all__ = ["LimitTrajectory", "run_limit"]
 
 
-@dataclass(frozen=True)
-class _LimitState:
-    """Effective state: stress, damage mass and energy."""
-
-    t: float
-    sigma: float
-    l: float
-    E: float
-
-
-def _limit_step(prev: _LimitState, m: MaterialParams, J: float, t: float) -> _LimitState:
-    """Return map of the effective model: ``l`` ratchets up, never down; from ``l = 0``, the first state."""
+def _limit_step(l_prev: float, m: MaterialParams, J: float, t: float) -> tuple[float, float, float]:
+    """Return map of the effective model: ``(sigma, l, E)``, with ``l`` ratcheting up from ``l_prev``."""
     # The trial mass carries J at exactly the yield stress; it is positive exactly
     # when |J| > m.jump_threshold, the one test of the elastic limit.
-    l = max(prev.l, m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress)
+    l = max(l_prev, m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress)
     sigma = J / (l / m.a0 + m.L / m.a1)
     s = m.yield_stress
     if abs(sigma) > s:
@@ -45,7 +35,7 @@ def _limit_step(prev: _LimitState, m: MaterialParams, J: float, t: float) -> _Li
             raise NumericalError(f"stress {sigma!r} left the yield interval at t={t!r}")
         sigma = s if sigma > 0.0 else -s
     E = 0.5 * J * sigma + m.kappa * l
-    return _LimitState(t=float(t), sigma=float(sigma), l=float(l), E=float(E))
+    return float(sigma), float(l), float(E)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +68,10 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     mass = np.zeros(steps)
     e_closed = np.zeros(steps)
 
-    state = _LimitState(float(grid[0]), 0.0, 0.0, 0.0)
+    l = 0.0
     for k in range(steps):
-        state = _limit_step(state, m, float(J[k]), float(grid[k]))
-        sigma[k], mass[k], e_closed[k] = state.sigma, state.l, state.E
+        sigma[k], l, e_closed[k] = _limit_step(l, m, float(J[k]), float(grid[k]))
+        mass[k] = l
     work = cumulative_work(sigma, J)
 
     zero = np.flatnonzero(mass == 0.0)

@@ -100,16 +100,17 @@ def _count(name: str, value) -> int:
 
 
 def refined_time_grid(w: BoundaryDatum, steps: int) -> np.ndarray:
-    """Uniform grid with ``steps`` intervals over the loading span, merged with the datum knots.
+    """Uniform grid with ``steps`` intervals over the loading span, merged with the nodes of ``jump_nodes``.
 
-    Merging keeps every kink of the loading program on the grid, so
-    piecewise-linear data are sampled exactly.
+    Merging keeps every kink of the loading program and every zero
+    crossing of ``J`` on the grid, so piecewise-linear data are sampled
+    exactly and every sign change of the stress is recorded.
     """
     n = _count("steps", steps)
     if n < 1:
         raise ValueError(f"need at least one step, got {steps!r}")
     uniform = np.linspace(0.0, w.duration, n + 1)
-    grid = np.sort(np.concatenate([uniform, w.times]))
+    grid = np.sort(np.concatenate([uniform, jump_nodes(w)[0]]))
     # Not np.unique: it imports numpy.ma, about 12 ms of every CLI process's start-up.
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 

@@ -23,7 +23,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     run_limit, sweep_eps, yield_dissipation)
 from barlab.envelope import envelope_slope_bounds
 from barlab.eps_evolution import plateau_factor
-from barlab.limit_evolution import _LimitState as LimitState, _limit_step as limit_step
+from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
 
 M = DEFAULT_MATERIAL
@@ -251,7 +251,7 @@ def test_criterion_6_initial_energy_routes_and_lower_bound():
     competitors = 0
     floor_ok = True
     for J0 in (0.0, 0.4, 1.0, -1.5):
-        E0 = limit_step(LimitState(0.0, 0.0, 0.0, 0.0), M, J0, 0.0).E
+        _, _, E0 = limit_step(0.0, M, J0, 0.0)
         closed, minimized = initial_energy_routes(M.kappa, M.a0, M.a1, M.L, J0)
         worst_route = max(worst_route, abs(E0 - closed), abs(E0 - minimized))
         rng = np.random.default_rng(17 + int(round(10 * abs(J0))))

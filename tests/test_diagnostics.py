@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryDatum,
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
-from barlab.diagnostics import flow_rule_defects
+from barlab.diagnostics import flow_rule_defects, stress_saturated
 from barlab.loading import jump_nodes, threshold_crossing
 from conftest import assert_fields_equal, materials, programs
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
@@ -311,6 +311,35 @@ class TestConsistency:
             assert bool(report)
             assert report.first_inconsistent_time is None
 
+    def test_a_sign_change_inside_one_step_is_on_the_grid(self):
+        # J changes sign in the last 0.01 of the horizon, inside one of 100
+        # steps; the refined grid holds the crossing, so the stress is read on
+        # both sides of it.
+        m = MaterialParams(kappa=5.789143907634465, a0=5.324028950551577,
+                           a1=17.451784794177573, L=0.48819290329318055, T=2.0)
+        thr = m.jump_threshold
+        w = BoundaryDatum(times=[0.0, 1.9898346963218356, 2.0], w0=[0.0] * 3,
+                          wL=[-36.81 * thr, -63.46 * thr, 76.02 * thr])
+        c = cns_classify(w, m, steps=100)
+        report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 100)), c.verdict)
+        assert report.ok, report.detail
+
+    @pytest.mark.parametrize("L", [1e-12, 1e-9])
+    def test_large_strains_stay_consistent(self, L):
+        # |J|/L reaches 2/L: the ledger's rounding, about u s* |J| a term,
+        # passes 1e-6 s* L and 1e-9 s* L, and the counted bound takes over.
+        m = MaterialParams(kappa=0.3, a0=1.7, a1=3.1, L=L, T=2.0)
+        w = preset_datum("monotone", m)
+        c = cns_classify(w, m, steps=400)
+        assert c.verdict == PERFECT_PLASTICITY
+        assert c.flow_rule_violations == 0
+        report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 400)), c.verdict)
+        assert report.ok, report.detail
+
+    def test_saturation_starts_at_the_onset(self, material):
+        traj = run_preset(material, "monotone")
+        assert np.array_equal(stress_saturated(traj), traj.times >= 0.5)
+
     def test_wrong_verdict_is_caught_both_ways(self, material):
         plastic = run_preset(material, "monotone")
         report = classifier_consistency(plastic, DAMAGE_ONLY)
@@ -579,6 +608,28 @@ def test_a_change_of_time_changes_nothing_but_the_times(m, data, horizon):
     if c.witness is not None:
         carried = np.interp(c.witness, w.times, times)
         assert np.max(np.abs(np.asarray(c_s.witness) - carried)) <= 1e-12 * horizon
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), steps=st.integers(1, 500),
+       frac=st.floats(1e-6, 1.0 - 1e-6))
+def test_a_refined_grid_changes_nothing_at_the_knots(m, data, steps, frac):
+    # Refinement: both solvers on refined_time_grid(w, steps) give, at the
+    # knots, the states of the runs on the knots alone, bit for bit.  eps
+    # keeps 1e-6 of a1/a0 away from both ends, where run_eps itself fails
+    # on any grid: near 0 the rounding of 1 - theta, amplified by 1/eps,
+    # trips its energy bound, and where 1/(eps a0) rounds to 1/a1 theta is 0/0.
+    w = data.draw(programs(m))
+    eps = frac * m.a1 / m.a0
+    grid = refined_time_grid(w, steps)
+    at_knots = np.isin(grid, w.times)
+    assert np.count_nonzero(at_knots) == w.times.size
+    fine, coarse = run_limit(m, w, grid), run_limit(m, w, w.times)
+    for name in ("sigma", "l", "E_closed"):
+        assert np.array_equal(getattr(fine, name)[at_knots], getattr(coarse, name)), name
+    fine, coarse = run_eps(m, eps, 1, w, grid), run_eps(m, eps, 1, w, w.times)
+    for name in ("sigma", "l_eps", "energy"):
+        assert np.array_equal(getattr(fine, name)[at_knots], getattr(coarse, name)), name
 
 
 @settings(max_examples=200)

@@ -269,7 +269,9 @@ def test_an_overflowing_energy_bound_is_silent():
         warnings.simplefilter("error")
         traj = run_eps(m, 1e-6, 1, w, refined_time_grid(w, 3))
         sweep_eps(ScenarioConfig(material=m, datum=w, steps=3, eps_list=(1e-5, 1e-6)))
-    assert traj.energy == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
+    # The grid also holds the two zero crossings of J; the knots carry the peaks.
+    at_knots = traj.energy[np.isin(traj.times, w.times)]
+    assert at_knots == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
 
 
 def test_the_identity_guard_allows_for_the_rounding_of_theta():

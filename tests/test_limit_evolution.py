@@ -1,65 +1,86 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import BoundaryDatum, preset_datum, refined_time_grid, run_limit
-from barlab.limit_evolution import _LimitState as LimitState, _limit_step as limit_step
+from barlab import (BoundaryDatum, MaterialParams, NumericalError, preset_datum,
+                    refined_time_grid, run_limit)
+from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
 from conftest import materials, programs
 from oracles import closed_form_limit, mass_reconstruction
 
 
-# The first state of a run: the return map from the pristine bar.
-PRISTINE = LimitState(t=0.0, sigma=0.0, l=0.0, E=0.0)
+# The first state of a run: the damage mass of the pristine bar.
+PRISTINE = 0.0
 
 
 class TestInitialState:
     def test_zero_load(self, material):
-        s = limit_step(PRISTINE, material, 0.0, 0.0)
-        assert (s.sigma, s.l, s.E) == (0.0, 0.0, 0.0)
+        sigma, l, E = limit_step(PRISTINE, material, 0.0, 0.0)
+        assert (sigma, l, E) == (0.0, 0.0, 0.0)
 
     def test_elastic_branch(self, material):
-        s = limit_step(PRISTINE, material, 0.4, 0.0)
-        assert s.sigma == pytest.approx(0.8, abs=1e-15)
-        assert s.l == 0.0
-        assert s.E == pytest.approx(0.16, abs=1e-15)
+        sigma, l, E = limit_step(PRISTINE, material, 0.4, 0.0)
+        assert sigma == pytest.approx(0.8, abs=1e-15)
+        assert l == 0.0
+        assert E == pytest.approx(0.16, abs=1e-15)
 
     def test_saturated_branch_and_dual_energy_form(self, material):
-        s = limit_step(PRISTINE, material, 1.0, 0.0)
-        assert s.sigma == pytest.approx(1.0, abs=1e-14)
-        assert s.l == pytest.approx(0.5, abs=1e-14)
-        assert s.E == pytest.approx(0.75, abs=1e-14)
+        sigma, l, E = limit_step(PRISTINE, material, 1.0, 0.0)
+        assert sigma == pytest.approx(1.0, abs=1e-14)
+        assert l == pytest.approx(0.5, abs=1e-14)
+        assert E == pytest.approx(0.75, abs=1e-14)
         # Same energy as elastic part plus yield cost of the plastic mass.
-        elastic = material.L * material.a1 / 2.0 * (s.sigma / material.a1) ** 2
-        plastic = s.sigma * s.l / material.a0
-        assert elastic + material.yield_stress * abs(plastic) == pytest.approx(s.E, abs=1e-12)
+        elastic = material.L * material.a1 / 2.0 * (sigma / material.a1) ** 2
+        plastic = sigma * l / material.a0
+        assert elastic + material.yield_stress * abs(plastic) == pytest.approx(E, abs=1e-12)
 
     def test_negative_load_is_odd(self, material):
-        s = limit_step(PRISTINE, material, -1.5, 0.0)
-        assert s.sigma == pytest.approx(-1.0, abs=1e-14)
-        assert s.l == pytest.approx(1.0, abs=1e-14)
-        assert s.E == pytest.approx(1.25, abs=1e-14)
+        sigma, l, E = limit_step(PRISTINE, material, -1.5, 0.0)
+        assert sigma == pytest.approx(-1.0, abs=1e-14)
+        assert l == pytest.approx(1.0, abs=1e-14)
+        assert E == pytest.approx(1.25, abs=1e-14)
 
 
 class TestLimitStep:
     def test_unloading_keeps_mass(self, material):
-        prev = limit_step(PRISTINE, material, 1.0, 0.0)
-        s = limit_step(prev, material, 0.4, 0.1)
-        assert s.sigma == pytest.approx(0.4, abs=1e-14)
-        assert s.l == 0.5
+        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
+        sigma, l, _ = limit_step(prev, material, 0.4, 0.1)
+        assert sigma == pytest.approx(0.4, abs=1e-14)
+        assert l == 0.5
 
     def test_growth_saturates_stress(self, material):
-        prev = limit_step(PRISTINE, material, 1.0, 0.0)
-        s = limit_step(prev, material, 1.2, 0.1)
-        assert s.l == pytest.approx(0.7, abs=1e-14)
-        assert s.sigma == pytest.approx(1.0, abs=1e-14)
+        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
+        sigma, l, _ = limit_step(prev, material, 1.2, 0.1)
+        assert l == pytest.approx(0.7, abs=1e-14)
+        assert sigma == pytest.approx(1.0, abs=1e-14)
 
     def test_sign_symmetric_reload_is_idempotent(self, material):
-        prev = limit_step(PRISTINE, material, 1.0, 0.0)
-        s = limit_step(prev, material, -1.0, 0.1)
-        assert s.sigma == pytest.approx(-1.0, abs=1e-14)
-        assert s.l == 0.5
+        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
+        sigma, l, _ = limit_step(prev, material, -1.0, 0.1)
+        assert sigma == pytest.approx(-1.0, abs=1e-14)
+        assert l == 0.5
+
+    @pytest.mark.parametrize("J", [7.750808225005107, -7.750808225005107])
+    def test_rounding_past_the_yield_stress_is_clamped(self, J):
+        # Here J/(l/a0 + L/a1) rounds to s* (1 + 2.2e-16): the clamp puts it back on s*.
+        m = MaterialParams(kappa=5.215727807951501, a0=3.9731590859070542,
+                           a1=19.394363828039406, L=5.909305857237593, T=2.0)
+        s = m.yield_stress
+        raw = J / (max(0.0, m.a0 * (abs(J) - m.jump_threshold) / s) / m.a0 + m.L / m.a1)
+        assert abs(raw) > s
+        sigma, _, _ = limit_step(PRISTINE, m, J, 0.5)
+        assert sigma == np.copysign(s, J)
+
+    def test_a_stress_outside_the_yield_interval_is_refused(self):
+        # No real material gets here: this stand-in's jump threshold is not
+        # yield_stress L/a1, so the trial mass stays 0 while sigma = 2 s*.
+        m = SimpleNamespace(kappa=0.5, a0=1, a1=2, L=1, yield_stress=1, jump_threshold=10)
+        with pytest.raises(NumericalError, match=r"^stress 2\.0 left the yield interval at t=0\.25$"):
+            limit_step(PRISTINE, m, 1.0, 0.25)
 
 
 class TestRunLimit:
