@@ -66,6 +66,14 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
         raise ValueError(f"need eps > 0, got {eps!r}")
     if not eps * m.a0 < m.a1:
         raise ValueError(f"need eps*a0 < a1, got eps*a0={eps * m.a0!r}, a1={m.a1!r}")
+    # The scan divides by 1/(eps a0) - 1/a1 (theta) and by 1/a0 - eps/a1 (l_eps).
+    # Within rounding of 0 or of a1/a0 one of them is zero or infinite in floats.
+    e, a0, a1 = float(eps), float(m.a0), float(m.a1)
+    theta_den = 1.0 / (e * a0) - 1.0 / a1 if e * a0 > 0.0 else math.inf
+    l_den = 1.0 / a0 - e / a1
+    if not (0.0 < theta_den < math.inf and 0.0 < l_den < math.inf):
+        raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: "
+                         f"1/(eps*a0) - 1/a1 = {theta_den!r}, 1/a0 - eps/a1 = {l_den!r}")
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
@@ -92,7 +100,8 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
         a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
         sigma = J * a / L
         theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-        l_eps = L * (1.0 - theta) / eps
+        # L (1 - theta)/eps, without the 1/eps amplification of the rounding in 1 - theta.
+        l_eps = L * (1.0 / a - 1.0 / m.a1) / (1.0 / m.a0 - eps / m.a1)
         energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)

@@ -62,16 +62,16 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     """Run the return map along ``w`` and record closed-form and integrated energies."""
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
-    steps = grid.size
 
-    sigma = np.zeros(steps)
-    mass = np.zeros(steps)
-    e_closed = np.zeros(steps)
-
+    # The loop runs on Python floats; each column becomes an array once, at the end.
+    sigma, mass, e_closed = [], [], []
     l = 0.0
-    for k in range(steps):
-        sigma[k], l, e_closed[k] = _limit_step(l, m, float(J[k]), float(grid[k]))
-        mass[k] = l
+    for J_k, t in zip(J.tolist(), grid.tolist()):
+        s, l, E = _limit_step(l, m, J_k, t)
+        sigma.append(s)
+        mass.append(l)
+        e_closed.append(E)
+    sigma, mass, e_closed = np.array(sigma), np.array(mass), np.array(e_closed)
     work = cumulative_work(sigma, J)
 
     zero = np.flatnonzero(mass == 0.0)

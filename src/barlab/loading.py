@@ -19,7 +19,11 @@ __all__ = ["BoundaryDatum", "jump_nodes", "threshold_crossing", "refined_time_gr
 
 @dataclass(frozen=True, eq=False)
 class BoundaryDatum:
-    """Piecewise-linear boundary traces ``w0`` (left) and ``wL`` (right) over shared ``times``."""
+    """Piecewise-linear boundary traces ``w0`` (left) and ``wL`` (right) over shared ``times``.
+
+    The three arrays are read-only copies, so the ``|J|`` polyline of
+    ``jump_nodes`` is built once, here, and never goes stale.
+    """
 
     times: np.ndarray
     w0: np.ndarray
@@ -30,6 +34,7 @@ class BoundaryDatum:
             values = np.asarray(getattr(self, name), dtype=float).copy()
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
+            values.flags.writeable = False
             object.__setattr__(self, name, values)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two sample times")
@@ -39,6 +44,14 @@ class BoundaryDatum:
             raise ValueError("sample times must be strictly increasing")
         if self.times[0] != 0.0:
             raise ValueError(f"loading must start at t=0, got t={self.times[0]!r}")
+        t, J = self.times, self.wL - self.w0
+        k = np.flatnonzero(J[:-1] * J[1:] < 0.0) + 1
+        cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
+        # A crossing next to the knot t[k] can round past it; keep the nodes sorted.
+        nodes = np.insert(t, k, np.minimum(cross, t[k])), np.insert(J, k, 0.0)
+        for values in nodes:
+            values.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundaryDatum):
@@ -65,12 +78,11 @@ class BoundaryDatum:
 
 
 def jump_nodes(w: BoundaryDatum) -> tuple[np.ndarray, np.ndarray]:
-    """Knots of ``J`` plus its zero crossings, with ``J`` there, so that ``|J|`` is linear between nodes."""
-    t, J = w.times, w.wL - w.w0
-    k = np.flatnonzero(J[:-1] * J[1:] < 0.0) + 1
-    cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
-    # A crossing next to the knot t[k] can round past it; keep the nodes sorted.
-    return np.insert(t, k, np.minimum(cross, t[k])), np.insert(J, k, 0.0)
+    """Knots of ``J`` plus its zero crossings, with ``J`` there, so that ``|J|`` is linear between nodes.
+
+    The two read-only arrays are built once per datum and shared by every call.
+    """
+    return w._nodes
 
 
 def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:

@@ -13,6 +13,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
 from barlab.diagnostics import flow_rule_defects, stress_saturated
+from barlab.eps_evolution import plateau_factor
 from barlab.loading import jump_nodes, threshold_crossing
 from conftest import assert_fields_equal, materials, programs
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
@@ -611,16 +612,20 @@ def test_a_change_of_time_changes_nothing_but_the_times(m, data, horizon):
 
 
 @settings(max_examples=200)
-@given(m=materials(), data=st.data(), steps=st.integers(1, 500),
-       frac=st.floats(1e-6, 1.0 - 1e-6))
-def test_a_refined_grid_changes_nothing_at_the_knots(m, data, steps, frac):
+@given(m=materials(), data=st.data(), steps=st.integers(1, 500))
+def test_a_refined_grid_changes_nothing_at_the_knots(m, data, steps):
     # Refinement: both solvers on refined_time_grid(w, steps) give, at the
-    # knots, the states of the runs on the knots alone, bit for bit.  eps
-    # keeps 1e-6 of a1/a0 away from both ends, where run_eps itself fails
-    # on any grid: near 0 the rounding of 1 - theta, amplified by 1/eps,
-    # trips its energy bound, and where 1/(eps a0) rounds to 1/a1 theta is 0/0.
+    # knots, the states of the runs on the knots alone, bit for bit.  eps is
+    # any value plateau_factor accepts, subnormals and the last ulps below
+    # a1/a0 included.
     w = data.draw(programs(m))
-    eps = frac * m.a1 / m.a0
+    top = m.a1 / m.a0
+    eps = data.draw(st.floats(0.0, top, exclude_min=True, exclude_max=True)
+                    | st.integers(1, 64).map(lambda k: float(top - k * np.spacing(top))))
+    try:
+        plateau_factor(m, eps)
+    except ValueError:
+        assume(False)
     grid = refined_time_grid(w, steps)
     at_knots = np.isin(grid, w.times)
     assert np.count_nonzero(at_knots) == w.times.size

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ class TestPlateauFactor:
             plateau_factor(material, 0.0)
         with pytest.raises(ValueError):
             plateau_factor(material, 2.5)  # eps*a0 >= a1
+
+    @pytest.mark.parametrize("eps", [2.9999999999999996, 1e-323])
+    def test_an_eps_whose_scan_divides_by_zero_or_inf_is_refused(self, eps):
+        # One ulp below a1/a0 = 3, 1/(eps a0) rounds to 1/a1 and theta is 0/0;
+        # at 1e-323, 1/(eps a0) overflows.  Either way no state is defined.
+        m = MaterialParams(kappa=1.0, a0=2.4375, a1=7.3125, L=1.0, T=1.0)
+        w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 0.0])
+        msg = rf"^eps={eps!r} is too close to 0 or to a1/a0 for floats: "
+        with pytest.raises(ValueError, match=msg):
+            plateau_factor(m, eps)
+        with pytest.raises(ValueError, match=msg):
+            run_eps(m, eps, 1, w, refined_time_grid(w, 4))
+        with pytest.raises(ValueError, match=msg):
+            sweep_eps(ScenarioConfig(material=m, datum=w, steps=4, eps_list=(eps,)))
 
 
 class TestInitialStep:
@@ -272,6 +287,29 @@ def test_an_overflowing_energy_bound_is_silent():
     # The grid also holds the two zero crossings of J; the knots carry the peaks.
     at_knots = traj.energy[np.isin(traj.times, w.times)]
     assert at_knots == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
+
+
+def test_a_tiny_eps_keeps_l_eps_to_its_rounding():
+    # l_eps = L (1/a - 1/a1)/(1/a0 - eps/a1), the closed form of L (1 - theta)/eps.
+    # Through theta, the rounding of 1 - theta grows by 1/eps: 3.9% of l_eps at
+    # step 160 here, enough to trip the energy bound guard on this sound run.
+    m = MaterialParams(kappa=3.0, a0=1.0, a1=2.0, L=1.0, T=1.0)
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 2.0])
+    eps = 2e-12
+    traj = run_eps(m, eps, 1, w, refined_time_grid(w, 261))
+    u = Fraction(2.0**-53)
+    L, a0, a1, e = (Fraction(v) for v in (m.L, m.a0, m.a1, eps))
+    D = 1 / a0 - e / a1
+    # Damage from the first step past the threshold: 2k/261 > sqrt(6)/2 for k >= 160.
+    assert np.flatnonzero(traj.l_eps).tolist() == list(range(160, 262))
+    for a, l_eps in zip(traj.stiffness[:, 0], traj.l_eps):
+        a = Fraction(a)
+        exact = L * (1 / a - 1 / a1) / D
+        # Eight roundings, counted to first order in u: 1/a, 1/a1 and their
+        # difference, the product with L, 1/a0, eps/a1 and their difference,
+        # and the quotient.
+        bound = u * (L * (1 / a + 1 / a1) / D + exact * (4 + (1 / a0 + e / a1) / D))
+        assert abs(Fraction(l_eps) - exact) <= bound
 
 
 def test_the_identity_guard_allows_for_the_rounding_of_theta():

@@ -96,6 +96,24 @@ class TestJumpPolyline:
         w = BoundaryDatum(times=[0.0, 0.1, 1.0], w0=[0.0] * 3, wL=[0.0, 0.3, -1e-17])
         assert jump_nodes(w)[0].tolist() == [0.0, 0.1, 1.0, 1.0]
 
+    def test_the_datum_and_its_polyline_are_read_only(self):
+        w = lu_datum()
+        for values in (w.times, w.w0, w.wL, *jump_nodes(w)):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+    def test_the_polyline_is_built_once_per_datum(self):
+        w = lu_datum()
+        first, again = jump_nodes(w), jump_nodes(w)
+        assert first[0] is again[0] and first[1] is again[1]
+        # A replaced datum is a new datum with its own polyline.
+        other = replace(w, wL=[0.0, -1.0, 1.0])
+        times, J = jump_nodes(other)
+        assert times is not first[0] and J is not first[1]
+        assert times.tolist() == [0.0, 1.0, 1.5, 2.0]
+        assert J.tolist() == [0.0, -1.0, 0.0, 1.0]
+        assert jump_nodes(w)[1].tolist() == [0.0, 1.0, 0.0]
+
     def test_threshold_crossing(self):
         w = lu_datum()
         assert threshold_crossing(w, 0.25) == 0.25

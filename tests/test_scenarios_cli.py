@@ -596,6 +596,10 @@ class TestCommandLine:
     def test_oversized_eps_exits_2(self, capsys):
         assert main(["simulate-eps", "--preset", "monotone", "--eps", "3.0"]) == 2
 
+    def test_an_eps_too_small_for_floats_exits_2(self, capsys):
+        assert main(["simulate-eps", "--preset", "monotone", "--eps", "1e-323"]) == 2
+        assert capsys.readouterr().err.startswith("error: eps=1e-323 is too close to 0")
+
     @pytest.mark.parametrize("eps_list", ["3.0,0.1", "0.1,-1"])
     def test_sweep_oversized_eps_exits_2(self, eps_list, capsys):
         assert main(["sweep-eps", "--preset", "monotone", "--steps", "10",
