@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import MaterialParams
-from .errors import NumericalError
+from .errors import NumericalError, _U
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, _crossing, jump_nodes, refined_time_grid
+from .loading import BoundaryDatum, jump_nodes, refined_time_grid, threshold_crossing
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -45,7 +45,6 @@ DAMAGE_ONLY = "DamageOnly"
 _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
-_U = 2.0**-53  # unit roundoff of float64
 
 # Rounding of the ledger, counted to first order in _U against exact
 # arithmetic on the recorded J and the material's floats.
@@ -132,9 +131,9 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
     thr = m.jump_threshold
+    t0_star = threshold_crossing(w, thr)
     times, J = jump_nodes(w)
     absJ = np.abs(J)
-    t0_star = _crossing(times, absJ, thr)
     # Segments that end after t0* and on which |J| strictly decreases; none ends
     # at t0*, where |J| rises through the threshold.
     drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
@@ -208,27 +207,25 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     small_residual = bool(series.max() <= res_tol)
     says_plastic = verdict == PERFECT_PLASTICITY
 
-    if says_plastic != saturated:
-        bad = int(np.argmax(unsaturated if says_plastic else damaged))
-        return ConsistencyReport(False, float(traj.times[bad]),
-                                 "verdict and stress saturation disagree")
-    if says_plastic != small_residual:
-        bad = int(np.argmax(series > res_tol))
-        return ConsistencyReport(False, float(traj.times[bad]),
-                                 "verdict and balance residual disagree")
+    def failures():
+        # Every failing check in order, with the instants that fail it; the
+        # report names the first of them, or the first instant if there is none.
+        if says_plastic != saturated:
+            yield unsaturated if says_plastic else damaged, "verdict and stress saturation disagree"
+        if says_plastic != small_residual:
+            yield series > res_tol, "verdict and balance residual disagree"
+        if not says_plastic:
+            gap = (s - np.abs(traj.sigma)) ** 2 * traj.l / (2.0 * m.a0)
+            if np.any(below := series < gap - res_tol):
+                yield below, "residual fell below the stress-gap bound"
+            dp = np.diff(traj.p)
+            misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
+            lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
+            if np.any(below := series < lower - res_tol):
+                yield below, "residual fell below the misaligned-flow dissipation"
 
-    if not says_plastic:
-        gap = (s - np.abs(traj.sigma)) ** 2 * traj.l / (2.0 * m.a0)
-        if np.any(series < gap - res_tol):
-            bad = int(np.argmax(series < gap - res_tol))
-            return ConsistencyReport(False, float(traj.times[bad]),
-                                     "residual fell below the stress-gap bound")
-        dp = np.diff(traj.p)
-        misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
-        lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
-        if np.any(series < lower - res_tol):
-            bad = int(np.argmax(series < lower - res_tol))
-            return ConsistencyReport(False, float(traj.times[bad]),
-                                     "residual fell below the misaligned-flow dissipation")
-
-    return ConsistencyReport(True, None, "consistent")
+    failure = next(failures(), None)
+    if failure is None:
+        return ConsistencyReport(True, None, "consistent")
+    bad, detail = failure
+    return ConsistencyReport(False, float(traj.times[int(np.argmax(bad))]), detail)

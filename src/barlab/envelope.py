@@ -86,20 +86,10 @@ class MaterialParams:
         return self.yield_stress * self.L / self.a1
 
 
-def _wrap(xi) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(xi, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _unwrap(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
-def raw_energy(p: TwoWellParams, xi):
-    """Unrelaxed two-well density ``min(K + a*xi**2, b*xi**2)``."""
-    arr, scalar = _wrap(xi)
-    out = np.minimum(p.K + p.a * arr**2, p.b * arr**2)
-    return _unwrap(out, scalar)
+def raw_energy(p: TwoWellParams, xi) -> np.ndarray:
+    """Unrelaxed two-well density ``min(K + a*xi**2, b*xi**2)`` at the strains ``xi``, as an array."""
+    xi = np.asarray(xi, dtype=float)
+    return np.minimum(p.K + p.a * xi**2, p.b * xi**2)
 
 
 def envelope_slope_bounds(p: TwoWellParams) -> tuple[float, float, float]:
@@ -115,37 +105,34 @@ def envelope_slope_bounds(p: TwoWellParams) -> tuple[float, float, float]:
     return xi1, xi2, slope
 
 
-def convex_envelope(p: TwoWellParams, xi):
-    """Convex envelope of ``raw_energy`` at strain ``xi`` (scalar or array).
+def convex_envelope(p: TwoWellParams, xi) -> np.ndarray:
+    """Convex envelope of ``raw_energy`` at the strains ``xi``, as an array.
 
     Exact kink abscissas are assigned to the adjacent quadratic branch;
     all three expressions agree there anyway.
     """
-    arr, scalar = _wrap(xi)
+    xi = np.asarray(xi, dtype=float)
     xi1, xi2, slope = envelope_slope_bounds(p)
     offset = p.a * p.K / (p.b - p.a)
-    x = np.abs(arr)
-    out = np.where(
+    x = np.abs(xi)
+    return np.where(
         x <= xi1,
-        p.b * arr**2,
-        np.where(x < xi2, slope * x - offset, p.K + p.a * arr**2),
+        p.b * xi**2,
+        np.where(x < xi2, slope * x - offset, p.K + p.a * xi**2),
     )
-    return _unwrap(out, scalar)
 
 
-def optimal_theta(p: TwoWellParams, xi):
-    """Minimizing weak-phase fraction of the mixture energy at strain ``xi``.
+def optimal_theta(p: TwoWellParams, xi) -> np.ndarray:
+    """Minimizing weak-phase fraction of the mixture energy at the strains ``xi``, as an array.
 
     Zero below ``xi1``, one beyond ``xi2``, and on the plateau the unique
     fraction at which the mixed stiffness carries the plateau stress:
     ``1/c(theta) = |xi| / sqrt(a*b*K/(b-a))``.
     """
-    arr, scalar = _wrap(xi)
     xi1, xi2, slope = envelope_slope_bounds(p)
-    x = np.abs(arr)
+    x = np.abs(np.asarray(xi, dtype=float))
     inv_a, inv_b = 1.0 / p.a, 1.0 / p.b
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_c = x / (0.5 * slope)
         theta = (inv_c - inv_b) / (inv_a - inv_b)
-    out = np.where(x <= xi1, 0.0, np.where(x >= xi2, 1.0, np.clip(theta, 0.0, 1.0)))
-    return _unwrap(out, scalar)
+    return np.where(x <= xi1, 0.0, np.where(x >= xi2, 1.0, np.clip(theta, 0.0, 1.0)))

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import MaterialParams
-from .errors import NumericalError
+from .errors import _U, _guard
 from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
 __all__ = ["EpsTrajectory", "plateau_factor", "run_eps"]
 
 _IDENTITY_TOL = 1e-12
-_U = 2.0**-53  # unit roundoff of float64
 _RESIDUAL_TOL = 1e-12
 _BOUND_SLACK = 1e-9
 
@@ -75,12 +74,6 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
         raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: "
                          f"1/(eps*a0) - 1/a1 = {theta_den!r}, 1/a0 - eps/a1 = {l_den!r}")
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
-
-
-def _guard(bad: np.ndarray, grid: np.ndarray, what: str, eps_list) -> None:
-    if np.any(bad):
-        row, k = divmod(int(np.argmax(bad)), grid.size)
-        raise NumericalError(f"eps={float(eps_list[row])!r}, time step {k} (t={float(grid[k])!r}): {what}")
 
 
 def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import MaterialParams
-from .errors import NumericalError
+from .errors import NumericalError, _guard
 from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 
 __all__ = ["LimitTrajectory", "run_limit"]
@@ -72,7 +72,10 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
         mass.append(l)
         e_closed.append(E)
     sigma, mass, e_closed = np.array(sigma), np.array(mass), np.array(e_closed)
-    work = cumulative_work(sigma, J)
+    # A jump too large for floats overflows the energy or the work: refuse it, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = cumulative_work(sigma, J)
+    _guard(~(np.isfinite(e_closed) & np.isfinite(work)), grid, "energy or work is not finite")
 
     zero = np.flatnonzero(mass == 0.0)
     t0 = float(grid[zero[-1]]) if zero.size else float(grid[0])

@@ -1,9 +1,9 @@
 """Time-dependent boundary displacements for the bar.
 
 A loading program is a pair of piecewise-linear boundary traces sampled
-at shared knots.  Only the jump ``J(t) = wL(t) - w0(t)`` enters the
-homogeneous solvers, but both traces are kept so displacement fields can
-be reconstructed with the correct rigid offset.
+at shared knots.  The INI files and ``BoundaryDatum`` take both traces,
+``w0`` and ``wL``; the homogeneous solvers read only the jump
+``J(t) = wL(t) - w0(t)``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,11 @@ class BoundaryDatum:
         if self.times[0] != 0.0:
             raise ValueError(f"loading must start at t=0, got t={self.times[0]!r}")
         t, J = self.times, self.wL - self.w0
-        k = np.flatnonzero(J[:-1] * J[1:] < 0.0) + 1
-        cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
+        # Near the float range the product keeps its sign as +-inf; a run over
+        # such a datum refuses its non-finite energy or work.
+        with np.errstate(over="ignore"):
+            k = np.flatnonzero(J[:-1] * J[1:] < 0.0) + 1
+            cross = t[k - 1] + (t[k] - t[k - 1]) * J[k - 1] / (J[k - 1] - J[k])
         # A crossing next to the knot t[k] can round past it; keep the nodes sorted.
         nodes = np.insert(t, k, np.minimum(cross, t[k])), np.insert(J, k, 0.0)
         for values in nodes:
@@ -88,11 +91,7 @@ def jump_nodes(w: BoundaryDatum) -> tuple[np.ndarray, np.ndarray]:
 def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
     """Exact first instant with ``|J| > threshold``, or ``w.duration`` if there is none."""
     times, J = jump_nodes(w)
-    return _crossing(times, np.abs(J), threshold)
-
-
-def _crossing(times: np.ndarray, absJ: np.ndarray, threshold: float) -> float:
-    # First instant with |J| > threshold on the polyline of jump_nodes, or its last node.
+    absJ = np.abs(J)
     above = np.flatnonzero(absJ > threshold)
     if above.size == 0:
         return float(times[-1])

@@ -43,6 +43,16 @@ def programs(draw, m: barlab.MaterialParams) -> barlab.BoundaryDatum:
     return barlab.BoundaryDatum(times=times, w0=np.zeros(n), wL=wL)
 
 
+# A material and two programs whose limit-model energy or work overflows:
+# J reaches 1e308 (the energy s* J passes the float range at t = 1.137), and
+# J swings by 1e308 in half a time unit (interpolating it overflows).
+OVERFLOW_MATERIAL = barlab.MaterialParams(kappa=5.0, a0=1.0, a1=2.0, L=1.0, T=2.0)
+OVERFLOW_PROGRAMS = {
+    "ramp": ([0.0, 2.0], [0.0, 1e308]),
+    "swing": ([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 5e307, -5e307, 5e307, -5e307]),
+}
+
+
 def assert_fields_equal(got, want, names=None) -> None:
     """``np.array_equal`` on the named fields of two run records; by default every field but the material ``m``."""
     for name in names or [f.name for f in fields(want) if f.name != "m"]:

@@ -14,7 +14,8 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
 from barlab.diagnostics import flow_rule_defects, stress_saturated
 from barlab.eps_evolution import plateau_factor
-from barlab.loading import jump_nodes, threshold_crossing
+from barlab.limit_evolution import LimitTrajectory
+from barlab.loading import cumulative_work, jump_nodes, threshold_crossing
 from conftest import assert_fields_equal, materials, programs
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
@@ -351,6 +352,64 @@ class TestConsistency:
         report = classifier_consistency(damaging, PERFECT_PLASTICITY)
         assert not report
         assert report.first_inconsistent_time is not None
+
+
+def hand_built(m: MaterialParams, times, sigma, l) -> LimitTrajectory:
+    """A limit record of given states, ``J`` and energies derived from them; no run need reach it."""
+    times, sigma, l = (np.array(v, dtype=float) for v in (times, sigma, l))
+    J = sigma * (l / m.a0 + m.L / m.a1)
+    E = 0.5 * J * sigma + m.kappa * l
+    work = cumulative_work(sigma, J)
+    return LimitTrajectory(m=m, times=times, J=J, sigma=sigma, l=l, E_closed=E,
+                           E_integrated=E[0] + work, work_cum=work, t0=float(times[0]))
+
+
+class TestConsistencyFailures:
+    """Each failing check reports its detail at the first instant it fails (s* = 1, kappa = 1/2)."""
+
+    @pytest.mark.parametrize("name, verdict, t", [
+        # The first damaged instant whose stress left s* = 1 on unloading: J = 1/2, sigma = 1/2.
+        ("loading-unloading", PERFECT_PLASTICITY, 1.5),
+        # Saturated wherever damaged, which starts past |J| = 1/2.
+        ("monotone", DAMAGE_ONLY, 1.0),
+        # Never damaged: no instant fails, so the first one is named.
+        ("constant", DAMAGE_ONLY, 0.0),
+    ])
+    def test_verdict_against_saturation(self, material, name, verdict, t):
+        report = classifier_consistency(run_preset(material, name, steps=4), verdict)
+        assert (report.ok, report.first_inconsistent_time, report.detail) == (
+            False, t, "verdict and stress saturation disagree")
+
+    def test_verdict_against_the_residual(self, material):
+        # On the knots alone J jumps from 1 to -1: the stress stays saturated,
+        # and p = sigma l = 1/2 -> -1/2 leaves the residual 1 at t = 2.
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[0.0, 1.0, -1.0])
+        traj = run_limit(material, w, w.times)
+        assert np.array_equal(stress_saturated(traj), [False, True, True])
+        report = classifier_consistency(traj, PERFECT_PLASTICITY)
+        assert (report.ok, report.first_inconsistent_time, report.detail) == (
+            False, 2.0, "verdict and balance residual disagree")
+
+    def test_residual_below_the_stress_gap(self, material):
+        # The mass grows from 1 to 3 at zero stress, which no run does: the
+        # residual is 2 - 3/2 = 1/2 there, below the gap 3/2.
+        traj = hand_built(material, [0.0, 0.5, 1.0, 1.5], sigma=[0.0, 1.0, 0.0, 0.0],
+                          l=[0.0, 1.0, 3.0, 3.0])
+        assert residual_series(traj).tolist() == [0.0, 0.0, 0.5, 0.5]
+        report = classifier_consistency(traj, DAMAGE_ONLY)
+        assert (report.ok, report.first_inconsistent_time, report.detail) == (
+            False, 1.0, "residual fell below the stress-gap bound")
+
+    def test_residual_below_the_misaligned_flow(self, material):
+        # A random search found no record with l >= 0 that passes the stress-gap
+        # check and fails this one; this record starts from a negative mass.
+        # Step 1 moves p = -1 -> 0 against sigma = -1/2: dissipation 1, residual 0.
+        traj = hand_built(material, [0.0, 0.5, 1.0, 1.5], sigma=[1.0, -0.5, 1.0, -0.5],
+                          l=[-1.0, 0.0, 1.0, 1.0])
+        assert residual_series(traj).tolist() == [0.0, 0.0, 0.0, 1.875]
+        report = classifier_consistency(traj, DAMAGE_ONLY)
+        assert (report.ok, report.first_inconsistent_time, report.detail) == (
+            False, 0.5, "residual fell below the misaligned-flow dissipation")
 
 
 class TestStaticEnergy:

@@ -11,7 +11,8 @@ from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParam
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps, sweep_eps)
 from barlab.envelope import envelope_slope_bounds
-from barlab.eps_evolution import _guard, plateau_factor
+from barlab.eps_evolution import plateau_factor
+from barlab.errors import _guard
 from oracles import (StepState, exhaustive_step_minimum, incremental_step, initial_step,
                      pristine_state, stepwise_run_eps, total_energy)
 

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlab import (BoundaryDatum, MaterialParams, NumericalError, preset_datum,
+from barlab import (BoundaryDatum, MaterialParams, NumericalError, cns_classify, preset_datum,
                     refined_time_grid, run_limit)
 from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
-from conftest import materials, programs
+from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs
 from oracles import closed_form_limit, mass_reconstruction
 
 
@@ -157,6 +158,24 @@ class TestRunLimit:
             bound = (material.a1 / material.L) * (tv[j] - tv[i]) \
                 * np.exp((traj.times[j] - traj.times[i]) / 2.0)
             assert abs(traj.sigma[j] - traj.sigma[i]) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("name, message", [
+    # The energy s* J = sqrt(10) 0.5e308 t leaves the float range past t = 1.137,
+    # so at step 228 of 400 (t = 1.14).
+    pytest.param("ramp", r"^time step 228 \(t=1\.14[0-9]*\): energy or work is not finite$", id="ramp"),
+    pytest.param("swing", r"^time step \d+ \(t=[0-9.]+\): energy or work is not finite$", id="swing"),
+])
+def test_an_overflowing_energy_is_refused_without_a_warning(name, message):
+    times, wL = OVERFLOW_PROGRAMS[name]
+    m = OVERFLOW_MATERIAL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+        with pytest.raises(NumericalError, match=message):
+            run_limit(m, w, refined_time_grid(w, 400))
+        with pytest.raises(NumericalError, match=message):
+            cns_classify(w, m, steps=400)
 
 
 @settings(max_examples=200)

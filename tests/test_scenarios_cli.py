@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
                               textbook_plasticity, write_csv)
-from conftest import materials, programs
+from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs
 
 
 def ini_text(cfg: ScenarioConfig) -> str:
@@ -650,6 +651,24 @@ class TestCommandLine:
             assert main(["simulate-eps", "--config", str(path), "--eps", "0.1"]) == 3
         assert capsys.readouterr().err == "error: eps=0.1, time step 1 (t=0.5): energy or work is not finite\n"
 
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
+    @pytest.mark.parametrize("command", [["classify"], ["simulate-limit"], ["emit-figures"],
+                                         ["sweep-eps", "--eps-list", "0.1,0.01"]],
+                             ids=lambda command: command[0])
+    def test_an_overflowing_limit_run_exits_3(self, tmp_path, name, command, capsys):
+        times, wL = OVERFLOW_PROGRAMS[name]
+        w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+        path = tmp_path / "huge.ini"
+        path.write_text(ini_text(ScenarioConfig(material=OVERFLOW_MATERIAL, datum=w)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert re.fullmatch(r"error: time step \d+ \(t=[0-9.]+\): energy or work is not finite\n", got.err)
+        assert not out.exists()
+
     def test_nonmonotone_sweep_exits_3(self, monkeypatch, capsys):
         fake = SweepReport(eps=(0.1, 0.05),
                            sup_sigma_dev=np.array([1.0, 2.0]),
@@ -692,6 +711,7 @@ def _child_env() -> dict:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error"  # a RuntimeWarning in the child fails it, as in this process
     return env
 
 

@@ -12,6 +12,7 @@ def run_study(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error"  # a RuntimeWarning in the script fails it, as in this process
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "loading_unloading_study.py"),
                            *args], capture_output=True, text=True, env=env, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
