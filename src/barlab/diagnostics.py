@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import MaterialParams
-from .errors import NumericalError, _U
+from .errors import NumericalError, _U, _guard
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, jump_nodes, refined_time_grid, threshold_crossing
+from .loading import BoundaryDatum, refined_time_grid, threshold_crossing
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -88,8 +88,11 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     perfect-plasticity reading; strictly positive afterwards otherwise.
     """
     m = traj.m
-    stored = traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
-    return yield_dissipation(traj) - (stored - stored[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
+        series = yield_dissipation(traj) - (stored - stored[0])
+    _guard(~np.isfinite(series), traj.times, "plasticity ledger is not finite")
+    return series
 
 
 def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
@@ -124,7 +127,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
 
     The path fails exactly when ``|J|`` strictly decreases somewhere
     after first exceeding the jump threshold; for piecewise-linear data
-    the scan over the segments of ``jump_nodes`` is exact.  On failure a
+    the scan over the segments of ``w.nodes`` is exact.  On failure a
     witness pair ``(s, t)`` with ``|J(t)| < |J(s)|`` and ``|J(t)|`` above
     the threshold is returned.
     """
@@ -132,8 +135,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     traj = run_limit(m, w, grid)
     thr = m.jump_threshold
     t0_star = threshold_crossing(w, thr)
-    times, J = jump_nodes(w)
-    absJ = np.abs(J)
+    times, absJ = w.nodes[0], np.abs(w.nodes[1])
     # Segments that end after t0* and on which |J| strictly decreases; none ends
     # at t0*, where |J| rises through the threshold.
     drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
@@ -197,9 +199,10 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     m = traj.m
     s = m.yield_stress
     n = traj.times.size - 1
-    rounding = _U * ((n + 3) * yield_dissipation(traj)[-1] + (28 * n + 46) * s * np.max(np.abs(traj.J)))
-    res_tol = max(_RESIDUAL_TOL * s * m.L, float(rounding))
     series = residual_series(traj)
+    # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
+    rounding = (n + 3) * _U * yield_dissipation(traj)[-1] + (28 * n + 46) * _U * s * np.max(np.abs(traj.J))
+    res_tol = max(_RESIDUAL_TOL * s * m.L, float(rounding))
 
     damaged = traj.l > 0.0
     unsaturated = damaged & ~stress_saturated(traj)

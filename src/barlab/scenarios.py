@@ -99,8 +99,7 @@ class ScenarioConfig:
             object.__setattr__(self, "datum", preset_datum("monotone", self.material))
         try:
             for name in ("cells", "steps"):
-                if _count(name, getattr(self, name)) < 1:
-                    raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+                _count(name, getattr(self, name))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if abs((end := self.datum.duration) - (T := self.material.T)) > 1e-12 * T:
@@ -226,7 +225,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
     eps = cfg.eps_list
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list must be strictly decreasing, got {eps!r}")
-    ref = run_limit(cfg.material, cfg.datum, refined_time_grid(cfg.datum, cfg.steps))
+    ref = run_scenario_limit(cfg)
     _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times)
     return SweepReport(eps=eps,
                        sup_sigma_dev=np.max(np.abs(sigma - ref.sigma), axis=1),

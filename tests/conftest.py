@@ -51,6 +51,9 @@ OVERFLOW_PROGRAMS = {
     "ramp": ([0.0, 2.0], [0.0, 1e308]),
     "swing": ([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 5e307, -5e307, 5e307, -5e307]),
 }
+# Eight swings of 1e307 on OVERFLOW_MATERIAL: the energy and the work stay
+# finite, but the yield dissipation s* Var(p) of the ledger does not.
+LEDGER_OVERFLOW_PROGRAM = ([0.25 * k for k in range(9)], [0.0] + [1e307, -1e307] * 4)
 
 
 def assert_fields_equal(got, want, names=None) -> None:

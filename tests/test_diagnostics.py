@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
 from barlab.diagnostics import flow_rule_defects, stress_saturated
+from barlab.errors import NumericalError
 from barlab.eps_evolution import plateau_factor
 from barlab.limit_evolution import LimitTrajectory
-from barlab.loading import cumulative_work, jump_nodes, threshold_crossing
-from conftest import assert_fields_equal, materials, programs
+from barlab.loading import cumulative_work, threshold_crossing
+from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, assert_fields_equal, materials,
+                      programs)
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
@@ -233,7 +236,7 @@ def jump_programs(draw):
 @settings(max_examples=300)
 @given(w=jump_programs(), steps=st.integers(1, 60))
 def test_path_test_on_random_programs(w, steps):
-    times, J = jump_nodes(w)
+    times, J = w.nodes
     # A crossing next to a knot may round onto it: nodes are sorted, not strictly increasing.
     assert np.all(np.diff(times) >= 0.0) and np.isin(w.times, times).all()
     assert np.allclose(J, w.jump(times), rtol=0.0, atol=1e-12)
@@ -412,6 +415,46 @@ class TestConsistencyFailures:
             False, 0.5, "residual fell below the misaligned-flow dissipation")
 
 
+class TestLedgerRange:
+    @staticmethod
+    def swings(amplitude: float) -> BoundaryDatum:
+        times, wL = LEDGER_OVERFLOW_PROGRAM
+        return BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=np.sign(wL) * amplitude)
+
+    def test_a_ledger_too_large_for_floats_is_refused(self):
+        w, m = self.swings(1e307), OVERFLOW_MATERIAL
+        traj = run_limit(m, w, refined_time_grid(w, 400))
+        assert np.all(np.isfinite(traj.E_closed)) and np.all(np.isfinite(traj.work_cum))
+        message = r"^time step \d+ \(t=[0-9.]+\): plasticity ledger is not finite$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                cns_classify(w, m, steps=400)
+            for verdict in (PERFECT_PLASTICITY, DAMAGE_ONLY):
+                with pytest.raises(NumericalError, match=message):
+                    classifier_consistency(traj, verdict)
+
+    @pytest.mark.parametrize("amplitude", [1e304, 1e306])
+    def test_a_finite_ledger_has_a_finite_rounding_bound(self, amplitude):
+        # The ledger reaches 4e305 to 4e307 here; 403 times it is past the float range.
+        w, m = self.swings(amplitude), OVERFLOW_MATERIAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cns_classify(w, m, steps=400)
+            report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 400)), c.verdict)
+        assert c.verdict == DAMAGE_ONLY and report.ok, report.detail
+
+
+def test_a_crossing_of_huge_jumps_keeps_the_witness_above_the_threshold():
+    # The zero crossing at 5e9 must be a node, else the witness lands on it.
+    m = MaterialParams(kappa=5.0, a0=1.0, a1=2.0, L=1.0, T=1e10)
+    w = BoundaryDatum(times=[0.0, 1e10], w0=[0.0, 0.0], wL=[1e300, -1e300])
+    c = cns_classify(w, m, steps=8)
+    s, t = c.witness
+    assert c.verdict == DAMAGE_ONLY and s < t
+    assert m.jump_threshold < abs(w.jump(t)) < abs(w.jump(s))
+
+
 class TestStaticEnergy:
     def test_affine_matcher_is_elastic(self, material):
         u = DiscreteDisplacement(np.linspace(0.0, 0.4, 9))
@@ -570,7 +613,7 @@ def test_classifier_is_invariant_under_unit_scaling(w):
     # by mu, time by tau: the verdict and the counts are unit-free, the witness is a time.
     # A node with |J| on the threshold is a tie that rounding in the scaled units
     # breaks either way, so such programs are left out.
-    _, J = jump_nodes(w)
+    _, J = w.nodes
     assume(np.all(np.abs(np.abs(J) - THR) > 1e-12 * THR))
     # So are near-ties of two consecutive knots: the program decides on the float
     # jump wL - w0, which can round a drop of |J| by 1e-96 away, while the exact

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
                     ScenarioConfig, cns_classify, preset_datum, refined_time_grid, run_eps,
                     run_limit)
-from barlab.loading import jump_nodes, threshold_crossing, validate_time_grid
+from barlab.loading import threshold_crossing, validate_time_grid
 from conftest import assert_fields_equal
 from oracles import trapezoid_work
 
@@ -57,6 +57,11 @@ class TestBoundaryDatum:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             BoundaryDatum(**arrays)
 
+    def test_rejects_an_overflowing_jump(self):
+        # Both traces are finite, but J = wL - w0 = 2e308 is not a float.
+        with pytest.raises(ValueError, match=r"^the jump wL - w0 must be finite, got \[0\.0, inf\]$"):
+            BoundaryDatum(times=[0.0, 2.0], w0=[0.0, -1e308], wL=[0.0, 1e308])
+
     def test_equality_by_value(self):
         assert lu_datum() == lu_datum()
         other = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[0.0, 1.1, 0.0])
@@ -79,40 +84,91 @@ def knots_and_steps(draw):
     return np.array([start, *interior, T]), steps
 
 
+@st.composite
+def extreme_programs(draw):
+    """Knot times and jumps whose magnitudes each span 1e-300 to 1e300, with either sign or zero."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    return np.concatenate([[0.0], np.cumsum(gaps)]), np.array(signs) * 10.0 ** np.array(exponents)
+
+
 class TestJumpPolyline:
     def test_zero_crossings_are_inserted(self):
         w = BoundaryDatum(times=[0.0, 1.0, 2.0, 3.0], w0=[0.0, 0.5, 0.0, 0.0],
                           wL=[1.0, -0.5, -1.0, 1.0])
-        times, J = jump_nodes(w)
+        times, J = w.nodes
         assert times.tolist() == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
         assert J.tolist() == [1.0, 0.0, -1.0, -1.0, 0.0, 1.0]
 
     def test_touching_zero_is_not_a_crossing(self):
         w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[1.0, 0.0, -1.0])
-        assert jump_nodes(w)[0].tolist() == [0.0, 1.0, 2.0]
+        assert w.nodes[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_crossing_next_to_a_knot_stays_sorted(self):
         # Unclamped, the crossing 0.1 + 0.9 * 0.3/(0.3 + 1e-17) rounds to 1 + 2**-52.
         w = BoundaryDatum(times=[0.0, 0.1, 1.0], w0=[0.0] * 3, wL=[0.0, 0.3, -1e-17])
-        assert jump_nodes(w)[0].tolist() == [0.0, 0.1, 1.0, 1.0]
+        assert w.nodes[0].tolist() == [0.0, 0.1, 1.0, 1.0]
+
+    def test_a_crossing_between_tiny_jumps_is_found(self):
+        # The product of the two jumps underflows to -0.0; their signs still differ.
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[0.0, 1e-200, -1e-200])
+        assert w.nodes[0].tolist() == [0.0, 1.0, 1.5, 2.0]
+        assert w.nodes[1].tolist() == [0.0, 1e-200, 0.0, -1e-200]
+
+    def test_a_crossing_between_huge_jumps_is_placed_exactly(self):
+        # Unscaled, the step (1e10 - 0) * 1e300 overflows and the crossing lands on 1e10.
+        w = BoundaryDatum(times=[0.0, 1e10], w0=[0.0, 0.0], wL=[1e300, -1e300])
+        assert w.nodes[0].tolist() == [0.0, 5e9, 1e10]
+
+    def test_a_crossing_of_the_largest_jumps_is_finite(self):
+        # Unscaled, inf/inf makes a nan node and a nan end of the refined grid.
+        w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[1e308, -1e308])
+        assert w.nodes[0].tolist() == [0.0, 1.0, 2.0]
+        assert refined_time_grid(w, 4).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    @settings(max_examples=300)
+    @given(program=extreme_programs(), steps=st.integers(1, 50))
+    def test_the_polyline_of_any_float_program(self, program, steps):
+        # Building the datum and its grid must not warn: warnings fail the suite.
+        times, jump = program
+        w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+        t, J = w.nodes
+        assert np.all(np.diff(t) >= 0.0)
+        # Walk the nodes against the knots: every other node is a zero of J inside
+        # a knot segment whose ends have strictly opposite signs.
+        k = 0
+        for node_t, node_J in zip(t.tolist(), J.tolist()):
+            if k < times.size and node_t == times[k] and node_J == jump[k]:
+                k += 1
+                continue
+            assert node_J == 0.0 and 0 < k < times.size
+            assert times[k - 1] <= node_t <= times[k]
+            assert np.sign(jump[k - 1]) * np.sign(jump[k]) < 0.0
+        assert k == times.size
+        # No sign change inside a node segment: |J| is linear between nodes.
+        assert np.all(np.sign(J[:-1]) * np.sign(J[1:]) >= 0.0)
+        grid = refined_time_grid(w, steps)
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
 
     def test_the_datum_and_its_polyline_are_read_only(self):
         w = lu_datum()
-        for values in (w.times, w.w0, w.wL, *jump_nodes(w)):
+        for values in (w.times, w.w0, w.wL, *w.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
 
     def test_the_polyline_is_built_once_per_datum(self):
         w = lu_datum()
-        first, again = jump_nodes(w), jump_nodes(w)
+        first, again = w.nodes, w.nodes
         assert first[0] is again[0] and first[1] is again[1]
         # A replaced datum is a new datum with its own polyline.
         other = replace(w, wL=[0.0, -1.0, 1.0])
-        times, J = jump_nodes(other)
+        times, J = other.nodes
         assert times is not first[0] and J is not first[1]
         assert times.tolist() == [0.0, 1.0, 1.5, 2.0]
         assert J.tolist() == [0.0, -1.0, 0.0, 1.0]
-        assert jump_nodes(w)[1].tolist() == [0.0, 1.0, 0.0]
+        assert w.nodes[1].tolist() == [0.0, 1.0, 0.0]
 
     def test_threshold_crossing(self):
         w = lu_datum()
@@ -151,7 +207,7 @@ class TestTimeGrids:
     def test_a_numpy_integer_step_count_is_a_count(self):
         w = lu_datum()
         assert np.array_equal(refined_time_grid(w, np.int64(7)), refined_time_grid(w, 7))
-        with pytest.raises(ValueError, match=r"^need at least one step, got np\.int64\(0\)$"):
+        with pytest.raises(ValueError, match=r"^steps must be positive, got np\.int64\(0\)$"):
             refined_time_grid(w, np.int64(0))
 
     def test_validate_accepts_refined_grid(self):
@@ -169,6 +225,16 @@ class TestTimeGrids:
         w = lu_datum()
         with pytest.raises(ValueError):
             validate_time_grid(w, np.array([0.0, 1.0, 1.9]))
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, np.nan, 1.0, 2.0], [0.0, 1.0, 2.0, np.nan]])
+    @pytest.mark.parametrize("entry", [
+        lambda w, g: validate_time_grid(w, g),
+        lambda w, g: run_limit(DEFAULT_MATERIAL, w, g),
+        lambda w, g: run_eps(DEFAULT_MATERIAL, 0.05, 2, w, g),
+    ], ids=["validate_time_grid", "run_limit", "run_eps"])
+    def test_a_non_finite_instant_is_refused(self, entry, grid):
+        with pytest.raises(ValueError, match=r"^time grid must be finite, got \["):
+            entry(lu_datum(), np.array(grid))
 
     def test_validate_rejects_unsorted(self):
         w = lu_datum()

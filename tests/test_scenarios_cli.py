@@ -19,7 +19,8 @@ from barlab.cli import main
 from barlab.eps_evolution import plateau_factor
 from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
                               textbook_plasticity, write_csv)
-from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs
+from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials,
+                      programs)
 
 
 def ini_text(cfg: ScenarioConfig) -> str:
@@ -668,6 +669,27 @@ class TestCommandLine:
         assert got.out == ""
         assert re.fullmatch(r"error: time step \d+ \(t=[0-9.]+\): energy or work is not finite\n", got.err)
         assert not out.exists()
+
+    def test_an_overflowing_jump_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "jump.ini"
+        path.write_text("[datum]\ntimes = 0, 2\nw0 = 0, -1e308\nwL = 0, 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid [datum]: the jump wL - w0 must be finite, got [0.0, inf]\n")
+
+    def test_an_overflowing_ledger_exits_3(self, tmp_path, capsys):
+        times, wL = LEDGER_OVERFLOW_PROGRAM
+        w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+        path = tmp_path / "ledger.ini"
+        path.write_text(ini_text(ScenarioConfig(material=OVERFLOW_MATERIAL, datum=w)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--config", str(path)]) == 3
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert re.fullmatch(r"error: time step \d+ \(t=[0-9.]+\): plasticity ledger is not finite\n", got.err)
 
     def test_nonmonotone_sweep_exits_3(self, monkeypatch, capsys):
         fake = SweepReport(eps=(0.1, 0.05),
