@@ -18,9 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from .diagnostics import cns_classify, stress_saturated
-from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds,
+from .envelope import (TwoWellParams, _frozen_cell, convex_envelope, envelope_slope_bounds,
                        optimal_theta, raw_energy)
-from .eps_evolution import plateau_factor
 from .errors import ConfigError, NumericalError
 from .loading import threshold_crossing
 from .scenarios import (PRESET_NAMES, ScenarioConfig, _PRESETS, _csv_lines, _open_out,
@@ -116,11 +115,11 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
     if args.eps_list is not None:
         cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
     report = sweep_eps(cfg)
-    m = cfg.material
+    # The plateau stress of each eps, read off the cells at rest: the load does not enter it.
+    plateaus = _frozen_cell(cfg.material, report.eps, 0.0, 0.0).s_plateau
     print(f"{'eps':>10} {'plateau':>14} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
-    for e, ds, dl, de in zip(report.eps, report.sup_sigma_dev,
-                             report.sup_l_dev, report.sup_energy_dev):
-        plateau = m.yield_stress * plateau_factor(m, e)
+    for e, plateau, ds, dl, de in zip(report.eps, plateaus, report.sup_sigma_dev,
+                                      report.sup_l_dev, report.sup_energy_dev):
         print(f"{e:>10g} {plateau:>14.6e} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
     if len(report.eps) > 1:
         eps = np.asarray(report.eps)

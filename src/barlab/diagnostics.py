@@ -127,9 +127,13 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
 
     The path fails exactly when ``|J|`` strictly decreases somewhere
     after first exceeding the jump threshold; for piecewise-linear data
-    the scan over the segments of ``w.nodes`` is exact.  On failure a
-    witness pair ``(s, t)`` with ``|J(t)| < |J(s)|`` and ``|J(t)|`` above
-    the threshold is returned.
+    the scan over the segments of ``w.nodes`` is exact.  The witness ``(s, t)``
+    of a failure lies on the first node segment after ``t0*`` where ``|J|``
+    drops: ``s`` is the later of ``t0*`` and its start, ``t`` its end if ``|J|``
+    stays above the threshold there, else where ``|J|`` has dropped half-way
+    to it.  So ``t0* <= s <= t <= T``, and ``thr < |J(t)| < |J(s)|`` unless
+    floats cannot resolve the drop (a zero crossing rounded onto the knot
+    before it): then ``s == t``.  A non-finite field raises ``NumericalError``.
     """
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
@@ -143,15 +147,14 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     witness: tuple[float, float] | None = None
     if drops.size:
         k = int(drops[0])
-        start = max(float(times[k - 1]), t0_star)
-        a_val = float(np.interp(start, times, absJ))
-        if absJ[k] > thr:
-            witness = (start, float(times[k]))
-        else:
-            # Pick the interior instant where |J| has dropped half-way to the threshold.
-            target = 0.5 * (a_val + thr)
-            frac = (a_val - target) / (a_val - absJ[k])
-            witness = (start, float(start + frac * (times[k] - start)))
+        start, end = max(float(times[k - 1]), t0_star), float(times[k])
+        if absJ[k] <= thr:
+            # The instant where |J| has dropped half-way to the threshold, or the start where
+            # floats cannot resolve the drop: a segment of zero length or zero height.
+            a_val = float(np.interp(start, times[k - 1:k + 1], absJ[k - 1:k + 1])) if end > start else 0.0
+            frac = (a_val - 0.5 * (a_val + thr)) / (a_val - absJ[k]) if a_val > absJ[k] else 0.0
+            end = float(start + frac * (end - start))
+        witness = (start, end)
 
     dt = float(np.max(np.diff(grid)))
     if abs(traj.t0 - t0_star) > dt * (1.0 + 1e-12):
@@ -165,7 +168,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     defect_tol = np.maximum(_DEFECT_TOL * s * m.L, 45.0 * _U * s * (absJ[1:] + absJ[:-1]))
     violations = int(np.sum(flow_rule_defects(traj) > defect_tol))
 
-    return Classification(
+    result = Classification(
         verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
         witness=witness,
         t0=traj.t0,
@@ -173,6 +176,9 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
         max_eb_residual=float(series.max()),
         flow_rule_violations=violations,
     )
+    if not np.all(np.isfinite([result.t0, result.t0_star, result.max_eb_residual, *(witness or ())])):
+        raise NumericalError(f"classification has a non-finite field: {result!r}")
+    return result
 
 
 @dataclass(frozen=True)

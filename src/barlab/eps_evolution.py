@@ -14,7 +14,8 @@ density has the same plateau stress for every cell and every step,
 ``s_p = sqrt(2*kappa*a0) * plateau_factor``.  Each step is then elastic,
 on the plateau or fully damaged, and a plateau step sets the stiffness of
 the homogeneous bar to ``s_p*L/|J|``.  The whole history is therefore a
-prefix scan of the running maximum of ``|J|``.  Only ``s_p`` and the weak
+prefix scan: the cell of ``envelope._frozen_cell`` frozen at the running
+maximum of ``|J|`` and read at the current jump.  Only ``s_p`` and the weak
 stiffness depend on ``eps``, so the scan runs on a leading eps axis: one
 running maximum serves every eps of a sweep, and ``run_eps`` is the
 one-row case.
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import MaterialParams
+from .envelope import MaterialParams, _frozen_cell
 from .errors import _U, _guard
 from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
-__all__ = ["EpsTrajectory", "plateau_factor", "run_eps"]
+__all__ = ["EpsTrajectory", "run_eps"]
 
 _IDENTITY_TOL = 1e-12
 _RESIDUAL_TOL = 1e-12
@@ -59,43 +60,17 @@ class EpsTrajectory:
     l_eps: np.ndarray
 
 
-def plateau_factor(m: MaterialParams, eps: float) -> float:
-    """Amplification ``sqrt(a1/(a1 - eps*a0))`` of the damage-onset stress at scale ``eps``."""
-    if not 0.0 < eps:
-        raise ValueError(f"need eps > 0, got {eps!r}")
-    if not eps * m.a0 < m.a1:
-        raise ValueError(f"need eps*a0 < a1, got eps*a0={eps * m.a0!r}, a1={m.a1!r}")
-    # The scan divides by 1/(eps a0) - 1/a1 (theta) and by 1/a0 - eps/a1 (l_eps).
-    # Within rounding of 0 or of a1/a0 one of them is zero or infinite in floats.
-    e, a0, a1 = float(eps), float(m.a0), float(m.a1)
-    theta_den = 1.0 / (e * a0) - 1.0 / a1 if e * a0 > 0.0 else math.inf
-    l_den = 1.0 / a0 - e / a1
-    if not (0.0 < theta_den < math.inf and 0.0 < l_den < math.inf):
-        raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: "
-                         f"1/(eps*a0) - 1/a1 = {theta_den!r}, 1/a0 - eps/a1 = {l_den!r}")
-    return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
-
-
 def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     """Histories ``(a, sigma, theta, l_eps, energy, work)``, one row per eps, of the jump ``J`` on ``grid``.
 
     Every eps passes ``plateau_factor`` before any array work; a guard's
     ``NumericalError`` names the eps of its row.
     """
-    s_plateau = np.array([[m.yield_stress * plateau_factor(m, e)] for e in eps_list])
-    eps = np.array(eps_list, dtype=float)[:, None]
-    weak = eps * m.a0
+    s_plateau, weak, a, sigma, theta, l_eps, energy = _frozen_cell(
+        m, eps_list, J, np.maximum.accumulate(np.abs(J)))
     L = m.L
-
-    # |J| = 0 (or tiny) gives an infinite plateau stiffness, clipped to exactly a1;
-    # a jump too large for floats overflows, and the first guard names the step.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.clip(s_plateau * L / np.maximum.accumulate(np.abs(J)), weak, m.a1)
-        sigma = J * a / L
-        theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-        # L (1 - theta)/eps, without the 1/eps amplification of the rounding in 1 - theta.
-        l_eps = L * (1.0 / a - 1.0 / m.a1) / (1.0 / m.a0 - eps / m.a1)
-        energy = L * sigma**2 / (2.0 * a) + m.kappa * l_eps
+    # A jump too large for floats overflows, and the first guard names the step.
+    with np.errstate(over="ignore", invalid="ignore"):
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)
 

@@ -32,7 +32,6 @@ __all__ = [
     "SweepReport",
     "sweep_eps",
     "textbook_plasticity",
-    "textbook_damage",
     "emit_figures",
     "write_csv",
 ]
@@ -244,21 +243,6 @@ def textbook_plasticity(m: MaterialParams, J: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def textbook_damage(m: MaterialParams, J: np.ndarray) -> np.ndarray:
-    """Secant-unloading damage stress response to the gap history, for comparison plots.
-
-    Elastic below the jump threshold; past it the modulus degrades with
-    the largest gap seen so far and unloading heads back to the origin.
-    """
-    J = np.asarray(J, dtype=float)
-    s = m.yield_stress
-    thr = m.jump_threshold
-    peak = np.maximum.accumulate(np.abs(J))
-    # np.where evaluates both branches; the unused one divides by zero at J = 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(peak <= thr, m.a1 * J / m.L, s / np.sqrt(thr * peak) * J)
-
-
 def _open_out(path: str | os.PathLike[str]):
     # Every output file: missing parent directories are created, text is UTF-8 with LF endings.
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -295,6 +279,6 @@ def emit_figures(cfg: ScenarioConfig, out_dir: str) -> list[str]:
     emit("l_vs_t.csv", ("t", "l"), (t, traj.l))
     emit("energy_vs_t.csv", ("t", "E_closed", "E_integrated"),
          (t, traj.E_closed, traj.E_integrated))
-    emit("comparison.csv", ("t", "J", "sigma_effective", "sigma_plasticity", "sigma_damage"),
-         (t, J, traj.sigma, textbook_plasticity(m, J), textbook_damage(m, J)))
+    emit("comparison.csv", ("t", "J", "sigma_effective", "sigma_plasticity"),
+         (t, J, traj.sigma, textbook_plasticity(m, J)))
     return written

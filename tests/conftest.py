@@ -43,6 +43,16 @@ def programs(draw, m: barlab.MaterialParams) -> barlab.BoundaryDatum:
     return barlab.BoundaryDatum(times=times, w0=np.zeros(n), wL=wL)
 
 
+@st.composite
+def extreme_programs(draw):
+    """Knot times and jumps whose magnitudes each span 1e-300 to 1e300, with either sign or zero."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    return np.concatenate([[0.0], np.cumsum(gaps)]), np.array(signs) * 10.0 ** np.array(exponents)
+
+
 # A material and two programs whose limit-model energy or work overflows:
 # J reaches 1e308 (the energy s* J passes the float range at t = 1.137), and
 # J swings by 1e308 in half a time unit (interpolating it overflows).

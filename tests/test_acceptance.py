@@ -21,8 +21,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     TwoWellParams, cns_classify, convex_envelope, preset,
                     preset_datum, refined_time_grid, residual_series, run_eps,
                     run_limit, sweep_eps, yield_dissipation)
-from barlab.envelope import envelope_slope_bounds
-from barlab.eps_evolution import plateau_factor
+from barlab.envelope import envelope_slope_bounds, plateau_factor
 from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
 

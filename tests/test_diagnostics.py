@@ -14,12 +14,12 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryD
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
 from barlab.diagnostics import flow_rule_defects, stress_saturated
+from barlab.envelope import plateau_factor
 from barlab.errors import NumericalError
-from barlab.eps_evolution import plateau_factor
 from barlab.limit_evolution import LimitTrajectory
 from barlab.loading import cumulative_work, threshold_crossing
-from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, assert_fields_equal, materials,
-                      programs)
+from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, assert_fields_equal, extreme_programs,
+                      materials, programs)
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
@@ -455,6 +455,43 @@ def test_a_crossing_of_huge_jumps_keeps_the_witness_above_the_threshold():
     assert m.jump_threshold < abs(w.jump(t)) < abs(w.jump(s))
 
 
+# J rises to 10 at t = 1 and falls to -1e17 at t = 2: its zero crossing 1 + 1e-16
+# rounds onto the knot t = 1, so |J| drops from 10 to 0 at one float instant.
+UNRESOLVED_DROP = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 10.0, -1e17]))
+
+
+def test_a_drop_the_float_time_axis_cannot_resolve_has_a_one_instant_witness():
+    times, jump = UNRESOLVED_DROP
+    w = BoundaryDatum(times=times, w0=np.zeros(3), wL=jump)
+    c = cns_classify(w, DEFAULT_MATERIAL, steps=400)
+    assert (c.verdict, c.witness) == (DAMAGE_ONLY, (1.0, 1.0))
+
+
+@settings(max_examples=300)
+@given(program=extreme_programs(), steps=st.integers(1, 50))
+@example(program=UNRESOLVED_DROP, steps=4)
+def test_the_witness_of_any_float_program_is_a_finite_pair_inside_the_datum(program, steps):
+    # Warnings fail the suite, so a witness formed by a division by zero fails here too.
+    times, jump = program
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    m = DEFAULT_MATERIAL
+    c = cns_classify(w, m, steps=steps)
+    assert (c.witness is None) == (c.verdict == PERFECT_PLASTICITY)
+    if c.witness is None:
+        return
+    s, t = c.witness
+    assert np.all(np.isfinite([s, t]))
+    assert 0.0 <= c.t0_star <= s <= t <= w.duration
+    if s < t:
+        assert m.jump_threshold < abs(w.jump(t)) < abs(w.jump(s))
+
+
+def test_a_non_finite_classification_field_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr("barlab.diagnostics.threshold_crossing", lambda w, thr: float("nan"))
+    with pytest.raises(NumericalError, match="^classification has a non-finite field: "):
+        cns_classify(preset_datum("loading-unloading", DEFAULT_MATERIAL), DEFAULT_MATERIAL, steps=40)
+
+
 class TestStaticEnergy:
     def test_affine_matcher_is_elastic(self, material):
         u = DiscreteDisplacement(np.linspace(0.0, 0.4, 9))
@@ -682,6 +719,39 @@ def test_limit_trajectory_scales_with_the_units(m, data, n):
             assert gap <= 1e-12 * unit, (name, lam, mu, tau)
         gap = np.max(np.abs(residual_series(got) - lam * mu * residual_series(base)))
         assert gap <= 1e-12 * s * J_s, ("R", lam, mu, tau)
+
+
+# The one-unload family 0 -> P -> Q = rP with P above the threshold thr (README,
+# "One unload in closed form"): loading damages the bar to l1 = a0 (P - thr)/s*,
+# and R(T) = kappa l1 (1 - r)(3 + r) for -1 <= r <= 1, 4 kappa l1 for r <= -1.
+# Rounding, to first order in U: the computed R(T) is within the ledger bound
+# (n + 3) U s* Var(p) + (28 n + 46) U s* max|J| of R(T) in exact arithmetic on the
+# float inputs (diagnostics), which is the closed form with the exact s* and thr.
+# The closed form in floats: s* (1.5 U), thr (3.5 U) and l1 (three more roundings)
+# put kappa l1 within 5.5 U kappa l1 + 1.75 U s* thr <= 4.5 U s* P (kappa l1 <= s* P/2),
+# times g = (1 - r)(3 + r) <= 4: 18; g itself, from r = Q/P, 1 - r, 3 + r and the
+# product, within 16 U, times kappa l1: 8; the last product: 2.  So C_FORM = 28.
+C_FORM = 28
+
+
+@settings(max_examples=200)
+@given(m=materials(), lift=st.floats(1e-3, 1.5), steps=st.integers(1, 200),
+       r=st.floats(-3.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]))
+def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r):
+    s, thr = m.yield_stress, m.jump_threshold
+    P = thr * 10.0**lift
+    Q = r * P
+    w = BoundaryDatum(times=[0.0, m.T / 2.0, m.T], w0=np.zeros(3), wL=[0.0, P, Q])
+    traj = run_limit(m, w, refined_time_grid(w, steps))
+    kappa_l1 = m.kappa * (m.a0 * (P - thr) / s)
+    ratio = Q / P
+    closed = kappa_l1 * ((1.0 - ratio) * (3.0 + ratio) if Q >= -P else 4.0)
+    n = traj.times.size - 1
+    bound = ((n + 3) * U * yield_dissipation(traj)[-1]
+             + (28 * n + 46 + C_FORM) * U * s * np.max(np.abs(traj.J)))
+    assert abs(residual_series(traj)[-1] - closed) <= bound
+    # Q < P is r < 1 for the float datum (r*P may round up to P).
+    assert cns_classify(w, m, steps=steps).verdict == (DAMAGE_ONLY if Q < P else PERFECT_PLASTICITY)
 
 
 def _runs(m: MaterialParams, w: BoundaryDatum):

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParams,
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps, sweep_eps)
-from barlab.envelope import envelope_slope_bounds
-from barlab.eps_evolution import plateau_factor
+from barlab.envelope import envelope_slope_bounds, plateau_factor
 from barlab.errors import _guard
-from oracles import (StepState, exhaustive_step_minimum, incremental_step, initial_step,
-                     pristine_state, stepwise_run_eps, total_energy)
+from conftest import materials, programs
+from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
+                     initial_step, mixture_objective, pristine_state, stepwise_run_eps, total_energy)
 
 SCAN_FIELDS = ("sigma", "theta", "stiffness", "energy", "l_eps", "work_cum", "eb_residual")
 
@@ -259,6 +259,41 @@ def test_random_programs_scan_matches_stepwise(knots, w_start, n_cells, eps, ste
     wL = [w_start] + [v for _, v in knots] + [knots[-1][1]]
     w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
     assert_scan_matches_stepwise(m, eps, n_cells, w, refined_time_grid(w, steps))
+
+
+# The brute minimizer of the oracle locates a flat argmin only to about 3e-8
+# (measured against optimal_theta over random cells); its minimal value is sharp.
+THETA_TOL = 1e-6
+
+
+@settings(max_examples=60)
+@given(m=materials(), data=st.data(), eps=st.floats(1e-3, 0.9), steps=st.integers(1, 100))
+def test_the_state_is_the_oracle_mixture_frozen_at_the_running_maximum(m, data, eps, steps):
+    # At scale eps a cell is the two-well density a = eps a0/2, b = a1/2, K = kappa/eps
+    # in the strain J/L.  Damage never heals, so the weak fraction stays where brute
+    # minimization put it at the largest |J| so far, and the state is that mixture
+    # read at the current J.  Only programs that unload after damaging test the freeze.
+    w = data.draw(programs(m))
+    traj = run_eps(m, eps, 1, w, refined_time_grid(w, steps))
+    peak = np.maximum.accumulate(np.abs(traj.J))
+    a, b, K = eps * m.a0 / 2.0, m.a1 / 2.0, m.kappa / eps
+    onset = m.yield_stress * plateau_factor(m, eps) / (2.0 * b)  # first kink of the cell
+    assume(np.any((np.abs(traj.J) < peak) & (peak > onset * m.L)))
+    frozen, value = envelope_by_minimization(a, b, K, peak / m.L)
+    assert np.max(np.abs(eps * traj.l_eps / m.L - frozen)) <= THETA_TOL
+    # The mixture at the run's own fraction, read at the current strain; below the
+    # smallest normal float (a subnormal J) rounding is absolute.
+    weak = eps * traj.l_eps / m.L
+    xi = traj.J / m.L
+    c = 1.0 / (weak / a + (1.0 - weak) / b)
+    tiny = np.finfo(float).tiny
+    assert np.allclose(traj.sigma, 2.0 * c * xi, rtol=1e-12, atol=tiny * m.yield_stress)
+    assert np.allclose(traj.energy, m.L * mixture_objective(a, b, K, xi, weak), rtol=1e-12,
+                       atol=tiny * m.kappa * m.L)
+    # On the loading front the state is the envelope, the oracle's sharp minimum; at a
+    # pure phase the minimum sits on the end of the oracle's last bracket, (2/3)**140 < 1e-24 wide.
+    front = np.abs(traj.J) == peak
+    assert np.allclose(traj.energy[front], m.L * value[front], rtol=1e-10, atol=1e-12 * m.kappa * m.L)
 
 
 def test_guard_names_the_first_offending_step():

@@ -9,7 +9,7 @@ from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
                     ScenarioConfig, cns_classify, preset_datum, refined_time_grid, run_eps,
                     run_limit)
 from barlab.loading import threshold_crossing, validate_time_grid
-from conftest import assert_fields_equal
+from conftest import assert_fields_equal, extreme_programs
 from oracles import trapezoid_work
 
 
@@ -82,16 +82,6 @@ def knots_and_steps(draw):
     interior = sorted({v for v in on + off if 0.0 < v < T})
     start = draw(st.sampled_from([0.0, -0.0]))
     return np.array([start, *interior, T]), steps
-
-
-@st.composite
-def extreme_programs(draw):
-    """Knot times and jumps whose magnitudes each span 1e-300 to 1e300, with either sign or zero."""
-    n = draw(st.integers(2, 8))
-    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
-    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
-    exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
-    return np.concatenate([[0.0], np.cumsum(gaps)]), np.array(signs) * 10.0 ** np.array(exponents)
 
 
 class TestJumpPolyline:

@@ -16,9 +16,8 @@ from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams
                     parse_config, preset, preset_datum, refined_time_grid, run_eps,
                     run_limit, sweep_eps)
 from barlab.cli import main
-from barlab.eps_evolution import plateau_factor
-from barlab.scenarios import (PRESET_NAMES, SweepReport, textbook_damage,
-                              textbook_plasticity, write_csv)
+from barlab.envelope import plateau_factor
+from barlab.scenarios import PRESET_NAMES, SweepReport, textbook_plasticity, write_csv
 from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials,
                       programs)
 
@@ -319,22 +318,6 @@ class TestTextbookCurves:
         assert w.jump(t[k]) == pytest.approx(0.5, abs=1e-12)
         assert sigma[k] == pytest.approx(0.0, abs=1e-12)
 
-    def test_damage_is_continuous_at_threshold_and_unloads_to_origin(self, material):
-        w = preset_datum("loading-unloading", material)
-        t = np.linspace(0.0, material.T, 801)
-        sigma = textbook_damage(material, w.jump(t))
-        kink = np.searchsorted(t, 0.5)
-        assert abs(sigma[kink + 1] - sigma[kink]) < 2.0 * (sigma[kink] - sigma[kink - 1])
-        assert sigma[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_damage_hardens_past_threshold(self, material):
-        w = preset_datum("monotone", material)
-        t = np.linspace(0.0, material.T, 201)
-        sigma = textbook_damage(material, w.jump(t))
-        assert sigma[-1] == pytest.approx(
-            material.yield_stress * np.sqrt(material.T / material.jump_threshold), abs=1e-12)
-        assert np.all(np.diff(sigma) > 0.0)
-
 
 class TestEmitFigures:
     def test_file_set_and_determinism(self, tmp_path):
@@ -347,6 +330,7 @@ class TestEmitFigures:
         emit_figures(cfg, str(d2))
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        assert (d1 / "comparison.csv").read_text().split("\n", 1)[0] == "t,J,sigma_effective,sigma_plasticity"
 
     def test_hysteresis_data_contains_the_plateau_corner(self, tmp_path):
         cfg = replace(preset("loading-unloading"), steps=40)
@@ -747,6 +731,28 @@ def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["after_cli"] == {"numpy.ma": False, "configparser": False}
     assert report["parsed"] and report["configparser_loaded"]
+
+
+def test_classify_prints_strict_json_when_floats_cannot_resolve_a_drop(tmp_path):
+    # J's zero crossing rounds onto the knot t = 1: the witness is the one instant of the drop.
+    path = tmp_path / "drop.ini"
+    path.write_text("[datum]\ntimes = 0, 1, 2\nwL = 0, 10, -1e17\n")
+    proc = subprocess.run([sys.executable, "-m", "barlab", "classify", "--config", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    payload = json.loads(proc.stdout, parse_constant=refuse)
+    assert (payload["verdict"], payload["witness_pair"]) == ("DamageOnly", [1.0, 1.0])
+
+
+def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("barlab.diagnostics.threshold_crossing", lambda w, thr: float("nan"))
+    assert main(["classify", "--preset", "loading-unloading"]) == 3
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: classification has a non-finite field: ")
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error():
