@@ -7,52 +7,40 @@ the energetic diagnostics with the plasticity-vs-damage classifier
 (``diagnostics``).  ``scenarios`` and ``cli`` wire these into runnable
 experiments.  The package re-exports the public surface; every other
 name lives in its module.
-"""
 
-from .diagnostics import (DAMAGE_ONLY, PERFECT_PLASTICITY,
-                          classifier_consistency, cns_classify,
-                          residual_series, yield_dissipation)
-from .envelope import (MaterialParams, TwoWellParams, convex_envelope,
-                       optimal_theta, raw_energy)
-from .eps_evolution import run_eps
-from .errors import ConfigError, NumericalError
-from .limit_evolution import run_limit
-from .loading import BoundaryDatum, refined_time_grid
-from .scenarios import (DEFAULT_MATERIAL, PRESET_NAMES, ScenarioConfig,
-                        emit_figures, parse_config, preset, preset_datum,
-                        run_scenario_eps, run_scenario_limit, sweep_eps,
-                        write_csv)
+The package namespace is filled on first use (PEP 562): ``import barlab``
+and ``import barlab.cli`` load no numpy, and the first read of any public
+name imports its layers and binds all of them, as an eager import would.
+Later reads are plain attribute lookups.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "NumericalError",
-    "TwoWellParams",
-    "MaterialParams",
-    "raw_energy",
-    "convex_envelope",
-    "optimal_theta",
-    "BoundaryDatum",
-    "refined_time_grid",
-    "run_eps",
-    "run_limit",
-    "PERFECT_PLASTICITY",
-    "DAMAGE_ONLY",
-    "cns_classify",
-    "classifier_consistency",
-    "yield_dissipation",
-    "residual_series",
-    "DEFAULT_MATERIAL",
-    "PRESET_NAMES",
-    "preset_datum",
-    "preset",
-    "ScenarioConfig",
-    "parse_config",
-    "run_scenario_limit",
-    "run_scenario_eps",
-    "sweep_eps",
-    "emit_figures",
-    "write_csv",
-]
+# The home module of every re-exported name, in the order of ``__all__``.
+_HOMES = {
+    "errors": ("ConfigError", "NumericalError"),
+    "envelope": ("TwoWellParams", "MaterialParams", "raw_energy", "convex_envelope",
+                 "optimal_theta"),
+    "loading": ("BoundaryDatum", "refined_time_grid"),
+    "eps_evolution": ("run_eps",),
+    "limit_evolution": ("run_limit",),
+    "diagnostics": ("PERFECT_PLASTICITY", "DAMAGE_ONLY", "cns_classify",
+                    "classifier_consistency", "yield_dissipation", "residual_series"),
+    "scenarios": ("DEFAULT_MATERIAL", "PRESET_NAMES", "preset_datum", "preset",
+                  "ScenarioConfig", "parse_config", "run_scenario_limit", "run_scenario_eps",
+                  "sweep_eps", "emit_figures", "write_csv"),
+}
+
+__all__ = ["__version__", *(name for names in _HOMES.values() for name in names)]
+
+
+def __getattr__(name: str):
+    # Called only for a name not yet bound: once the public names are bound, never for them.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    for home, names in _HOMES.items():
+        mod = importlib.import_module(f".{home}", __name__)
+        globals().update((n, getattr(mod, n)) for n in names)
+    return globals()[name]

@@ -5,27 +5,19 @@ Exit codes: 0 success, 1 a reader that closed standard output early
 and any path that cannot be read or written (any ``OSError``), 3 numerical failures
 (including a vanishing-regularization sweep whose deviations fail to
 decrease monotonically).
+
+Each command imports the layers it runs when it runs: listing the presets,
+help and usage errors load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
 
-import numpy as np
-
-from .diagnostics import cns_classify, stress_saturated
-from .envelope import (TwoWellParams, _frozen_cell, convex_envelope, envelope_slope_bounds,
-                       optimal_theta, raw_energy)
+from ._catalog import CELLS, PRESET_NAMES, PRESETS, STEPS
 from .errors import ConfigError, NumericalError
-from .loading import threshold_crossing
-from .scenarios import (PRESET_NAMES, ScenarioConfig, _PRESETS, _csv_lines, _open_out,
-                        _parse_float_list, emit_figures, parse_config, preset,
-                        run_scenario_eps, run_scenario_limit, sweep_eps,
-                        write_csv)
 
 __all__ = ["main"]
 
@@ -34,20 +26,28 @@ def _add_common(sp: argparse.ArgumentParser, out_help: str, cells: bool = False)
     group.add_argument("--config", metavar="FILE", help="INI parameter file")
     group.add_argument("--preset", choices=PRESET_NAMES, help="built-in loading program")
     sp.add_argument("--steps", type=int, default=None,
-                    help=f"time steps (default {ScenarioConfig.steps})")
+                    help=f"time steps (default {STEPS})")
     if cells:
         sp.add_argument("--cells", type=int, default=None,
-                        help=f"spatial cells (default {ScenarioConfig.cells})")
+                        help=f"spatial cells (default {CELLS})")
     sp.add_argument("--out", default=None, help=out_help)
 
 
-def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+def _load_config(args: argparse.Namespace):
+    from dataclasses import replace
+
+    from .scenarios import parse_config, preset
+
     cfg = parse_config(args.config) if args.config else preset(args.preset or "monotone")
     given = {k: v for k in ("steps", "cells") if (v := getattr(args, k, None)) is not None}
     return replace(cfg, **given)
 
 
 def _cmd_simulate_limit(args: argparse.Namespace) -> int:
+    from .diagnostics import stress_saturated
+    from .loading import threshold_crossing
+    from .scenarios import run_scenario_limit, write_csv
+
     cfg = _load_config(args)
     traj = run_scenario_limit(cfg)
     m = cfg.material
@@ -72,6 +72,10 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_eps(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .scenarios import run_scenario_eps, write_csv
+
     cfg = _load_config(args)
     traj = run_scenario_eps(cfg, args.eps)
     print(f"epsilon = {traj.epsilon:g}, cells = {cfg.cells}, "
@@ -91,6 +95,11 @@ def _cmd_simulate_eps(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    import json
+
+    from .diagnostics import cns_classify
+    from .scenarios import _open_out
+
     cfg = _load_config(args)
     result = cns_classify(cfg.datum, cfg.material, steps=cfg.steps)
     payload = {
@@ -111,6 +120,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_eps(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    import numpy as np
+
+    from .envelope import _frozen_cell
+    from .scenarios import _parse_float_list, sweep_eps, write_csv
+
     cfg = _load_config(args)
     if args.eps_list is not None:
         cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
@@ -146,6 +162,8 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_figures(args: argparse.Namespace) -> int:
+    from .scenarios import emit_figures
+
     cfg = _load_config(args)
     if not args.out:
         raise ConfigError("emit-figures needs --out DIR")
@@ -155,6 +173,12 @@ def _cmd_emit_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_envelope_table(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .envelope import (TwoWellParams, convex_envelope, envelope_slope_bounds, optimal_theta,
+                           raw_energy)
+    from .scenarios import _csv_lines, write_csv
+
     p = TwoWellParams(a=args.a, b=args.b, K=args.K)
     if not (np.isfinite(args.xi_min) and np.isfinite(args.xi_max)):
         raise ConfigError(f"need finite xi-min and xi-max, got {args.xi_min!r}, {args.xi_max!r}")
@@ -174,7 +198,7 @@ def _cmd_envelope_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset_list(args: argparse.Namespace) -> int:
-    for name, blurb in _PRESETS.items():
+    for name, blurb in PRESETS.items():
         print(f"{name:18s} {blurb}")
     return 0
 

@@ -143,8 +143,14 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
 def _two_well_cell(p: TwoWellParams, xi) -> _Cell:
     # p's density is the cell at eps = 1 of the bar a0 = 2a, a1 = 2b, kappa = K, L = 1, at M = |xi|.
     xi = np.asarray(xi, dtype=float)
-    return _frozen_cell(MaterialParams(kappa=p.K, a0=2.0 * p.a, a1=2.0 * p.b, L=1.0, T=1.0),
-                        (1.0,), xi, np.abs(xi))
+    # The cell's own refusals name a0 and eps, which the caller never gave: name a, b and K.
+    try:
+        return _frozen_cell(MaterialParams(kappa=p.K, a0=2.0 * p.a, a1=2.0 * p.b, L=1.0, T=1.0),
+                            (1.0,), xi, np.abs(xi))
+    except ValueError as exc:
+        raise ValueError(f"need a, b and K whose envelope floats can hold (2a, 2b, sqrt(4aK), "
+                         f"sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), "
+                         f"got a={p.a!r}, b={p.b!r}, K={p.K!r}") from exc
 
 
 def envelope_slope_bounds(p: TwoWellParams) -> tuple[float, float, float]:

@@ -8,8 +8,6 @@ of internal invariants that should hold for every well-posed run.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["ConfigError", "NumericalError"]
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -23,9 +21,10 @@ class NumericalError(RuntimeError):
     """A solver failed to converge or an internal invariant was violated."""
 
 
-def _guard(bad: np.ndarray, grid: np.ndarray, what: str, eps_list=None) -> None:
-    # Raise at the first True of bad, one row of grid.size per eps of eps_list (if any).
-    if np.any(bad):
-        row, k = divmod(int(np.argmax(bad)), grid.size)
+def _guard(bad, grid, what: str, eps_list=None) -> None:
+    # Raise at the first True of the array bad, one row of grid.size per eps of eps_list (if any).
+    # Array methods, not numpy functions: this module imports no numpy, so the CLI starts without it.
+    if bad.any():
+        row, k = divmod(int(bad.argmax()), grid.size)
         where = f"time step {k} (t={float(grid[k])!r}): {what}"
         raise NumericalError(where if eps_list is None else f"eps={float(eps_list[row])!r}, {where}")

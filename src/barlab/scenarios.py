@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._catalog import CELLS, PRESET_NAMES, STEPS
 from .envelope import MaterialParams
 from .errors import ConfigError
 from .eps_evolution import EpsTrajectory, _scan, run_eps
@@ -37,15 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_MATERIAL = MaterialParams(kappa=0.5, a0=1.0, a1=2.0, L=1.0, T=2.0)
-
-# Name and one-line description of every built-in loading program, in listing order.
-_PRESETS = {
-    "monotone": "gap grows at unit rate over the whole horizon",
-    "constant": "gap clamped at 80% of the jump threshold",
-    "loading-unloading": "ramp to the midpoint, then back to zero",
-    "high-unload": "overload to twice the threshold, unload but stay above it",
-}
-PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_datum(name: str, m: MaterialParams) -> BoundaryDatum:
@@ -85,8 +77,8 @@ class ScenarioConfig:
 
     material: MaterialParams = DEFAULT_MATERIAL
     datum: BoundaryDatum | None = None  # None: the monotone program of ``material``
-    cells: int = 64
-    steps: int = 400
+    cells: int = CELLS
+    steps: int = STEPS
     eps_list: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:

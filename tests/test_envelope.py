@@ -38,6 +38,18 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"need {field} finite"):
             replace(FIG, **{field: value})
 
+    # 2a overflows; 1/(2a) overflows; sqrt(4aK) underflows to 0; 4aK overflows.
+    @pytest.mark.parametrize("a, b, K", [(1e308, 1.5e308, 2.0), (1e-320, 1.0, 2.0),
+                                         (1e-10, 1.0, 1e-320), (1e300, 1e301, 1e300)])
+    def test_an_envelope_floats_cannot_hold_is_refused_in_the_callers_terms(self, a, b, K):
+        p = TwoWellParams(a=a, b=b, K=K)
+        for fn in (convex_envelope, optimal_theta, lambda p, xi: envelope_slope_bounds(p)):
+            with pytest.raises(ValueError) as info:
+                fn(p, [0.0, 1.0])
+            msg = str(info.value)
+            assert msg.startswith("need a, b and K ") and msg.endswith(f"got a={a!r}, b={b!r}, K={K!r}")
+            assert "a0" not in msg and "eps" not in msg
+
     def test_material_rejects_bad_stiffness_order(self):
         with pytest.raises(ValueError):
             MaterialParams(kappa=0.5, a0=2.0, a1=1.0, L=1.0, T=2.0)

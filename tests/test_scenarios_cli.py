@@ -441,6 +441,18 @@ class TestCommandLine:
         assert main(["envelope-table", "--n", "1"]) == 2
         assert main(["envelope-table", "--xi-min", "3.0", "--xi-max", "1.0"]) == 2
 
+    # 2a overflows; 1/(2a) overflows, where the cell's own refusal named eps and a1/a0.
+    @pytest.mark.parametrize("flags, got", [
+        (["--a", "1e308", "--b", "1.5e308"], "a=1e+308, b=1.5e+308, K=2.0"),
+        (["--a", "1e-320"], "a=1e-320, b=1.0, K=2.0"),
+    ], ids=["overflow", "underflow"])
+    def test_envelope_table_names_the_inputs_whose_envelope_floats_cannot_hold(self, flags, got, capsys):
+        assert main(["envelope-table", *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: need a, b and K ") and out.err.endswith(f"got {got}\n")
+        assert "a0" not in out.err and "eps" not in out.err
+
     @pytest.mark.parametrize("flag", ["--a", "--b", "--K", "--xi-min", "--xi-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_envelope_table_rejects_non_finite_input(self, flag, value, capsys):
@@ -680,14 +692,14 @@ class TestCommandLine:
                            sup_sigma_dev=np.array([1.0, 2.0]),
                            sup_l_dev=np.array([1.0, 0.5]),
                            sup_energy_dev=np.array([1.0, 0.5]))
-        monkeypatch.setattr("barlab.cli.sweep_eps", lambda cfg: fake)
+        monkeypatch.setattr("barlab.scenarios.sweep_eps", lambda cfg: fake)
         code = main(["sweep-eps", "--preset", "monotone", "--eps-list", "0.1,0.05"])
         assert code == 3
 
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
         def boom(*a, **k):
             raise NumericalError("diagnostic mismatch")
-        monkeypatch.setattr("barlab.cli.cns_classify", boom)
+        monkeypatch.setattr("barlab.diagnostics.cns_classify", boom)
         assert main(["classify", "--preset", "monotone"]) == 3
 
 
@@ -731,6 +743,79 @@ def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["after_cli"] == {"numpy.ma": False, "configparser": False}
     assert report["parsed"] and report["configparser_loaded"]
+
+
+def _fresh(code: str, *args: str):
+    # Run code in a fresh interpreter and read the JSON report it prints last.
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=_child_env(), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_COMMAND_PROBE = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["barlab", *sys.argv[1:]]
+code = None
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("barlab", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["preset-list"], 0),
+    (["--help"], 0),
+    (["classify", "--help"], 0),
+    (["classify", "--preset", "nope"], 2),
+])
+def test_listing_help_and_usage_errors_load_no_numpy(argv, code):
+    assert _fresh(_COMMAND_PROBE, *argv) == {"code": code, "numpy": False}
+
+
+def test_a_computing_command_loads_numpy():
+    assert _fresh(_COMMAND_PROBE, "classify", "--preset", "constant") == {"code": 0, "numpy": True}
+
+
+_NAMESPACE_PROBE = """
+import importlib, json, sys
+import barlab, barlab.cli
+report = {"numpy": "numpy" in sys.modules,
+          "bound": [n for n in barlab.__all__ if n in vars(barlab)]}
+before = set(sys.modules)
+try:
+    barlab.no_such_name
+except AttributeError as exc:
+    report["missing"] = str(exc)
+report["imported"] = sorted(set(sys.modules) - before)
+barlab.run_limit
+report["unbound"] = [n for n in barlab.__all__ if n not in vars(barlab)]
+report["moved"] = [n for home, names in barlab._HOMES.items() for n in names
+                   if vars(barlab)[n] is not getattr(importlib.import_module("barlab." + home), n)]
+report["count"] = len(barlab.__all__)
+print(json.dumps(report))
+"""
+
+
+def test_the_package_namespace_binds_on_first_use():
+    assert _fresh(_NAMESPACE_PROBE) == {
+        "numpy": False,  # neither `import barlab` nor `import barlab.cli` loads numpy
+        "bound": ["__version__"],
+        "missing": "module 'barlab' has no attribute 'no_such_name'",
+        "imported": [],
+        "unbound": [],  # the first public name read binds all of them
+        "moved": [],
+        "count": 29,
+    }
+
+
+def test_star_import_binds_every_public_name_in_a_fresh_interpreter():
+    probe = ("import json; ns = {}; exec('from barlab import *', ns); import barlab\n"
+             "print(json.dumps(sorted(ns.keys() - {'__builtins__'}) == sorted(barlab.__all__)))")
+    assert _fresh(probe) is True
 
 
 def test_classify_prints_strict_json_when_floats_cannot_resolve_a_drop(tmp_path):
