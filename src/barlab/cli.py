@@ -124,17 +124,14 @@ def _cmd_sweep_eps(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from .envelope import _frozen_cell
     from .scenarios import _parse_float_list, sweep_eps, write_csv
 
     cfg = _load_config(args)
     if args.eps_list is not None:
         cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
     report = sweep_eps(cfg)
-    # The plateau stress of each eps, read off the cells at rest: the load does not enter it.
-    plateaus = _frozen_cell(cfg.material, report.eps, 0.0, 0.0).s_plateau
     print(f"{'eps':>10} {'plateau':>14} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
-    for e, plateau, ds, dl, de in zip(report.eps, plateaus, report.sup_sigma_dev,
+    for e, plateau, ds, dl, de in zip(report.eps, report.plateau, report.sup_sigma_dev,
                                       report.sup_l_dev, report.sup_energy_dev):
         print(f"{e:>10g} {plateau:>14.6e} {ds:>14.6e} {dl:>14.6e} {de:>14.6e}")
     if len(report.eps) > 1:

@@ -61,7 +61,7 @@ class EpsTrajectory:
 
 
 def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
-    """Histories ``(a, sigma, theta, l_eps, energy, work)``, one row per eps, of the jump ``J`` on ``grid``.
+    """Plateau stress ``s_p`` and histories ``(a, sigma, theta, l_eps, energy, work)``, per eps, of ``J``.
 
     Every eps passes ``plateau_factor`` before any array work; a guard's
     ``NumericalError`` names the eps of its row.
@@ -103,7 +103,7 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
                + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", eps_list)
-    return a, sigma, theta, l_eps, energy, work
+    return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work
 
 
 def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
@@ -126,7 +126,7 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     _count("n_cells", n_cells)
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
-    a, sigma, theta, l_eps, energy, work = (row[0] for row in _scan(m, (eps,), J, grid))
+    _, a, sigma, theta, l_eps, energy, work = (row[0] for row in _scan(m, (eps,), J, grid))
     shape = (grid.size, n_cells)
     return EpsTrajectory(
         m=m,

@@ -197,9 +197,10 @@ def _decreasing(dev: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Sup-norm deviations of the regularized runs from the limit run."""
+    """Plateau stress of each eps and sup-norm deviations of the regularized runs from the limit run."""
 
     eps: tuple[float, ...]
+    plateau: np.ndarray
     sup_sigma_dev: np.ndarray
     sup_l_dev: np.ndarray
     sup_energy_dev: np.ndarray
@@ -217,8 +218,8 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ConfigError(f"eps_list must be strictly decreasing, got {eps!r}")
     ref = run_scenario_limit(cfg)
-    _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times)
-    return SweepReport(eps=eps,
+    plateau, _, sigma, _, l_eps, energy, _ = _scan(cfg.material, eps, ref.J, ref.times)
+    return SweepReport(eps=eps, plateau=plateau,
                        sup_sigma_dev=np.max(np.abs(sigma - ref.sigma), axis=1),
                        sup_l_dev=np.max(np.abs(l_eps - ref.l), axis=1),
                        sup_energy_dev=np.max(np.abs(energy - ref.E_closed), axis=1))

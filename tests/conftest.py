@@ -66,6 +66,12 @@ OVERFLOW_PROGRAMS = {
 LEDGER_OVERFLOW_PROGRAM = ([0.25 * k for k in range(9)], [0.0] + [1e307, -1e307] * 4)
 
 
+def constant_run(m, J: float):
+    """``run_limit`` on the constant datum ``J`` over ``[0, 1]``, on the grid of its two knots."""
+    w = barlab.BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[J, J])
+    return barlab.run_limit(m, w, [0.0, 1.0])
+
+
 def assert_fields_equal(got, want, names=None) -> None:
     """``np.array_equal`` on the named fields of two run records; by default every field but the material ``m``."""
     for name in names or [f.name for f in fields(want) if f.name != "m"]:

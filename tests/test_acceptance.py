@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import constant_run, record_acceptance
 from oracles import (StepState, competitor_family, envelope_by_minimization,
                      exhaustive_step_minimum, fake_balance_residual_series,
                      incremental_step, initial_energy_routes, mass_reconstruction,
@@ -22,7 +22,6 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     preset_datum, refined_time_grid, residual_series, run_eps,
                     run_limit, sweep_eps, yield_dissipation)
 from barlab.envelope import envelope_slope_bounds, plateau_factor
-from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
 
 M = DEFAULT_MATERIAL
@@ -250,7 +249,7 @@ def test_criterion_6_initial_energy_routes_and_lower_bound():
     competitors = 0
     floor_ok = True
     for J0 in (0.0, 0.4, 1.0, -1.5):
-        _, _, E0 = limit_step(0.0, M, J0, 0.0)
+        E0 = float(constant_run(M, J0).E_closed[0])
         closed, minimized = initial_energy_routes(M.kappa, M.a0, M.a1, M.L, J0)
         worst_route = max(worst_route, abs(E0 - closed), abs(E0 - minimized))
         rng = np.random.default_rng(17 + int(round(10 * abs(J0))))

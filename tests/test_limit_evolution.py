@@ -10,7 +10,7 @@ from barlab import (BoundaryDatum, MaterialParams, NumericalError, cns_classify,
                     refined_time_grid, run_limit)
 from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import threshold_crossing
-from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs
+from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, constant_run, materials, programs
 from oracles import closed_form_limit, mass_reconstruction
 
 
@@ -18,19 +18,25 @@ from oracles import closed_form_limit, mass_reconstruction
 PRISTINE = 0.0
 
 
+def first_state(m, J: float) -> tuple[float, float, float]:
+    """``(sigma, l, E)`` at ``t = 0`` of a run from the pristine bar under the constant jump ``J``."""
+    traj = constant_run(m, J)
+    return traj.sigma[0], traj.l[0], traj.E_closed[0]
+
+
 class TestInitialState:
     def test_zero_load(self, material):
-        sigma, l, E = limit_step(PRISTINE, material, 0.0, 0.0)
+        sigma, l, E = first_state(material, 0.0)
         assert (sigma, l, E) == (0.0, 0.0, 0.0)
 
     def test_elastic_branch(self, material):
-        sigma, l, E = limit_step(PRISTINE, material, 0.4, 0.0)
+        sigma, l, E = first_state(material, 0.4)
         assert sigma == pytest.approx(0.8, abs=1e-15)
         assert l == 0.0
         assert E == pytest.approx(0.16, abs=1e-15)
 
     def test_saturated_branch_and_dual_energy_form(self, material):
-        sigma, l, E = limit_step(PRISTINE, material, 1.0, 0.0)
+        sigma, l, E = first_state(material, 1.0)
         assert sigma == pytest.approx(1.0, abs=1e-14)
         assert l == pytest.approx(0.5, abs=1e-14)
         assert E == pytest.approx(0.75, abs=1e-14)
@@ -40,7 +46,7 @@ class TestInitialState:
         assert elastic + material.yield_stress * abs(plastic) == pytest.approx(E, abs=1e-12)
 
     def test_negative_load_is_odd(self, material):
-        sigma, l, E = limit_step(PRISTINE, material, -1.5, 0.0)
+        sigma, l, E = first_state(material, -1.5)
         assert sigma == pytest.approx(-1.0, abs=1e-14)
         assert l == pytest.approx(1.0, abs=1e-14)
         assert E == pytest.approx(1.25, abs=1e-14)
@@ -48,20 +54,20 @@ class TestInitialState:
 
 class TestLimitStep:
     def test_unloading_keeps_mass(self, material):
-        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
-        sigma, l, _ = limit_step(prev, material, 0.4, 0.1)
+        _, prev = limit_step(PRISTINE, material, 1.0)
+        sigma, l = limit_step(prev, material, 0.4)
         assert sigma == pytest.approx(0.4, abs=1e-14)
         assert l == 0.5
 
     def test_growth_saturates_stress(self, material):
-        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
-        sigma, l, _ = limit_step(prev, material, 1.2, 0.1)
+        _, prev = limit_step(PRISTINE, material, 1.0)
+        sigma, l = limit_step(prev, material, 1.2)
         assert l == pytest.approx(0.7, abs=1e-14)
         assert sigma == pytest.approx(1.0, abs=1e-14)
 
     def test_sign_symmetric_reload_is_idempotent(self, material):
-        _, prev, _ = limit_step(PRISTINE, material, 1.0, 0.0)
-        sigma, l, _ = limit_step(prev, material, -1.0, 0.1)
+        _, prev = limit_step(PRISTINE, material, 1.0)
+        sigma, l = limit_step(prev, material, -1.0)
         assert sigma == pytest.approx(-1.0, abs=1e-14)
         assert l == 0.5
 
@@ -73,15 +79,21 @@ class TestLimitStep:
         s = m.yield_stress
         raw = J / (max(0.0, m.a0 * (abs(J) - m.jump_threshold) / s) / m.a0 + m.L / m.a1)
         assert abs(raw) > s
-        sigma, _, _ = limit_step(PRISTINE, m, J, 0.5)
-        assert sigma == np.copysign(s, J)
+        assert constant_run(m, J).sigma[0] == np.copysign(s, J)
+
+    # No real material gets here: this stand-in's jump threshold is not
+    # yield_stress L/a1, so the trial mass stays 0 while sigma = 2 J leaves [-1, 1] past |J| = 1/2.
+    STAND_IN = SimpleNamespace(kappa=0.5, a0=1, a1=2, L=1, yield_stress=1, jump_threshold=10)
 
     def test_a_stress_outside_the_yield_interval_is_refused(self):
-        # No real material gets here: this stand-in's jump threshold is not
-        # yield_stress L/a1, so the trial mass stays 0 while sigma = 2 s*.
-        m = SimpleNamespace(kappa=0.5, a0=1, a1=2, L=1, yield_stress=1, jump_threshold=10)
-        with pytest.raises(NumericalError, match=r"^stress 2\.0 left the yield interval at t=0\.25$"):
-            limit_step(PRISTINE, m, 1.0, 0.25)
+        with pytest.raises(NumericalError, match=r"^time step 0 \(t=0\.0\): stress left the yield interval$"):
+            constant_run(self.STAND_IN, 1.0)
+
+    def test_the_yield_guard_names_the_first_step_outside(self):
+        # On the ramp J = t the stress 2 t first leaves [-1, 1] at the fourth instant, t = 0.75.
+        w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])
+        with pytest.raises(NumericalError, match=r"^time step 3 \(t=0\.75\): stress left the yield interval$"):
+            run_limit(self.STAND_IN, w, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 class TestRunLimit:

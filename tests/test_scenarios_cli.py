@@ -246,6 +246,15 @@ class TestSweep:
         cfg = replace(preset(name), steps=1000, eps_list=(0.1, 0.05, 0.02, 0.01))
         assert_sweep_matches_runs(cfg)
 
+    @pytest.mark.parametrize("name, m", [
+        *((name, DEFAULT_MATERIAL) for name in PRESET_NAMES),
+        ("loading-unloading", MaterialParams(kappa=0.5e-12, a0=1e-12, a1=2e-12, L=1.0, T=2.0)),
+    ], ids=[*PRESET_NAMES, "pico-units"])
+    def test_the_plateau_is_the_amplified_yield_stress(self, name, m):
+        eps = (0.1, 0.05, 0.02)
+        report = sweep_eps(ScenarioConfig(material=m, datum=preset_datum(name, m), steps=100, eps_list=eps))
+        assert np.array_equal(report.plateau, [m.yield_stress * plateau_factor(m, e) for e in eps])
+
     def test_one_limit_run_and_one_jump_evaluation(self, monkeypatch):
         calls = {"run_limit": 0, "jump": 0}
         real_run_limit, real_jump = run_limit, BoundaryDatum.jump
@@ -688,7 +697,7 @@ class TestCommandLine:
         assert re.fullmatch(r"error: time step \d+ \(t=[0-9.]+\): plasticity ledger is not finite\n", got.err)
 
     def test_nonmonotone_sweep_exits_3(self, monkeypatch, capsys):
-        fake = SweepReport(eps=(0.1, 0.05),
+        fake = SweepReport(eps=(0.1, 0.05), plateau=np.array([1.0, 1.0]),
                            sup_sigma_dev=np.array([1.0, 2.0]),
                            sup_l_dev=np.array([1.0, 0.5]),
                            sup_energy_dev=np.array([1.0, 0.5]))
