@@ -165,7 +165,8 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
 
     series = residual_series(traj)
     s, absJ = m.yield_stress, np.abs(traj.J)
-    defect_tol = np.maximum(_DEFECT_TOL * s * m.L, 45.0 * _U * s * (absJ[1:] + absJ[:-1]))
+    # Each term scaled first, as in classifier_consistency: |J_k| + |J_{k-1}| can overflow.
+    defect_tol = np.maximum(_DEFECT_TOL * s * m.L, 45.0 * _U * s * absJ[1:] + 45.0 * _U * s * absJ[:-1])
     violations = int(np.sum(flow_rule_defects(traj) > defect_tol))
 
     result = Classification(

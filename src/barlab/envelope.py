@@ -21,6 +21,7 @@ model and the largest jump the bar carries elastically.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,8 +43,8 @@ __all__ = [
 class TwoWellParams:
     """Two quadratic wells: damaged branch ``K + a*xi**2``, sound branch ``b*xi**2``.
 
-    Requires finite ``0 < a < b`` and ``K > 0`` so that the envelope has
-    a genuine plateau between two distinct quadratic regimes.
+    It is the cell at eps = 1 of the bar ``a0 = 2a, a1 = 2b, kappa = K, L = 1``, built once here, whose
+    checks pass iff finite ``0 < a < b`` (``2a < 2b``) and ``K > 0`` give an envelope floats can hold.
     """
 
     a: float
@@ -51,14 +52,14 @@ class TwoWellParams:
     K: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "K"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"need {name} finite, got {value!r}")
-        if not (0.0 < self.a < self.b):
-            raise ValueError(f"need 0 < a < b, got a={self.a!r}, b={self.b!r}")
-        if not self.K > 0.0:
-            raise ValueError(f"need K > 0, got K={self.K!r}")
+        try:
+            cell = MaterialParams(kappa=self.K, a0=2.0 * self.a, a1=2.0 * self.b, L=1.0, T=1.0)
+            plateau_factor(cell, 1.0)
+        except ValueError as exc:
+            raise ValueError(f"need a, b and K with 0 < a < b and K > 0 whose envelope floats can hold "
+                             f"(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), "
+                             f"got a={self.a!r}, b={self.b!r}, K={self.K!r}") from exc
+        object.__setattr__(self, "_cell", cell)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,10 @@ class MaterialParams:
     T: float
 
     def __post_init__(self) -> None:
+        # Numbers as Python floats, so no numpy scalar reaches the return map; math.isfinite refuses a str below.
+        for name in ("kappa", "a0", "a1", "L", "T"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, float(value) if isinstance(value, numbers.Real) else value)
         for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "jump_threshold"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -106,9 +111,9 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
         raise ValueError(f"need eps*a0 < a1, got eps*a0={eps * m.a0!r}, a1={m.a1!r}")
     # The cell divides by 1/(eps a0) - 1/a1 (theta) and by 1/a0 - eps/a1 (l).
     # Within rounding of 0 or of a1/a0 one of them is zero or infinite in floats.
-    e, a0, a1 = float(eps), float(m.a0), float(m.a1)
-    theta_den = 1.0 / (e * a0) - 1.0 / a1 if e * a0 > 0.0 else math.inf
-    l_den = 1.0 / a0 - e / a1
+    e = float(eps)
+    theta_den = 1.0 / (e * m.a0) - 1.0 / m.a1 if e * m.a0 > 0.0 else math.inf
+    l_den = 1.0 / m.a0 - e / m.a1
     if not (0.0 < theta_den < math.inf and 0.0 < l_den < math.inf):
         raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: "
                          f"1/(eps*a0) - 1/a1 = {theta_den!r}, 1/a0 - eps/a1 = {l_den!r}")
@@ -141,16 +146,9 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
 
 
 def _two_well_cell(p: TwoWellParams, xi) -> _Cell:
-    # p's density is the cell at eps = 1 of the bar a0 = 2a, a1 = 2b, kappa = K, L = 1, at M = |xi|.
+    # p's density is its cell (checked when p was built) read at M = |xi|.
     xi = np.asarray(xi, dtype=float)
-    # The cell's own refusals name a0 and eps, which the caller never gave: name a, b and K.
-    try:
-        return _frozen_cell(MaterialParams(kappa=p.K, a0=2.0 * p.a, a1=2.0 * p.b, L=1.0, T=1.0),
-                            (1.0,), xi, np.abs(xi))
-    except ValueError as exc:
-        raise ValueError(f"need a, b and K whose envelope floats can hold (2a, 2b, sqrt(4aK), "
-                         f"sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), "
-                         f"got a={p.a!r}, b={p.b!r}, K={p.K!r}") from exc
+    return _frozen_cell(p._cell, (1.0,), xi, np.abs(xi))
 
 
 def envelope_slope_bounds(p: TwoWellParams) -> tuple[float, float, float]:

@@ -3,16 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
-                    optimal_theta, raw_energy)
+                    optimal_theta, preset_datum, raw_energy, refined_time_grid, run_limit)
 from barlab.envelope import envelope_slope_bounds
+from conftest import assert_fields_equal
 from oracles import (envelope_by_minimization, mixture_objective, wbar_1d,
                      wbar_by_minimization)
 
 FIG = TwoWellParams(a=0.1, b=1.0, K=2.0)
+
+
+def assert_refused_in_the_callers_terms(msg: str, a, b, K) -> None:
+    # One message for every refusal: the conditions on a, b and K, never the cell's a0 or eps.
+    assert msg.startswith("need a, b and K with 0 < a < b and K > 0 whose envelope floats can hold "
+                          "(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), ")
+    assert msg.endswith(f"got a={a!r}, b={b!r}, K={K!r}")
+    assert "a0" not in msg and "eps" not in msg
 
 
 @st.composite
@@ -25,30 +34,43 @@ def twowell_params(draw):
 
 class TestParamValidation:
     def test_twowell_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            TwoWellParams(a=1.0, b=1.0, K=2.0)
-        with pytest.raises(ValueError):
-            TwoWellParams(a=2.0, b=1.0, K=2.0)
-        with pytest.raises(ValueError):
-            TwoWellParams(a=0.1, b=1.0, K=0.0)
+        # Order and sign, and a subnormal a or K whose envelope floats cannot hold: one message.
+        for a, b, K in [(1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (0.1, 1.0, 0.0), (0.0, 1.0, 2.0), (-0.0, 1.0, 2.0),
+                        (-1.0, 1.0, 2.0), (0.1, 1.0, -0.0), (0.1, 1.0, -2.0), (5e-324, 1.0, 2.0),
+                        (0.1, 1.0, 5e-324)]:
+            with pytest.raises(ValueError) as info:
+                TwoWellParams(a=a, b=b, K=K)
+            assert_refused_in_the_callers_terms(str(info.value), a=a, b=b, K=K)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["a", "b", "K"])
     def test_twowell_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match=f"need {field} finite"):
+        args = {"a": FIG.a, "b": FIG.b, "K": FIG.K, field: value}
+        with pytest.raises(ValueError) as info:
             replace(FIG, **{field: value})
+        assert_refused_in_the_callers_terms(str(info.value), **args)
 
     # 2a overflows; 1/(2a) overflows; sqrt(4aK) underflows to 0; 4aK overflows.
     @pytest.mark.parametrize("a, b, K", [(1e308, 1.5e308, 2.0), (1e-320, 1.0, 2.0),
                                          (1e-10, 1.0, 1e-320), (1e300, 1e301, 1e300)])
     def test_an_envelope_floats_cannot_hold_is_refused_in_the_callers_terms(self, a, b, K):
-        p = TwoWellParams(a=a, b=b, K=K)
-        for fn in (convex_envelope, optimal_theta, lambda p, xi: envelope_slope_bounds(p)):
-            with pytest.raises(ValueError) as info:
-                fn(p, [0.0, 1.0])
-            msg = str(info.value)
-            assert msg.startswith("need a, b and K ") and msg.endswith(f"got a={a!r}, b={b!r}, K={K!r}")
-            assert "a0" not in msg and "eps" not in msg
+        with pytest.raises(ValueError) as info:
+            TwoWellParams(a=a, b=b, K=K)
+        assert_refused_in_the_callers_terms(str(info.value), a=a, b=b, K=K)
+
+    @settings(max_examples=300)
+    @given(a=st.floats(-1e300, 1e300), b=st.floats(-1e300, 1e300), K=st.floats(-1e300, 1e300))
+    def test_what_is_built_is_never_refused_later(self, a, b, K):
+        try:
+            p = TwoWellParams(a=a, b=b, K=K)
+        except ValueError as exc:
+            assert_refused_in_the_callers_terms(str(exc), a=a, b=b, K=K)
+            return
+        assert 0.0 < a < b and K > 0.0
+        xi = np.array([0.0, 1.0, -1.0, a, b, K])
+        for fn in (convex_envelope, optimal_theta):
+            assert fn(p, xi).shape == xi.shape
+        assert len(envelope_slope_bounds(p)) == 3
 
     def test_material_rejects_bad_stiffness_order(self):
         with pytest.raises(ValueError):
@@ -76,6 +98,21 @@ class TestParamValidation:
             replace(material, kappa=1e10, L=1e308)
         with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got 0\.0$"):
             replace(material, L=1e-200, a1=1e200)
+
+    @pytest.mark.parametrize("scalar", [int, np.int64, np.float64])
+    def test_material_fields_are_stored_as_floats(self, scalar):
+        values = {"kappa": 1, "a0": 2, "a1": 3, "L": 4, "T": 5}
+        m = MaterialParams(**{name: scalar(v) for name, v in values.items()})
+        want = MaterialParams(**{name: float(v) for name, v in values.items()})
+        assert all(type(getattr(m, name)) is float for name in values)
+        assert m == want
+        w = preset_datum("high-unload", want)
+        got, ref = (run_limit(x, w, refined_time_grid(w, 40)) for x in (m, want))
+        assert_fields_equal(got, ref)
+
+    def test_a_str_field_is_refused_though_float_would_parse_it(self, material):
+        with pytest.raises(TypeError):
+            replace(material, kappa="0.5")
 
     def test_derived_material_scales(self, material):
         assert material.yield_stress == pytest.approx(1.0, abs=1e-15)

@@ -190,6 +190,24 @@ def test_an_overflowing_energy_is_refused_without_a_warning(name, message):
             cns_classify(w, m, steps=400)
 
 
+# The energy overflows at the first step towards the knot 5e306. Numpy scalar fields must reach the
+# located refusal as Python floats do, not warn (inf/inf) in numpy scalar arithmetic first.
+FLOAT_RECORD = dict(kappa=0.010671943205210017, a0=259.3319935218312, a1=1097.3630990959596,
+                    L=0.15467139434662505, T=0.0014172116265162207)
+FLOAT_RECORD_DATUM = BoundaryDatum(times=[0.0, 0.0014158690434673605, 0.0014172116265162207], w0=[0.0] * 3,
+                                   wL=[1.3504454527916984e107, 5.169540760428904e306, 1.3380735441005701e154])
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
+def test_numpy_scalar_fields_reach_the_located_refusal(scalar):
+    m = MaterialParams(**{name: scalar(value) for name, value in FLOAT_RECORD.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^time step 1 \(t=2\.8344232530324414e-05\): "
+                                                 r"energy or work is not finite$"):
+            run_limit(m, FLOAT_RECORD_DATUM, refined_time_grid(FLOAT_RECORD_DATUM, 50))
+
+
 @settings(max_examples=200)
 @given(m=materials(), data=st.data(), steps=st.integers(1, 500))
 def test_run_limit_is_the_closed_form_scan(m, data, steps):

@@ -842,6 +842,19 @@ def test_classify_prints_strict_json_when_floats_cannot_resolve_a_drop(tmp_path)
     assert (payload["verdict"], payload["witness_pair"]) == ("DamageOnly", [1.0, 1.0])
 
 
+def test_classify_a_jump_of_1e308_on_the_default_material(tmp_path):
+    # E = J here, so the run stays finite, and so must the ledger's per-step tolerance.
+    path = tmp_path / "big.ini"
+    path.write_text("[datum]\ntimes = 0, 2\nwL = 0, 1e308\n")
+    runs = {command: subprocess.run([sys.executable, "-m", "barlab", command, "--config", str(path)],
+                                    capture_output=True, text=True, env=_child_env(), timeout=120,
+                                    check=False)
+            for command in ("classify", "simulate-limit")}
+    assert {c: (p.returncode, p.stderr) for c, p in runs.items()} == {c: (0, "") for c in runs}
+    assert json.loads(runs["classify"].stdout)["verdict"] == "PerfectPlasticity"
+    assert "E(T)     = 1e+308" in runs["simulate-limit"].stdout
+
+
 def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
     monkeypatch.setattr("barlab.diagnostics.threshold_crossing", lambda w, thr: float("nan"))
     assert main(["classify", "--preset", "loading-unloading"]) == 3
