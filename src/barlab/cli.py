@@ -96,20 +96,14 @@ def _cmd_simulate_eps(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import asdict
 
     from .diagnostics import cns_classify
     from .scenarios import _open_out
 
     cfg = _load_config(args)
     result = cns_classify(cfg.datum, cfg.material, steps=cfg.steps)
-    payload = {
-        "verdict": result.verdict,
-        "witness_pair": list(result.witness) if result.witness is not None else None,
-        "t0": result.t0,
-        "t0_star": result.t0_star,
-        "max_eb_residual": result.max_eb_residual,
-        "flow_rule_violations": result.flow_rule_violations,
-    }
+    payload = {("witness_pair" if k == "witness" else k): v for k, v in asdict(result).items()}
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:

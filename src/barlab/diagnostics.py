@@ -9,7 +9,7 @@ computes the plasticity residual, the flow-rule defect per step, the
 path test with an explicit witness when it fails, and the consistency
 check of a verdict against stress saturation and the residual.  Every
 tolerance is relative to the material's units: stresses to the yield
-stress ``s*``, energies and flow defects to ``s* L``.
+stress ``s*``, energies and flow defects to ``s* thr`` (``thr = s* L/a1``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .envelope import MaterialParams
 from .errors import NumericalError, _U, _guard
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, refined_time_grid, threshold_crossing
+from .loading import BoundaryDatum, _crossing, refined_time_grid, threshold_crossing
 
 __all__ = [
     "PERFECT_PLASTICITY",
@@ -40,8 +40,9 @@ PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
 
 # Tolerances of the classifier: stress saturation in units of s*, residual
-# size in units of s* L, and the flow-rule defect count in units of s* L;
-# the last two are raised to the ledger's rounding bound where it is larger.
+# size and the flow-rule defect count in units of s* thr (one unload's R(T)
+# is s* thr times a number of the program's shape alone, README); the last
+# two are raised to the ledger's rounding bound where it is larger.
 _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
@@ -129,11 +130,11 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     after first exceeding the jump threshold; for piecewise-linear data
     the scan over the segments of ``w.nodes`` is exact.  The witness ``(s, t)``
     of a failure lies on the first node segment after ``t0*`` where ``|J|``
-    drops: ``s`` is the later of ``t0*`` and its start, ``t`` its end if ``|J|``
-    stays above the threshold there, else where ``|J|`` has dropped half-way
-    to it.  So ``t0* <= s <= t <= T``, and ``thr < |J(t)| < |J(s)|`` unless
-    floats cannot resolve the drop (a zero crossing rounded onto the knot
-    before it): then ``s == t``.  A non-finite field raises ``NumericalError``.
+    drops: ``s`` is its start, ``t`` its end if ``|J|`` stays above the
+    threshold there, else where ``|J|`` has dropped half-way to it.  So
+    ``t0* <= s <= t <= T``, and ``thr < |J(t)| < |J(s)|`` unless floats cannot
+    resolve the drop (a zero crossing rounded onto the knot before it): then
+    ``s == t``.  A non-finite field raises ``NumericalError``.
     """
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
@@ -147,13 +148,10 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     witness: tuple[float, float] | None = None
     if drops.size:
         k = int(drops[0])
-        start, end = max(float(times[k - 1]), t0_star), float(times[k])
+        start, end = float(times[k - 1]), float(times[k])
         if absJ[k] <= thr:
-            # The instant where |J| has dropped half-way to the threshold, or the start where
-            # floats cannot resolve the drop: a segment of zero length or zero height.
-            a_val = float(np.interp(start, times[k - 1:k + 1], absJ[k - 1:k + 1])) if end > start else 0.0
-            frac = (a_val - 0.5 * (a_val + thr)) / (a_val - absJ[k]) if a_val > absJ[k] else 0.0
-            end = float(start + frac * (end - start))
+            # Half-way to the threshold, each half scaled first so the level cannot overflow.
+            end = float(_crossing(start, end, absJ[k - 1], absJ[k], 0.5 * absJ[k - 1] + 0.5 * thr))
         witness = (start, end)
 
     dt = float(np.max(np.diff(grid)))
@@ -166,7 +164,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     series = residual_series(traj)
     s, absJ = m.yield_stress, np.abs(traj.J)
     # Each term scaled first, as in classifier_consistency: |J_k| + |J_{k-1}| can overflow.
-    defect_tol = np.maximum(_DEFECT_TOL * s * m.L, 45.0 * _U * s * absJ[1:] + 45.0 * _U * s * absJ[:-1])
+    defect_tol = np.maximum(_DEFECT_TOL * s * thr, 45.0 * _U * s * absJ[1:] + 45.0 * _U * s * absJ[:-1])
     violations = int(np.sum(flow_rule_defects(traj) > defect_tol))
 
     result = Classification(
@@ -209,7 +207,7 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     series = residual_series(traj)
     # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
     rounding = (n + 3) * _U * yield_dissipation(traj)[-1] + (28 * n + 46) * _U * s * np.max(np.abs(traj.J))
-    res_tol = max(_RESIDUAL_TOL * s * m.L, float(rounding))
+    res_tol = max(_RESIDUAL_TOL * s * m.jump_threshold, float(rounding))
 
     damaged = traj.l > 0.0
     unsaturated = damaged & ~stress_saturated(traj)
@@ -225,7 +223,8 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
         if says_plastic != small_residual:
             yield series > res_tol, "verdict and balance residual disagree"
         if not says_plastic:
-            gap = (s - np.abs(traj.sigma)) ** 2 * traj.l / (2.0 * m.a0)
+            # Divided before multiplied: the gap is at most kappa l <= E, but (s - |sigma|)^2 l may overflow.
+            gap = (s - np.abs(traj.sigma)) ** 2 / (2.0 * m.a0) * traj.l
             if np.any(below := series < gap - res_tol):
                 yield below, "residual fell below the stress-gap bound"
             dp = np.diff(traj.p)

@@ -17,6 +17,15 @@ __all__ = ["BoundaryDatum", "threshold_crossing", "refined_time_grid", "validate
            "cumulative_work"]
 
 
+def _crossing(ta, tb, va, vb, level):
+    # The one crossing rule of the |J| polyline, on arrays or scalars: where the line from (ta, va) to (tb, vb)
+    # meets level, never past tb.  One exact power of two scales the values, so nothing overflows, and where
+    # the unscaled formula stays in the normal range the result is its own.
+    e = np.frexp(np.maximum(np.maximum(abs(va), abs(vb)), abs(level)))[1]
+    a, b, c = np.ldexp(va, -e), np.ldexp(vb, -e), np.ldexp(level, -e)
+    return np.minimum(ta + (tb - ta) * (a - c) / (a - b), tb)
+
+
 def _finite(name: str, values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
@@ -55,14 +64,9 @@ class BoundaryDatum:
             raise ValueError(f"loading must start at t=0, got t={t[0]!r}")
         with np.errstate(over="ignore"):
             J = _finite("the jump wL - w0", wL - w0)
-        # Zero crossings by sign, placed on J scaled by an exact power of two per segment: nothing
-        # overflows, and where the unscaled formula stays in the normal range the result is its own.
+        # Zero crossings by sign, so the nodes stay sorted: a crossing never rounds past its knot.
         k = np.flatnonzero(np.sign(J[:-1]) * np.sign(J[1:]) < 0.0) + 1
-        e = np.frexp(np.maximum(abs(J[k - 1]), abs(J[k])))[1]
-        before, after = np.ldexp(J[k - 1], -e), np.ldexp(J[k], -e)
-        cross = t[k - 1] + (t[k] - t[k - 1]) * before / (before - after)
-        # A crossing next to the knot t[k] can round past it; keep the nodes sorted.
-        nodes = np.insert(t, k, np.minimum(cross, t[k])), np.insert(J, k, 0.0)
+        nodes = np.insert(t, k, _crossing(t[k - 1], t[k], J[k - 1], J[k], 0.0)), np.insert(J, k, 0.0)
         for name, values in (("times", t), ("w0", w0), ("wL", wL), ("nodes", nodes)):
             object.__setattr__(self, name, values)
         for values in (t, w0, wL, *nodes):
@@ -93,7 +97,7 @@ class BoundaryDatum:
 
 
 def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
-    """Exact first instant with ``|J| > threshold``, or ``w.duration`` if there is none."""
+    """First instant with ``|J| > threshold``, on its node segment, or ``w.duration`` if there is none."""
     times, absJ = w.nodes[0], np.abs(w.nodes[1])
     above = np.flatnonzero(absJ > threshold)
     if above.size == 0:
@@ -101,8 +105,7 @@ def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
     k = int(above[0])
     if k == 0:
         return float(times[0])
-    frac = (threshold - absJ[k - 1]) / (absJ[k] - absJ[k - 1])
-    return float(times[k - 1] + frac * (times[k] - times[k - 1]))
+    return float(_crossing(times[k - 1], times[k], absJ[k - 1], absJ[k], threshold))
 
 
 def _count(name: str, value) -> int:

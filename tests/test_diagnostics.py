@@ -341,6 +341,19 @@ class TestConsistency:
         report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 400)), c.verdict)
         assert report.ok, report.detail
 
+    @pytest.mark.parametrize("strain", [1e-7, 1e-40, 1e-80])
+    def test_small_yield_strains_stay_consistent(self, strain):
+        # The yield strain s*/a1 = strain: one unload from 2 thr leaves R(T) = 3 kappa l1
+        # = 1.5 s* thr, far below 1e-6 s* L, and the tolerances in units of s* thr still see it.
+        m = MaterialParams(kappa=0.5, a0=1.0, a1=1.0 / strain, L=1.0, T=2.0)
+        thr = m.jump_threshold
+        w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=np.zeros(3), wL=[0.0, 2.0 * thr, 0.0])
+        c = cns_classify(w, m, steps=400)
+        assert c.verdict == DAMAGE_ONLY
+        assert c.flow_rule_violations == 200
+        report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 400)), c.verdict)
+        assert report.ok, report.detail
+
     def test_saturation_starts_at_the_onset(self, material):
         traj = run_preset(material, "monotone")
         assert np.array_equal(stress_saturated(traj), traj.times >= 0.5)
@@ -445,6 +458,18 @@ class TestLedgerRange:
         assert c.verdict == DAMAGE_ONLY and report.ok, report.detail
 
 
+def test_the_stress_gap_bound_of_a_huge_mass_does_not_overflow():
+    # s* = 1e50 and l reaches a0 (2e248 - thr)/s* = 2e208: (s* - |sigma|)^2 l overflows on the return leg,
+    # while the gap itself is at most kappa l = 1e298.
+    m = MaterialParams(kappa=5e89, a0=1e10, a1=2e10, L=1.0, T=2.0)
+    w = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=np.zeros(3), wL=[0.0, 2e248, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = cns_classify(w, m, steps=400)
+        report = classifier_consistency(run_limit(m, w, refined_time_grid(w, 400)), c.verdict)
+    assert c.verdict == DAMAGE_ONLY and report.ok, report.detail
+
+
 def test_a_crossing_of_huge_jumps_keeps_the_witness_above_the_threshold():
     # The zero crossing at 5e9 must be a node, else the witness lands on it.
     m = MaterialParams(kappa=5.0, a0=1.0, a1=2.0, L=1.0, T=1e10)
@@ -467,14 +492,21 @@ def test_a_drop_the_float_time_axis_cannot_resolve_has_a_one_instant_witness():
     assert (c.verdict, c.witness) == (DAMAGE_ONLY, (1.0, 1.0))
 
 
+# A jump threshold of 1e308 and a drop from 1.5e308 to 0: half-way to the threshold is
+# 1.25e308, though |J(s)| + thr overflows.
+HUGE_THRESHOLD_MATERIAL = MaterialParams(kappa=0.5, a0=1.0, a1=1.5, L=1.5e308, T=2.0)
+HUGE_THRESHOLD_DROP = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5e308, 0.0]))
+
+
 @settings(max_examples=300)
-@given(program=extreme_programs(), steps=st.integers(1, 50))
-@example(program=UNRESOLVED_DROP, steps=4)
-def test_the_witness_of_any_float_program_is_a_finite_pair_inside_the_datum(program, steps):
+@given(program=extreme_programs(), steps=st.integers(1, 50),
+       m=st.sampled_from([DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL]))
+@example(program=UNRESOLVED_DROP, steps=4, m=DEFAULT_MATERIAL)
+@example(program=HUGE_THRESHOLD_DROP, steps=4, m=HUGE_THRESHOLD_MATERIAL)
+def test_the_witness_of_any_float_program_is_a_finite_pair_inside_the_datum(program, steps, m):
     # Warnings fail the suite, so a witness formed by a division by zero fails here too.
     times, jump = program
     w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
-    m = DEFAULT_MATERIAL
     c = cns_classify(w, m, steps=steps)
     assert (c.witness is None) == (c.verdict == PERFECT_PLASTICITY)
     if c.witness is None:
@@ -736,8 +768,11 @@ C_FORM = 28
 
 @settings(max_examples=200)
 @given(m=materials(), lift=st.floats(1e-3, 1.5), steps=st.integers(1, 200),
-       r=st.floats(-3.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]))
-def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r):
+       r=st.floats(-3.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0]),
+       smaller=st.floats(0.0, 80.0))
+def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r, smaller):
+    # kappa / 10**(2 smaller) takes the yield strain s*/a1 down by 10**smaller, to 1e-80 and below.
+    m = replace(m, kappa=m.kappa / 10.0 ** (2.0 * smaller))
     s, thr = m.yield_stress, m.jump_threshold
     P = thr * 10.0**lift
     Q = r * P
@@ -751,7 +786,13 @@ def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r):
              + (28 * n + 46 + C_FORM) * U * s * np.max(np.abs(traj.J)))
     assert abs(residual_series(traj)[-1] - closed) <= bound
     # Q < P is r < 1 for the float datum (r*P may round up to P).
-    assert cns_classify(w, m, steps=steps).verdict == (DAMAGE_ONLY if Q < P else PERFECT_PLASTICITY)
+    verdict = cns_classify(w, m, steps=steps).verdict
+    assert verdict == (DAMAGE_ONLY if Q < P else PERFECT_PLASTICITY)
+    # R(T)/(s* thr) = (P/thr - 1)(1 - r)(3 + r)/2 depends on the shape alone; a residual ten
+    # times the tolerance 1e-6 s* thr is told from zero at every yield strain.
+    if closed >= 1e-5 * s * thr:
+        report = classifier_consistency(traj, verdict)
+        assert report.ok, report.detail
 
 
 def _runs(m: MaterialParams, w: BoundaryDatum):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
                     ScenarioConfig, cns_classify, preset_datum, refined_time_grid, run_eps,
                     run_limit)
-from barlab.loading import threshold_crossing, validate_time_grid
+from barlab.loading import _crossing, threshold_crossing, validate_time_grid
 from conftest import assert_fields_equal, extreme_programs
 from oracles import trapezoid_work
 
@@ -168,6 +168,32 @@ class TestJumpPolyline:
         # A knot exactly at the threshold is not above it.
         assert threshold_crossing(BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3,
                                                 wL=[0.5, 0.5, 1.5]), 0.5) == 1.0
+        # One ulp below |J| = 1 at the knot t = 0.9 the crossing rounds to 0.9 + 1 ulp; it stays on its knot.
+        assert threshold_crossing(BoundaryDatum(times=[0.0, 0.3, 0.9], w0=[0.0] * 3, wL=[0.3, 0.3, 1.0]),
+                                  float(np.nextafter(1.0, 0.0))) == 0.9
+
+    @settings(max_examples=300)
+    @given(program=extreme_programs(),
+           threshold=st.floats(0.0, 1e300) | st.sampled_from([DEFAULT_MATERIAL.jump_threshold, 1e308]))
+    def test_t0_star_lies_on_its_node_segment(self, program, threshold):
+        times, jump = program
+        w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+        t0_star = threshold_crossing(w, threshold)
+        nodes, above = w.nodes[0], np.flatnonzero(np.abs(w.nodes[1]) > threshold)
+        if above.size == 0:
+            assert t0_star == w.duration
+        else:
+            k = int(above[0])
+            assert nodes[max(k - 1, 0)] <= t0_star <= nodes[k]
+
+    def test_the_crossing_rule_reads_arrays_and_scalars_alike(self):
+        ta, tb = np.array([0.0, 1.0, 0.1, 2.0]), np.array([1.0, 3.0, 1.0, 2.0])
+        va, vb = np.array([0.0, 1e308, 0.3, 4.0]), np.array([2.0, -1e308, -1e-17, 1.0])
+        level = np.array([1.0, 0.0, 0.0, 2.0])
+        # Half-way up a line, the zero of the largest floats, a zero next to its knot, a segment of zero length.
+        want = [0.5, 2.0, 1.0, 2.0]
+        assert _crossing(ta, tb, va, vb, level).tolist() == want
+        assert [float(_crossing(*args)) for args in zip(ta, tb, va, vb, level)] == want
 
 
 class TestTimeGrids:

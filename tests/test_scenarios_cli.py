@@ -827,6 +827,14 @@ def test_star_import_binds_every_public_name_in_a_fresh_interpreter():
     assert _fresh(probe) is True
 
 
+def _strict_json(text: str):
+    # json.loads that refuses NaN and Infinity, which json.dumps writes for non-finite floats.
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_classify_prints_strict_json_when_floats_cannot_resolve_a_drop(tmp_path):
     # J's zero crossing rounds onto the knot t = 1: the witness is the one instant of the drop.
     path = tmp_path / "drop.ini"
@@ -834,11 +842,7 @@ def test_classify_prints_strict_json_when_floats_cannot_resolve_a_drop(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "barlab", "classify", "--config", str(path)],
                           capture_output=True, text=True, env=_child_env(), timeout=120, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
-
-    def refuse(name):
-        raise ValueError(f"not JSON: {name}")
-
-    payload = json.loads(proc.stdout, parse_constant=refuse)
+    payload = _strict_json(proc.stdout)
     assert (payload["verdict"], payload["witness_pair"]) == ("DamageOnly", [1.0, 1.0])
 
 
@@ -853,6 +857,20 @@ def test_classify_a_jump_of_1e308_on_the_default_material(tmp_path):
     assert {c: (p.returncode, p.stderr) for c, p in runs.items()} == {c: (0, "") for c in runs}
     assert json.loads(runs["classify"].stdout)["verdict"] == "PerfectPlasticity"
     assert "E(T)     = 1e+308" in runs["simulate-limit"].stdout
+
+
+def test_classify_a_drop_from_a_jump_threshold_of_1e308(tmp_path):
+    # Half-way from |J(s)| = 1.5e308 to thr = 1e308 is finite, though their sum is not.
+    path = tmp_path / "huge.ini"
+    path.write_text("[material]\nkappa = 0.5\na0 = 1\na1 = 1.5\nL = 1.5e308\nT = 2\n"
+                    "[datum]\ntimes = 0, 1, 2\nwL = 0, 1.5e308, 0\n")
+    proc = subprocess.run([sys.executable, "-m", "barlab", "classify", "--config", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = _strict_json(proc.stdout)
+    s, t = payload["witness_pair"]
+    cfg = parse_config(path)
+    assert cfg.material.jump_threshold < abs(cfg.datum.jump(t)) < abs(cfg.datum.jump(s))
 
 
 def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
