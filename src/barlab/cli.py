@@ -44,7 +44,7 @@ def _load_config(args: argparse.Namespace):
 
 
 def _cmd_simulate_limit(args: argparse.Namespace) -> int:
-    from .diagnostics import stress_saturated
+    from .diagnostics import _ledger, stress_saturated
     from .loading import threshold_crossing
     from .scenarios import run_scenario_limit, write_csv
 
@@ -65,7 +65,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",
                    "e", "p_total", "t0_flag", "saturated"),
                   (traj.times, traj.J, traj.sigma, traj.l,
-                   traj.E_closed, traj.E_integrated, e, traj.p,
+                   traj.E_closed, traj.E_integrated, e, _ledger(m, traj.J, traj.sigma, traj.E_closed)[0],
                    t0_flag, saturated))
         print(f"wrote {args.out}")
     return 0

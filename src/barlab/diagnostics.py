@@ -5,9 +5,11 @@ also balances the perfect-plasticity energy (elastic part plus yield
 dissipation against external work) depends only on the loading path:
 the balance holds exactly when, whenever ``|J|`` drops below an earlier
 value, it has already dropped inside the elastic window.  This module
-computes the plasticity residual, the flow-rule defect per step, the
-path test with an explicit witness when it fails, and the consistency
-check of a verdict against stress saturation and the residual.  Every
+computes the plasticity residual and the flow-rule defect per step from
+one ledger, read once per call: total less elastic, the plastic strain
+``p = J - L sigma/a1`` and the stored energy ``S = E - L sigma^2/(2 a1)``.
+It also runs the path test with an explicit witness when it fails, and
+checks a verdict against stress saturation and the residual.  Every
 tolerance is relative to the material's units: stresses to the yield
 stress ``s*``, energies and flow defects to ``s* thr`` (``thr = s* L/a1``).
 """
@@ -23,18 +25,9 @@ from .errors import NumericalError, _U, _guard
 from .limit_evolution import LimitTrajectory, run_limit
 from .loading import BoundaryDatum, _crossing, refined_time_grid, threshold_crossing
 
-__all__ = [
-    "PERFECT_PLASTICITY",
-    "DAMAGE_ONLY",
-    "yield_dissipation",
-    "residual_series",
-    "flow_rule_defects",
-    "stress_saturated",
-    "Classification",
-    "cns_classify",
-    "ConsistencyReport",
-    "classifier_consistency",
-]
+__all__ = ["PERFECT_PLASTICITY", "DAMAGE_ONLY", "yield_dissipation", "residual_series",
+           "flow_rule_defects", "stress_saturated", "Classification", "cns_classify",
+           "ConsistencyReport", "classifier_consistency"]
 
 PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
@@ -48,23 +41,43 @@ _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
 
 # Rounding of the ledger, counted to first order in _U against exact
-# arithmetic on the recorded J and the material's floats.
-#   Per instant: p = sigma l/a0 = J x/(x + c) with x = l/a0, c = L/a1, so a
-#   relative error u in sigma, x or c moves p by at most u|J|; a mass kept
-#   from an earlier |J| = M >= |J| too.  sigma takes 11 roundings: s* (2:
-#   2 kappa a0, sqrt), thr (2: *L, /a1), the trial mass (3: -, *a0, /s*) and
-#   J/(l/a0 + L/a1) (4); p adds sigma*l and /a0, so its error is at most
-#   13 u |J|.  S = l (sigma^2/(2 a0) + kappa) <= 2 kappa l <= s* M: its mass
-#   (7 roundings) enters with weight at most s*^2/a0, its stress (11) with
-#   weight |p| <= |J|, and its own four operations add 4 u S: 22 u s* max|J|.
+# arithmetic on the recorded J and the material's floats.  On a limit run
+# J = sigma (x + c), x = l/a0, c = L/a1: c sigma and p = J x/(x + c) share the
+# sign of J, so |c sigma| + |p| = |J|, and S = sigma p/2 + kappa l <= s* M for
+# the |J| = M >= |J| that set the mass.  sigma takes 11 roundings: s* (2), thr
+# (2), the trial mass (3) and J/(x + c) (4), relative to sigma as x + c = M/s*
+# on a mass; the mass takes the first 7, relative to a0 M/s*.
+#   p = J - c sigma: 13 u |c sigma| (sigma, c, product) + u |p| <= 13 u |J|.
+#   S = E - c sigma^2/2, E = J sigma/2 + kappa l: sigma enters with weight
+#   |J/2 - c sigma| <= |J|/2 (5.5 u s* M), the mass with kappa (3.5), c and
+#   c sigma (1), E's two products and sum (2), the last product and the
+#   subtraction (1.5): 13.5 u s* max|J|.
 #   Flow defect s*|dp| - sigma_k dp per step: dp carries 13 u (|J_k| + |J_k-1|)
 #   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 28.  s*
-#   (2), sigma_k (11), the two products and the subtraction (2) add
+#   (2), sigma_k (11), the two products (2) and the subtraction (2) add
 #   17 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 45 u s* (|J_k| + |J_k-1|).
 #   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp|
 #   carries 28 u max|J|; the running sum (n - 1), s* and the product (3) add
-#   (n + 2) u s* Var(p); S and S(0) add 44 u s* max|J|, the two subtractions
-#   u (s* Var(p) + 2 s* max|J|): u ((n + 3) s* Var(p) + (28 n + 46) s* max|J|).
+#   (n + 2) u s* Var(p); S and S(0) add 27 u s* max|J|, the two subtractions
+#   u (s* Var(p) + 2 s* max|J|): u ((n + 3) s* Var(p) + (28 n + 29) s* max|J|).
+
+
+def _ledger(m: MaterialParams, J: np.ndarray, sigma: np.ndarray, E: np.ndarray):
+    """Plastic strain ``p = J - L sigma/a1``, stored energy ``S = E - L sigma^2/(2 a1)``: total less elastic."""
+    elastic = m.L / m.a1 * sigma
+    return J - elastic, E - 0.5 * elastic * sigma
+
+
+def _balance(traj: LimitTrajectory):
+    """``(dp, flow-rule defects, s* Var_0^t(p), R(t))`` of one record, from one reading of the ledger."""
+    p, stored = _ledger(traj.m, traj.J, traj.sigma, traj.E_closed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = np.diff(p)
+        defects = traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
+        dissipation = traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(dp))])
+        series = dissipation - (stored - stored[0])
+    _guard(~np.isfinite(series), traj.times, "plasticity ledger is not finite")
+    return dp, defects, dissipation, series
 
 
 def yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
@@ -73,7 +86,7 @@ def yield_dissipation(traj: LimitTrajectory) -> np.ndarray:
     The dissipation between two recorded instants is the difference of
     two entries.
     """
-    return traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
+    return _balance(traj)[2]
 
 
 def residual_series(traj: LimitTrajectory) -> np.ndarray:
@@ -83,17 +96,12 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     with the elastic part ``L*sigma**2/(2*a1)``.  The limit model balances
     its own damage energy, so the work cancels and
     ``R(t) = s* Var_0^t(p) - S(t) + S(0)`` with the stored part
-    ``S = l*(sigma**2/(2*a0) + kappa)``.  The recorded states are exact and
+    ``S = E - L*sigma**2/(2*a1)``.  The recorded states are exact and
     ``p`` is monotone between knots of the datum, so this is exact on any
     grid that holds the knots.  Zero exactly when the path admits a
     perfect-plasticity reading; strictly positive afterwards otherwise.
     """
-    m = traj.m
-    with np.errstate(over="ignore", invalid="ignore"):
-        stored = traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
-        series = yield_dissipation(traj) - (stored - stored[0])
-    _guard(~np.isfinite(series), traj.times, "plasticity ledger is not finite")
-    return series
+    return _balance(traj)[3]
 
 
 def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
@@ -102,8 +110,7 @@ def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
     Entry ``k-1`` belongs to step ``k``; it is zero iff the flow of that
     step aligns with a saturated stress.
     """
-    dp = np.diff(traj.p)
-    return traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
+    return _balance(traj)[1]
 
 
 def stress_saturated(traj: LimitTrajectory) -> np.ndarray:
@@ -161,20 +168,15 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
             f"disagree by more than one time step"
         )
 
-    series = residual_series(traj)
+    _, defects, _, series = _balance(traj)
     s, absJ = m.yield_stress, np.abs(traj.J)
     # Each term scaled first, as in classifier_consistency: |J_k| + |J_{k-1}| can overflow.
     defect_tol = np.maximum(_DEFECT_TOL * s * thr, 45.0 * _U * s * absJ[1:] + 45.0 * _U * s * absJ[:-1])
-    violations = int(np.sum(flow_rule_defects(traj) > defect_tol))
+    violations = int(np.sum(defects > defect_tol))
 
-    result = Classification(
-        verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
-        witness=witness,
-        t0=traj.t0,
-        t0_star=t0_star,
-        max_eb_residual=float(series.max()),
-        flow_rule_violations=violations,
-    )
+    result = Classification(verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
+                            witness=witness, t0=traj.t0, t0_star=t0_star,
+                            max_eb_residual=float(series.max()), flow_rule_violations=violations)
     if not np.all(np.isfinite([result.t0, result.t0_star, result.max_eb_residual, *(witness or ())])):
         raise NumericalError(f"classification has a non-finite field: {result!r}")
     return result
@@ -204,9 +206,9 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     m = traj.m
     s = m.yield_stress
     n = traj.times.size - 1
-    series = residual_series(traj)
+    dp, _, dissipation, series = _balance(traj)
     # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
-    rounding = (n + 3) * _U * yield_dissipation(traj)[-1] + (28 * n + 46) * _U * s * np.max(np.abs(traj.J))
+    rounding = (n + 3) * _U * dissipation[-1] + (28 * n + 29) * _U * s * np.max(np.abs(traj.J))
     res_tol = max(_RESIDUAL_TOL * s * m.jump_threshold, float(rounding))
 
     damaged = traj.l > 0.0
@@ -227,7 +229,6 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
             gap = (s - np.abs(traj.sigma)) ** 2 / (2.0 * m.a0) * traj.l
             if np.any(below := series < gap - res_tol):
                 yield below, "residual fell below the stress-gap bound"
-            dp = np.diff(traj.p)
             misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
             lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
             if np.any(below := series < lower - res_tol):

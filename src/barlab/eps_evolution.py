@@ -60,6 +60,23 @@ class EpsTrajectory:
     l_eps: np.ndarray
 
 
+def _bound_guards(m: MaterialParams, J, sigma, energy, grid, eps_list) -> None:
+    """Guard ``E/L <= root**2`` and ``|sigma| <= 2k root``, ``k = sqrt(a1/2)``, of every eps row.
+
+    A step raises the energy by at most the worst-case work of its increment, a perfect
+    square: ``root = sqrt(E(0)/L) + k cumsum|dJ|/L``.  In these strain units with finite
+    ``k, 2k > 0`` no term is negative, ``0*inf`` or ``inf - inf``: an overflow only makes a
+    bound infinite, where it passes.  The slacks are relative to the bound and the units.
+    """
+    k = math.sqrt(0.5 * m.a1)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(energy[:, :1] / m.L) + k * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(J)) / m.L)])
+        _guard(energy / m.L > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa, grid,
+               "energy bound violated", eps_list)
+        _guard(np.abs(sigma) > 2.0 * k * root * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.yield_stress,
+               grid, "stress bound violated", eps_list)
+
+
 def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     """Plateau stress ``s_p`` and histories ``(a, sigma, theta, l_eps, energy, work)``, per eps, of ``J``.
 
@@ -68,7 +85,6 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     """
     s_plateau, weak, a, sigma, theta, l_eps, energy = _frozen_cell(
         m, eps_list, J, np.maximum.accumulate(np.abs(J)))
-    L = m.L
     # A jump too large for floats overflows, and the first guard names the step.
     with np.errstate(over="ignore", invalid="ignore"):
         work = cumulative_work(sigma, J)
@@ -76,8 +92,11 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
 
     a_prev = np.concatenate([np.full_like(weak, m.a1), a[:, :-1]], axis=1)
     theta_prev = np.concatenate([np.ones_like(weak), theta[:, :-1]], axis=1)
-    _guard(np.abs(sigma * L / a - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), s_plateau * L / a_prev),
-           grid, "stress leaves an aggregate-strain residual", eps_list)
+    # In strain units, as the bounds: sigma L and s_p L pass the float range where L nears it,
+    # and where J/L overflows (a subnormal L) the right side is inf too, so the guard passes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _guard(np.abs(sigma / a - J / m.L) > _RESIDUAL_TOL * np.maximum(np.abs(J) / m.L, s_plateau / a_prev),
+               grid, "stress leaves an aggregate-strain residual", eps_list)
     a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
     # theta's three roundings, at most 3u absolutely, reach a_identity through
     # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
@@ -85,22 +104,7 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
            "stiffness identity violated after damage update", eps_list)
     _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", eps_list)
-    # Running a-priori bound: each step can raise the energy by at most the
-    # worst-case work of the increment.  The recursion
-    # C_k = C_{k-1} + sqrt(2 a1 C_{k-1}/L)|dJ| + a1 dJ^2/(2L) is a perfect
-    # square, so sqrt(C) grows by sqrt(a1/(2L))|dJ| per step.
-    # The bounds grow like a1 J^2/L, the energy only like eps a0 J^2/L: a bound
-    # may overflow while the energy and stress stay finite (first guard), and
-    # then the infinite bound is truly above them, so its overflow is silent.
-    with np.errstate(over="ignore"):
-        root = np.sqrt(energy[:, :1]) + math.sqrt(m.a1 / (2.0 * L)) * np.concatenate(
-            [[0.0], np.cumsum(np.abs(np.diff(J)))])
-        # The slacks are relative to the bound and to the material's energy
-        # and stress units, so the guards read the same in every unit system.
-        _guard(energy > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa * L, grid,
-               "energy bound violated", eps_list)
-        _guard(np.abs(sigma) > math.sqrt(2.0 * m.a1 / L) * root * (1.0 + _BOUND_SLACK)
-               + _BOUND_SLACK * m.yield_stress, grid, "stress bound violated", eps_list)
+    _bound_guards(m, J, sigma, energy, grid, eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", eps_list)
     return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work

@@ -45,11 +45,6 @@ class LimitTrajectory:
     work_cum: np.ndarray
     t0: float           # last recorded instant with l = 0
 
-    @property
-    def p(self) -> np.ndarray:
-        """Plastic mass ``sigma*l/a0``: the jump opening the damage mass carries."""
-        return self.sigma * self.l / self.m.a0
-
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
     """Run the return map along ``w`` and record closed-form and integrated energies."""

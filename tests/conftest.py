@@ -64,6 +64,10 @@ OVERFLOW_PROGRAMS = {
 # Eight swings of 1e307 on OVERFLOW_MATERIAL: the energy and the work stay
 # finite, but the yield dissipation s* Var(p) of the ledger does not.
 LEDGER_OVERFLOW_PROGRAM = ([0.25 * k for k in range(9)], [0.0] + [1e307, -1e307] * 4)
+# A jump threshold of 1e308 and a drop from 1.5e308 to 0: half-way to the threshold is
+# 1.25e308, though |J(s)| + thr overflows; 2L overflows too.
+HUGE_THRESHOLD_MATERIAL = barlab.MaterialParams(kappa=0.5, a0=1.0, a1=1.5, L=1.5e308, T=2.0)
+HUGE_THRESHOLD_DROP = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5e308, 0.0]))
 
 
 def constant_run(m, J: float):

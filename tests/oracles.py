@@ -100,9 +100,21 @@ def trapezoid_balance(traj, spent):
     return elastic + spent - elastic[0] - trapezoid_work(traj.times, traj.sigma, traj.J)
 
 
+def limit_ledger(traj):
+    """The limit model's ledger in its own variables: ``p = sigma l/a0``, ``S = l (sigma^2/(2 a0) + kappa)``.
+
+    The plastic strain is the opening the damage mass carries, and the
+    stored energy the mass's elastic and breaking energy; on a limit run
+    they equal the model-free ``J - L sigma/a1`` and ``E - L sigma^2/(2 a1)``.
+    """
+    m = traj.m
+    return traj.sigma * traj.l / m.a0, traj.l * (traj.sigma**2 / (2.0 * m.a0) + m.kappa)
+
+
 def trapezoid_residual_series(traj):
     """Plasticity residual with the trapezoid work: the yield dissipation ``s* Var(p)`` as ``spent``."""
-    spent = traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(traj.p)))])
+    p, _ = limit_ledger(traj)
+    spent = traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(p)))])
     return trapezoid_balance(traj, spent)
 
 
@@ -112,7 +124,7 @@ def fake_balance_residual_series(traj):
     This balance is an identity of the limit model, so the series tends
     to zero with the time step on every loading path.
     """
-    return trapezoid_balance(traj, trapezoid_work(traj.times, traj.sigma, traj.p))
+    return trapezoid_balance(traj, trapezoid_work(traj.times, traj.sigma, limit_ledger(traj)[0]))
 
 
 def exhaustive_step_minimum(kappa: float, eps: float, a_weak: float,

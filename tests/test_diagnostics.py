@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryDatum,
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
-from barlab.diagnostics import flow_rule_defects, stress_saturated
+from barlab.diagnostics import _ledger, flow_rule_defects, stress_saturated
 from barlab.envelope import plateau_factor
 from barlab.errors import NumericalError
 from barlab.limit_evolution import LimitTrajectory
 from barlab.loading import cumulative_work, threshold_crossing
-from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, assert_fields_equal, extreme_programs,
-                      materials, programs)
-from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series,
+from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
+                      OVERFLOW_MATERIAL, assert_fields_equal, extreme_programs, materials, programs)
+from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series, limit_ledger,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
 
@@ -492,12 +492,6 @@ def test_a_drop_the_float_time_axis_cannot_resolve_has_a_one_instant_witness():
     assert (c.verdict, c.witness) == (DAMAGE_ONLY, (1.0, 1.0))
 
 
-# A jump threshold of 1e308 and a drop from 1.5e308 to 0: half-way to the threshold is
-# 1.25e308, though |J(s)| + thr overflows.
-HUGE_THRESHOLD_MATERIAL = MaterialParams(kappa=0.5, a0=1.0, a1=1.5, L=1.5e308, T=2.0)
-HUGE_THRESHOLD_DROP = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5e308, 0.0]))
-
-
 @settings(max_examples=300)
 @given(program=extreme_programs(), steps=st.integers(1, 50),
        m=st.sampled_from([DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL]))
@@ -757,7 +751,7 @@ def test_limit_trajectory_scales_with_the_units(m, data, n):
 # "One unload in closed form"): loading damages the bar to l1 = a0 (P - thr)/s*,
 # and R(T) = kappa l1 (1 - r)(3 + r) for -1 <= r <= 1, 4 kappa l1 for r <= -1.
 # Rounding, to first order in U: the computed R(T) is within the ledger bound
-# (n + 3) U s* Var(p) + (28 n + 46) U s* max|J| of R(T) in exact arithmetic on the
+# (n + 3) U s* Var(p) + (28 n + 29) U s* max|J| of R(T) in exact arithmetic on the
 # float inputs (diagnostics), which is the closed form with the exact s* and thr.
 # The closed form in floats: s* (1.5 U), thr (3.5 U) and l1 (three more roundings)
 # put kappa l1 within 5.5 U kappa l1 + 1.75 U s* thr <= 4.5 U s* P (kappa l1 <= s* P/2),
@@ -783,7 +777,7 @@ def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r, smaller):
     closed = kappa_l1 * ((1.0 - ratio) * (3.0 + ratio) if Q >= -P else 4.0)
     n = traj.times.size - 1
     bound = ((n + 3) * U * yield_dissipation(traj)[-1]
-             + (28 * n + 46 + C_FORM) * U * s * np.max(np.abs(traj.J)))
+             + (28 * n + 29 + C_FORM) * U * s * np.max(np.abs(traj.J)))
     assert abs(residual_series(traj)[-1] - closed) <= bound
     # Q < P is r < 1 for the float datum (r*P may round up to P).
     verdict = cns_classify(w, m, steps=steps).verdict
@@ -793,6 +787,27 @@ def test_the_residual_of_one_unload_in_closed_form(m, lift, steps, r, smaller):
     if closed >= 1e-5 * s * thr:
         report = classifier_consistency(traj, verdict)
         assert report.ok, report.detail
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), steps=st.integers(1, 200),
+       scales=st.lists(st.floats(-9.0, 9.0).map(lambda e: 10.0**e), min_size=3, max_size=3))
+def test_the_ledger_is_the_limit_models_own_to_its_rounding(m, data, steps, scales):
+    # Total less elastic, p = J - L sigma/a1 and S = E - L sigma^2/(2 a1), against the limit
+    # model's own sigma l/a0 and l (sigma^2/(2 a0) + kappa) in every unit system.  Each side is
+    # within its count of exact arithmetic: the ledger 13 u |J| and 13.5 u s* M (diagnostics),
+    # the oracle's forms 13 u |J| and 22 u s* M (sigma 11, l/a0 2; its mass 7 with weight
+    # s*^2/a0, its stress 11 with weight |p|, its four operations 4), M the running max of |J|.
+    w, m = _scaled(data.draw(programs(m)), m, *scales)
+    traj = run_limit(m, w, refined_time_grid(w, steps))
+    absJ = np.abs(traj.J)
+    # The counts are first order in u on normal floats: a nonzero |J| below 1e-100 thr (hypothesis
+    # draws subnormals) takes sigma^2 or sigma itself below them, where roundings are absolute.
+    assume(np.all((absJ == 0.0) | (absJ >= 1e-100 * m.jump_threshold)))
+    p, stored = _ledger(m, traj.J, traj.sigma, traj.E_closed)
+    p_ref, stored_ref = limit_ledger(traj)
+    assert np.all(np.abs(p - p_ref) <= 26.0 * U * absJ)
+    assert np.all(np.abs(stored - stored_ref) <= 35.5 * U * m.yield_stress * np.maximum.accumulate(absJ))
 
 
 def _runs(m: MaterialParams, w: BoundaryDatum):

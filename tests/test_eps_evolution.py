@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParams,
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps, sweep_eps)
 from barlab.envelope import envelope_slope_bounds, plateau_factor
+from barlab.eps_evolution import _bound_guards
 from barlab.errors import _guard
-from conftest import materials, programs
+from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, extreme_programs, materials,
+                      programs)
 from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
                      initial_step, mixture_objective, pristine_state, stepwise_run_eps, total_energy)
 
@@ -323,6 +325,37 @@ def test_an_overflowing_energy_bound_is_silent():
     # The grid also holds the two zero crossings of J; the knots carry the peaks.
     at_knots = traj.energy[np.isin(traj.times, w.times)]
     assert at_knots == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(program=extreme_programs(), steps=st.integers(1, 40),
+       m=st.sampled_from([DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL]), decades=st.floats(0.01, 6.0))
+@example(program=HUGE_THRESHOLD_DROP, steps=40, m=HUGE_THRESHOLD_MATERIAL, decades=float(np.log10(30.0)))
+def test_any_float_program_runs_or_its_energy_is_refused(program, steps, m, decades):
+    # eps from 1e-6 a1/a0 to just below a1/a0.  On HUGE_THRESHOLD_MATERIAL 2L, sigma L and
+    # s_p L pass the float range on finite runs: no guard may warn or trip on them, and the
+    # one refusal left is an energy or work the floats cannot hold.
+    times, jump = program
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run_eps(m, m.a1 / m.a0 * 10.0**-decades, 1, w, refined_time_grid(w, steps))
+        except NumericalError as exc:
+            assert str(exc).endswith("): energy or work is not finite"), str(exc)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL])
+def test_each_bound_trips_just_above_itself(m):
+    # One step from rest to J = L: root = sqrt(a1/2), so E/L <= a1/2 and |sigma| <= a1.
+    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone.
+    grid, J = np.array([0.0, 1.0]), np.array([0.0, m.L])
+    energy, sigma = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]])
+    _bound_guards(m, J, sigma, energy, grid, (0.1,))
+    with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): energy bound violated$"):
+        _bound_guards(m, J, sigma, energy * (1.0 + 1e-8), grid, (0.1,))
+    with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): stress bound violated$"):
+        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (0.1,))
 
 
 def test_a_tiny_eps_keeps_l_eps_to_its_rounding():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams
 from barlab.cli import main
 from barlab.envelope import plateau_factor
 from barlab.scenarios import PRESET_NAMES, SweepReport, textbook_plasticity, write_csv
-from conftest import (LEDGER_OVERFLOW_PROGRAM, OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials,
-                      programs)
+from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
+                      OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs)
+from oracles import limit_ledger
 
 
 def ini_text(cfg: ScenarioConfig) -> str:
@@ -413,6 +415,25 @@ class TestCommandLine:
         assert m.yield_stress == 1.0
         np.testing.assert_array_equal(cols[:, 9], (np.abs(cols[:, 2]) >= 1.0 - 1e-9).astype(float))
         assert 0.0 < cols[:, 9].sum() < cols.shape[0]
+
+    @pytest.mark.parametrize("program", ["loading-unloading", "times = 0, 1, 2\nwL = 0, 1, -1\n"])
+    def test_p_total_is_the_limit_models_plastic_strain(self, tmp_path, capsys, program):
+        # The column is J - L sigma/a1; the limit model's own sigma l/a0 (tests/oracles.py) is the
+        # same number, each within 13 u |J| of exact arithmetic (diagnostics).  The INI program
+        # changes sign at t = 1.5: p goes from 1/2 to -1/2 across it.
+        if "=" in program:
+            ini = tmp_path / "sign.ini"
+            ini.write_text(f"[datum]\n{program}")
+            args, cfg = ["--config", str(ini)], parse_config(ini)
+        else:
+            args, cfg = ["--preset", program], preset(program)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate-limit", *args, "--out", str(out)]) == 0
+        cols = np.loadtxt(out, delimiter=",", skiprows=1)
+        J, sigma, l, p_total = cols[:, 1], cols[:, 2], cols[:, 3], cols[:, 7]
+        p_ref, _ = limit_ledger(SimpleNamespace(m=cfg.material, sigma=sigma, l=l))
+        assert np.all(np.abs(p_total - p_ref) <= 26.0 * 2.0**-53 * np.abs(J))
+        assert (p_ref.min(), p_ref.max()) == pytest.approx((-0.5 if "=" in program else 0.0, 0.5), abs=1e-12)
 
     def test_simulate_eps_csv_contract(self, tmp_path, capsys):
         out = tmp_path / "eps.csv"
@@ -888,3 +909,17 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_the_eps_model_runs_on_a_jump_threshold_of_1e308(tmp_path):
+    # 2L, sigma L and s_p L pass the float range on this finite run; the eps scan's guards work in
+    # strain units, so neither command warns nor refuses it.
+    path = tmp_path / "huge.ini"
+    times, jump = HUGE_THRESHOLD_DROP
+    path.write_text(ini_text(ScenarioConfig(material=HUGE_THRESHOLD_MATERIAL,
+                                            datum=BoundaryDatum(times=times, w0=np.zeros(3), wL=jump))))
+    runs = {command: subprocess.run([sys.executable, "-m", "barlab", *command.split(), "--config", str(path)],
+                                    capture_output=True, text=True, env=_child_env(), timeout=120,
+                                    check=False)
+            for command in ("simulate-eps --eps 0.05", "sweep-eps --eps-list 0.1,0.05")}
+    assert {c: (p.returncode, p.stderr) for c, p in runs.items()} == {c: (0, "") for c in runs}
