@@ -1,25 +1,27 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a reader that closed standard output early
-(nothing is printed), 2 rejected input (any ``ValueError``, ``ConfigError`` included)
+Exit codes: 0 success, 1 a reader that closed standard output early, on any
+path (no error about the pipe is printed), 2 rejected input (any ``ValueError``, ``ConfigError`` included)
 and any path that cannot be read or written (any ``OSError``), 3 numerical failures
 (including a vanishing-regularization sweep whose deviations fail to
 decrease monotonically).
 
 Each command imports the layers it runs when it runs: listing the presets,
-help and usage errors load no numpy.
+help and usage errors load no numpy. `main` is the in-process runner; `entry`
+is the process entry, which ends the process without tearing down its heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
 from ._catalog import CELLS, PRESET_NAMES, PRESETS, STEPS
 from .errors import ConfigError, NumericalError
 
-__all__ = ["main"]
+__all__ = ["main", "entry"]
 
 def _add_common(sp: argparse.ArgumentParser, out_help: str, cells: bool = False) -> None:
     group = sp.add_mutually_exclusive_group()
@@ -242,23 +244,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command in this process and return its exit code; see `entry` for the process entry."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout early: send what is still buffered nowhere.
+        # The reader closed stdout early, on any path: send what is still buffered nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+
+
+def entry() -> None:
+    """The process entry of ``python -m barlab`` and the ``barlab`` script.
+
+    Runs `main` on the process's arguments, then the ``atexit`` callbacks, flushes both standard
+    streams and ends the process with ``os._exit``: the one step skipped is freeing the heap, which
+    the OS reclaims anyway. Usage errors (argparse's ``SystemExit``) and unexpected exceptions
+    leave through the interpreter's normal exit.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

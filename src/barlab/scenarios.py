@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._catalog import CELLS, PRESET_NAMES, STEPS
 from .envelope import MaterialParams
 from .errors import ConfigError
-from .eps_evolution import EpsTrajectory, _scan, run_eps
 from .limit_evolution import LimitTrajectory, run_limit
 from .loading import BoundaryDatum, _count, refined_time_grid
+
+if TYPE_CHECKING:
+    from .eps_evolution import EpsTrajectory
 
 __all__ = [
     "DEFAULT_MATERIAL",
@@ -186,6 +189,9 @@ def run_scenario_limit(cfg: ScenarioConfig) -> LimitTrajectory:
 
 
 def run_scenario_eps(cfg: ScenarioConfig, epsilon: float) -> EpsTrajectory:
+    # The eps model is imported by the runs that use it, so a limit-model command never loads it.
+    from .eps_evolution import run_eps
+
     return run_eps(cfg.material, epsilon, cfg.cells, cfg.datum,
                    refined_time_grid(cfg.datum, cfg.steps))
 
@@ -212,6 +218,8 @@ class SweepReport:
 
 def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
     """Run every epsilon in the config against the limit model, as one scan on the limit run's grid and jump."""
+    from .eps_evolution import _scan
+
     if not cfg.eps_list:
         raise ConfigError("eps sweep needs a non-empty eps_list")
     eps = cfg.eps_list

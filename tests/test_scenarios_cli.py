@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -784,15 +785,25 @@ def _fresh(code: str, *args: str):
 
 
 _COMMAND_PROBE = """
-import contextlib, io, json, runpy, sys
+import contextlib, io, json, os, runpy, sys
 sys.argv = ["barlab", *sys.argv[1:]]
 code = None
+
+def report(code):
+    print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.__stdout__, flush=True)
+
+def fast_exit(code, _exit=os._exit):
+    # A command that returns ends the process in os._exit, and no SystemExit is raised.
+    report(code)
+    _exit(0)
+
+os._exit = fast_exit
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         runpy.run_module("barlab", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+report(code)
 """
 
 
@@ -901,14 +912,96 @@ def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
     assert got.out == "" and got.err.startswith("error: classification has a non-finite field: ")
 
 
-def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error():
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error(tmp_path, capsys):
+    # Block-buffered stdout, as a child gets without PYTHONUNBUFFERED: buffered lines at the close
+    # are the case under test.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     # Far more rows than a pipe buffer holds: the child is still writing at the close.
     proc = subprocess.Popen([sys.executable, "-m", "barlab", "envelope-table", "--n", "100000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"xi,raw,envelope,theta_star\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (1, b"")
+    # A rejected --out after the summary lines, for a reader gone before the child starts: the
+    # command's own error line is all of stderr, with no error about the pipe.
+    (tmp_path / "file").write_text("")
+    argv = ["simulate-limit", "--preset", "monotone", "--out", str(tmp_path / "file" / "x.csv")]
+    assert main(argv) == 2
+    expected = capsys.readouterr().err
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "barlab", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120, check=False)
+    finally:
+        os.close(write_end)
+    assert expected.startswith("error: ")
+    assert (proc.returncode, proc.stderr.decode()) == (1, expected)
+
+
+def _files(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--preset", "loading-unloading", "--out", "{out}/verdict.json"],
+    ["simulate-limit", "--preset", "high-unload", "--steps", "40", "--out", "{out}/traj.csv"],
+    ["emit-figures", "--preset", "loading-unloading", "--steps", "40", "--out", "{out}/figures"],
+    ["sweep-eps", "--preset", "constant", "--eps-list", "0.1,0.05", "--steps", "40",
+     "--cells", "8", "--out", "{out}"],  # exit 3: the deviations of a run that never damages are 0
+])
+def test_python_m_barlab_gives_what_main_gives(tmp_path, capsys, argv):
+    # The same exit code, stdout, stderr and files from the process entry and the in-process runner.
+    out = tmp_path / "out"
+    argv = [a.format(out=out) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "barlab", *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=120, check=False)
+    child = (proc.returncode, proc.stdout, proc.stderr, _files(out))
+    shutil.rmtree(out)
+    code = main(argv)
+    got = capsys.readouterr()
+    assert child == (code, got.out, got.err, _files(out))
+    assert code == (3 if argv[0] == "sweep-eps" else 0) and child[3]
+
+
+_ATEXIT_PROBE = """
+import atexit, sys
+from barlab.cli import entry
+atexit.register(print, "atexit callback ran")
+sys.argv = ["barlab", "preset-list"]
+entry()
+"""
+
+
+def test_entry_runs_the_atexit_callbacks_registered_before_it():
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_PROBE], capture_output=True, text=True,
+                          env=_child_env(), timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("monotone ") and proc.stdout.endswith("\natexit callback ran\n")
+
+
+_LAYER_PROBE = """
+import contextlib, io, json, sys
+from barlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "eps_evolution": "barlab.eps_evolution" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "--preset", "loading-unloading"], False),
+    (["simulate-limit", "--preset", "high-unload", "--steps", "40"], False),
+    (["emit-figures", "--preset", "monotone", "--steps", "40", "--out", "{out}"], False),
+    (["envelope-table", "--n", "5"], False),
+    (["simulate-eps", "--preset", "monotone", "--eps", "0.05", "--steps", "40", "--cells", "8"], True),
+])
+def test_only_the_eps_commands_load_the_eps_model(tmp_path, argv, loaded):
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert _fresh(_LAYER_PROBE, *argv) == {"code": 0, "eps_evolution": loaded}
 
 
 def test_the_eps_model_runs_on_a_jump_threshold_of_1e308(tmp_path):
