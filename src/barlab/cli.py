@@ -38,10 +38,12 @@ def _add_common(sp: argparse.ArgumentParser, out_help: str, cells: bool = False)
 def _load_config(args: argparse.Namespace):
     from dataclasses import replace
 
-    from .scenarios import parse_config, preset
+    from .scenarios import _parse_float_list, parse_config, preset
 
     cfg = parse_config(args.config) if args.config else preset(args.preset or "monotone")
     given = {k: v for k in ("steps", "cells") if (v := getattr(args, k, None)) is not None}
+    if (raw := getattr(args, "eps_list", None)) is not None:
+        given["eps_list"] = _parse_float_list("--eps-list", raw)
     return replace(cfg, **given)
 
 
@@ -116,16 +118,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_eps(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     import numpy as np
 
-    from .scenarios import _parse_float_list, sweep_eps, write_csv
+    from .scenarios import sweep_eps, write_csv
 
-    cfg = _load_config(args)
-    if args.eps_list is not None:
-        cfg = replace(cfg, eps_list=_parse_float_list("--eps-list", args.eps_list))
-    report = sweep_eps(cfg)
+    report = sweep_eps(_load_config(args))
     print(f"{'eps':>10} {'plateau':>14} {'sup|dsigma|':>14} {'sup|dl|':>14} {'sup|dE|':>14}")
     for e, plateau, ds, dl, de in zip(report.eps, report.plateau, report.sup_sigma_dev,
                                       report.sup_l_dev, report.sup_energy_dev):
@@ -272,8 +269,11 @@ def entry() -> None:
     Runs `main` on the process's arguments, then the ``atexit`` callbacks, flushes both standard
     streams and ends the process with ``os._exit``: the one step skipped is freeing the heap, which
     the OS reclaims anyway. Usage errors (argparse's ``SystemExit``) and unexpected exceptions
-    leave through the interpreter's normal exit.
+    leave through the interpreter's normal exit. Before `main`, while no numpy is loaded, each BLAS
+    thread variable left unset is set to 1: barlab calls no BLAS, so a thread pool is start-up cost.
     """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     code = main()
     atexit._run_exitfuncs()
     sys.stdout.flush()

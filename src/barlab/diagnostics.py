@@ -26,8 +26,8 @@ from .limit_evolution import LimitTrajectory, run_limit
 from .loading import BoundaryDatum, _crossing, refined_time_grid, threshold_crossing
 
 __all__ = ["PERFECT_PLASTICITY", "DAMAGE_ONLY", "yield_dissipation", "residual_series",
-           "flow_rule_defects", "stress_saturated", "Classification", "cns_classify",
-           "ConsistencyReport", "classifier_consistency"]
+           "stress_saturated", "Classification", "cns_classify", "ConsistencyReport",
+           "classifier_consistency"]
 
 PERFECT_PLASTICITY = "PerfectPlasticity"
 DAMAGE_ONLY = "DamageOnly"
@@ -69,7 +69,11 @@ def _ledger(m: MaterialParams, J: np.ndarray, sigma: np.ndarray, E: np.ndarray):
 
 
 def _balance(traj: LimitTrajectory):
-    """``(dp, flow-rule defects, s* Var_0^t(p), R(t))`` of one record, from one reading of the ledger."""
+    """``(dp, flow-rule defects, s* Var_0^t(p), R(t))`` of one record, from one reading of the ledger.
+
+    Step ``k``'s flow-rule defect ``s*|dp| - sigma_k dp`` is entry ``k-1``; it is zero iff the
+    flow of that step aligns with a saturated stress.
+    """
     p, stored = _ledger(traj.m, traj.J, traj.sigma, traj.E_closed)
     with np.errstate(over="ignore", invalid="ignore"):
         dp = np.diff(p)
@@ -102,15 +106,6 @@ def residual_series(traj: LimitTrajectory) -> np.ndarray:
     perfect-plasticity reading; strictly positive afterwards otherwise.
     """
     return _balance(traj)[3]
-
-
-def flow_rule_defects(traj: LimitTrajectory) -> np.ndarray:
-    """Flow-rule defect ``yield_stress*|dp| - sigma_k*dp`` of every step.
-
-    Entry ``k-1`` belongs to step ``k``; it is zero iff the flow of that
-    step aligns with a saturated stress.
-    """
-    return _balance(traj)[1]
 
 
 def stress_saturated(traj: LimitTrajectory) -> np.ndarray:

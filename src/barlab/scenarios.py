@@ -9,6 +9,7 @@ emission for plotting.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
@@ -86,7 +87,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         eps = tuple(self.eps_list) if np.iterable(self.eps_list) else None
-        if eps is None or not all(isinstance(e, (int, float, np.integer, np.floating)) for e in eps):
+        if eps is None or not all(isinstance(e, numbers.Real) for e in eps):
             raise ConfigError(f"eps_list must be a sequence of numbers, got {self.eps_list!r}")
         object.__setattr__(self, "eps_list", tuple(float(e) for e in eps))
         if self.datum is None:

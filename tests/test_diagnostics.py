@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY, BoundaryDatum,
                     MaterialParams, classifier_consistency, cns_classify, preset_datum,
                     refined_time_grid, residual_series, run_eps, run_limit, yield_dissipation)
-from barlab.diagnostics import _ledger, flow_rule_defects, stress_saturated
+from barlab.diagnostics import _balance, _ledger, stress_saturated
 from barlab.envelope import plateau_factor
 from barlab.errors import NumericalError
 from barlab.limit_evolution import LimitTrajectory
@@ -116,19 +116,19 @@ class TestPlasticityResidual:
 class TestFlowRule:
     def test_zero_without_plastic_mass(self, material):
         traj = run_preset(material, "constant", steps=20)
-        defects = flow_rule_defects(traj)
+        defects = _balance(traj)[1]
         assert defects.size == traj.times.size - 1
         assert np.all(defects == 0.0)
 
     def test_zero_under_saturated_growth(self, material):
         traj = run_preset(material, "monotone")
-        assert np.max(flow_rule_defects(traj)) <= 1e-12
+        assert np.max(_balance(traj)[1]) <= 1e-12
 
     def test_unloading_step_defect(self, material):
         traj = run_preset(material, "loading-unloading", steps=20)
         k = int(np.argmin(np.abs(traj.times - 1.1)))
         assert traj.times[k] == pytest.approx(1.1, abs=1e-12)
-        assert flow_rule_defects(traj)[k - 1] == pytest.approx(0.095, abs=1e-12)
+        assert _balance(traj)[1][k - 1] == pytest.approx(0.095, abs=1e-12)
 
 
 class TestFakeBalance:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,17 +104,20 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(material=material, datum=w)
 
-    @pytest.mark.parametrize("eps_list", ["0.1", 0.1, np.array(0.1), [0.1, "0.05"], [0.1, None], [[0.1]]],
-                             ids=["string", "scalar", "0-d array", "string entry", "None entry", "list entry"])
+    @pytest.mark.parametrize("eps_list", ["0.1", 0.1, np.array(0.1), [0.1, "0.05"], [0.1, None], [[0.1]],
+                                          [0.1, 0.05j], [0.1, Decimal("0.05")]],
+                             ids=["string", "scalar", "0-d array", "string entry", "None entry", "list entry",
+                                  "complex entry", "Decimal entry"])
     def test_eps_list_must_be_a_sequence_of_numbers(self, eps_list):
         with pytest.raises(ConfigError, match=r"^eps_list must be a sequence of numbers, got "):
             ScenarioConfig(eps_list=eps_list)
 
     def test_a_sequence_of_numbers_is_an_eps_list(self):
-        eps = (0.1, 1, np.float32(0.25), np.int64(2), np.float64(0.05))
+        # Any numbers.Real, the rule of MaterialParams' fields: a Fraction too.
+        eps = (0.1, 1, np.float32(0.25), np.int64(2), np.float64(0.05), Fraction(1, 8))
         for given in (eps, list(eps), np.array(eps), iter(eps)):
             got = ScenarioConfig(eps_list=given).eps_list
-            assert got == (0.1, 1.0, 0.25, 2.0, 0.05) and all(type(e) is float for e in got)
+            assert got == (0.1, 1.0, 0.25, 2.0, 0.05, 0.125) and all(type(e) is float for e in got)
 
     def test_a_missing_datum_is_the_monotone_program_of_the_material(self, material):
         m = replace(material, T=5.0)
@@ -597,6 +602,14 @@ class TestCommandLine:
             payloads.append(got)
         assert payloads[0]["t0"] != payloads[1]["t0"]
 
+    def test_eps_list_flag_overrides_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "s.ini"
+        path.write_text("[datum]\npreset = loading-unloading\n[run]\nsteps = 20\neps_list = 0.1, 0.05\n")
+        for flags, eps in ((["--eps-list", "0.2,0.1,0.05"], ["0.2", "0.1", "0.05"]), ([], ["0.1", "0.05"])):
+            assert main(["sweep-eps", "--config", str(path), "--cells", "4", *flags]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:len(eps) + 2]
+            assert [row.split()[0] for row in rows] == [*eps, "observed"]
+
     @pytest.mark.parametrize("text", ["[material]\nkappa = 5%\n",
                                       "[datum]\ntimes = 0, 2\nwL = 0, %(x)s\n"])
     def test_percent_in_a_number_exits_2(self, tmp_path, text, capsys):
@@ -776,27 +789,39 @@ def test_cli_start_up_loads_neither_numpy_ma_nor_configparser(tmp_path):
     assert report["parsed"] and report["configparser_loaded"]
 
 
-def _fresh(code: str, *args: str):
+def _fresh(code: str, *args: str, env: dict | None = None):
     # Run code in a fresh interpreter and read the JSON report it prints last.
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=_child_env(), timeout=120, check=False)
+                          env=env or _child_env(), timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _COMMAND_PROBE = """
 import contextlib, io, json, os, runpy, sys
 sys.argv = ["barlab", *sys.argv[1:]]
 code = None
+blas = None
+
+class SeeNumpy:
+    # Records the BLAS thread variables when numpy is first imported, which starts its thread pool.
+    def find_spec(self, name, path=None, target=None):
+        global blas
+        if name == "numpy" and blas is None:
+            blas = {var: os.environ.get(var) for var in %r}
 
 def report(code):
-    print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.__stdout__, flush=True)
+    print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "blas": blas}), file=sys.__stdout__,
+          flush=True)
 
 def fast_exit(code, _exit=os._exit):
     # A command that returns ends the process in os._exit, and no SystemExit is raised.
     report(code)
     _exit(0)
 
+sys.meta_path.insert(0, SeeNumpy())
 os._exit = fast_exit
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -804,7 +829,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         code = exc.code
 report(code)
-"""
+""" % (_BLAS_VARS,)
+
+
+def _blas_env(**given: str) -> dict:
+    # The child's environment with only the given BLAS thread variables set.
+    return {k: v for k, v in _child_env().items() if k not in _BLAS_VARS} | given
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -814,11 +844,19 @@ report(code)
     (["classify", "--preset", "nope"], 2),
 ])
 def test_listing_help_and_usage_errors_load_no_numpy(argv, code):
-    assert _fresh(_COMMAND_PROBE, *argv) == {"code": code, "numpy": False}
+    assert _fresh(_COMMAND_PROBE, *argv) == {"code": code, "numpy": False, "blas": None}
 
 
 def test_a_computing_command_loads_numpy():
-    assert _fresh(_COMMAND_PROBE, "classify", "--preset", "constant") == {"code": 0, "numpy": True}
+    # With the variables unset, the process entry starts numpy with one BLAS thread.
+    assert _fresh(_COMMAND_PROBE, "classify", "--preset", "constant", env=_blas_env()) == {
+        "code": 0, "numpy": True, "blas": dict.fromkeys(_BLAS_VARS, "1")}
+
+
+def test_a_blas_thread_count_the_caller_sets_wins():
+    env = _blas_env(OPENBLAS_NUM_THREADS="2")
+    assert _fresh(_COMMAND_PROBE, "classify", "--preset", "constant", env=env)["blas"] == {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 _NAMESPACE_PROBE = """
