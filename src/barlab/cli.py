@@ -49,7 +49,7 @@ def _load_config(args: argparse.Namespace):
 
 def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     from .diagnostics import _ledger, stress_saturated
-    from .loading import threshold_crossing
+    from .loading import first_drop
     from .scenarios import run_scenario_limit, write_csv
 
     cfg = _load_config(args)
@@ -60,7 +60,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
     print(f"l(T)     = {traj.l[-1]:.12g}")
     print(f"E(T)     = {traj.E_closed[-1]:.12g}")
     print(f"t0 = {traj.t0:.12g}, "
-          f"t0* = {threshold_crossing(cfg.datum, m.jump_threshold):.12g}")
+          f"t0* = {first_drop(cfg.datum, m.jump_threshold)[0]:.12g}")
     if args.out:
         e = traj.sigma / m.a1
         t0_flag = (traj.l == 0.0).astype(float)

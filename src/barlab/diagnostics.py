@@ -8,7 +8,7 @@ value, it has already dropped inside the elastic window.  This module
 computes the plasticity residual and the flow-rule defect per step from
 one ledger, read once per call: total less elastic, the plastic strain
 ``p = J - L sigma/a1`` and the stored energy ``S = E - L sigma^2/(2 a1)``.
-It also runs the path test with an explicit witness when it fails, and
+It also classifies a run, with the path test read from ``loading``, and
 checks a verdict against stress saturation and the residual.  Every
 tolerance is relative to the material's units: stresses to the yield
 stress ``s*``, energies and flow defects to ``s* thr`` (``thr = s* L/a1``).
@@ -23,7 +23,7 @@ import numpy as np
 from .envelope import MaterialParams
 from .errors import NumericalError, _U, _guard
 from .limit_evolution import LimitTrajectory, run_limit
-from .loading import BoundaryDatum, _crossing, refined_time_grid, threshold_crossing
+from .loading import BoundaryDatum, first_drop, refined_time_grid
 
 __all__ = ["PERFECT_PLASTICITY", "DAMAGE_ONLY", "yield_dissipation", "residual_series",
            "stress_saturated", "Classification", "cns_classify", "ConsistencyReport",
@@ -128,33 +128,14 @@ class Classification:
 def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classification:
     """Decide whether the loading path admits a perfect-plasticity reading.
 
-    The path fails exactly when ``|J|`` strictly decreases somewhere
-    after first exceeding the jump threshold; for piecewise-linear data
-    the scan over the segments of ``w.nodes`` is exact.  The witness ``(s, t)``
-    of a failure lies on the first node segment after ``t0*`` where ``|J|``
-    drops: ``s`` is its start, ``t`` its end if ``|J|`` stays above the
-    threshold there, else where ``|J|`` has dropped half-way to it.  So
-    ``t0* <= s <= t <= T``, and ``thr < |J(t)| < |J(s)|`` unless floats cannot
-    resolve the drop (a zero crossing rounded onto the knot before it): then
-    ``s == t``.  A non-finite field raises ``NumericalError``.
+    The verdict, ``t0*`` and the witness are the datum's alone: ``loading.first_drop``.
+    The limit run on ``steps`` intervals gives the onset check, the residual and the
+    flow-rule count.  A non-finite field raises ``NumericalError``.
     """
     grid = refined_time_grid(w, steps)
     traj = run_limit(m, w, grid)
     thr = m.jump_threshold
-    t0_star = threshold_crossing(w, thr)
-    times, absJ = w.nodes[0], np.abs(w.nodes[1])
-    # Segments that end after t0* and on which |J| strictly decreases; none ends
-    # at t0*, where |J| rises through the threshold.
-    drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
-
-    witness: tuple[float, float] | None = None
-    if drops.size:
-        k = int(drops[0])
-        start, end = float(times[k - 1]), float(times[k])
-        if absJ[k] <= thr:
-            # Half-way to the threshold, each half scaled first so the level cannot overflow.
-            end = float(_crossing(start, end, absJ[k - 1], absJ[k], 0.5 * absJ[k - 1] + 0.5 * thr))
-        witness = (start, end)
+    t0_star, witness = first_drop(w, thr)
 
     dt = float(np.max(np.diff(grid)))
     if abs(traj.t0 - t0_star) > dt * (1.0 + 1e-12):

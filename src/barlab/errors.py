@@ -2,8 +2,8 @@
 
 ConfigError covers everything a user can get wrong before any number is
 crunched (bad files, bad preset names, inconsistent parameters).
-NumericalError covers failures of the solvers themselves and violations
-of internal invariants that should hold for every well-posed run.
+NumericalError covers a run that violated an invariant which should hold
+for every well-posed run.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A solver failed to converge or an internal invariant was violated."""
+    """An invariant of a run was violated."""
 
 
 def _guard(bad, grid, what: str, eps_list=None) -> None:

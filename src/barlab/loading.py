@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BoundaryDatum", "threshold_crossing", "refined_time_grid", "validate_time_grid",
-           "cumulative_work"]
+__all__ = ["BoundaryDatum", "first_drop", "refined_time_grid", "validate_time_grid", "cumulative_work"]
 
 
 def _crossing(ta, tb, va, vb, level):
@@ -96,16 +95,35 @@ class BoundaryDatum:
         return np.interp(t, self.times, self.wL)
 
 
-def threshold_crossing(w: BoundaryDatum, threshold: float) -> float:
-    """First instant with ``|J| > threshold``, on its node segment, or ``w.duration`` if there is none."""
+def first_drop(w: BoundaryDatum, threshold: float) -> tuple[float, tuple[float, float] | None]:
+    """``(t0*, witness)`` of the path test, from one reading of ``w.nodes``.
+
+    ``t0*`` is the first instant with ``|J| > threshold``, on its node segment, or ``w.duration`` if
+    there is none.  The path fails exactly when ``|J|`` strictly drops on a node segment that ends after
+    ``t0*``; else the witness is ``None``.  It lies on the first such segment: ``s`` is its start, ``t``
+    its end if ``|J|`` stays above the threshold there, else where ``|J|`` has dropped half-way to it.
+    So ``t0* <= s <= t <= T``, and ``threshold < |J(t)| < |J(s)|`` unless floats cannot resolve the drop
+    (a zero crossing rounded onto the knot before it): then ``s == t``.
+    """
     times, absJ = w.nodes[0], np.abs(w.nodes[1])
     above = np.flatnonzero(absJ > threshold)
     if above.size == 0:
-        return float(times[-1])
-    k = int(above[0])
-    if k == 0:
-        return float(times[0])
-    return float(_crossing(times[k - 1], times[k], absJ[k - 1], absJ[k], threshold))
+        t0_star = float(times[-1])
+    elif (k := int(above[0])) == 0:
+        t0_star = float(times[0])
+    else:
+        t0_star = float(_crossing(times[k - 1], times[k], absJ[k - 1], absJ[k], threshold))
+    # Segments that end after t0* and on which |J| strictly decreases; none ends
+    # at t0*, where |J| rises through the threshold.
+    drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
+    if drops.size == 0:
+        return t0_star, None
+    k = int(drops[0])
+    start, end = float(times[k - 1]), float(times[k])
+    if absJ[k] <= threshold:
+        # Half-way to the threshold, each half scaled first so the level cannot overflow.
+        end = float(_crossing(start, end, absJ[k - 1], absJ[k], 0.5 * absJ[k - 1] + 0.5 * threshold))
+    return t0_star, (start, end)
 
 
 def _count(name: str, value) -> int:

@@ -141,7 +141,7 @@ def parse_config(path: str | os.PathLike[str]) -> ScenarioConfig:
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys are case-sensitive: L, T, wL
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not text of the file
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!s}: {exc}") from exc

@@ -22,7 +22,7 @@ from barlab import (DAMAGE_ONLY, DEFAULT_MATERIAL, PERFECT_PLASTICITY,
                     preset_datum, refined_time_grid, residual_series, run_eps,
                     run_limit, sweep_eps, yield_dissipation)
 from barlab.envelope import envelope_slope_bounds, plateau_factor
-from barlab.loading import threshold_crossing
+from barlab.loading import first_drop
 
 M = DEFAULT_MATERIAL
 ALL_PRESETS = ("monotone", "constant", "loading-unloading", "high-unload")
@@ -38,7 +38,7 @@ def test_criterion_1_reference_trajectory():
     err_sigma = float(np.max(np.abs(traj.sigma - sigma_ref)))
     err_mass = float(np.max(np.abs(traj.l - mass_ref)))
     dt = float(np.max(np.diff(grid)))
-    t0_star = threshold_crossing(w, M.jump_threshold)
+    t0_star = first_drop(w, M.jump_threshold)[0]
     onset_ok = abs(traj.t0 - 0.5) <= dt and t0_star == pytest.approx(0.5, abs=1e-12)
     record_acceptance(
         1, err_sigma <= 1e-10 and err_mass <= 1e-10 and onset_ok,

@@ -17,7 +17,7 @@ from barlab.diagnostics import _balance, _ledger, stress_saturated
 from barlab.envelope import plateau_factor
 from barlab.errors import NumericalError
 from barlab.limit_evolution import LimitTrajectory
-from barlab.loading import cumulative_work, threshold_crossing
+from barlab.loading import cumulative_work, first_drop
 from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
                       OVERFLOW_MATERIAL, assert_fields_equal, extreme_programs, materials, programs)
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series, limit_ledger,
@@ -243,11 +243,12 @@ def test_path_test_on_random_programs(w, steps):
     # No sign change inside a segment: |J| is linear between nodes.
     assert np.all(J[:-1] * J[1:] >= 0.0)
 
-    t0_star = threshold_crossing(w, THR)
+    t0_star, witness = first_drop(w, THR)
     assert np.all(np.abs(J[times < t0_star]) <= THR)
 
     c = cns_classify(w, DEFAULT_MATERIAL, steps=steps)
-    assert c.t0_star == t0_star
+    # Both fields are the datum's alone, whatever the step count.
+    assert (c.t0_star, c.witness) == (t0_star, witness)
     expected = PERFECT_PLASTICITY if path_admits_plasticity(w.wL - w.w0, THR) else DAMAGE_ONLY
     assert c.verdict == expected
 
@@ -278,7 +279,7 @@ def _assert_one_onset(w: BoundaryDatum, m: MaterialParams) -> None:
     # so the onset check of cns_classify cannot see two different crossings.
     cns_classify(w, m, steps=50)
     traj = run_limit(m, w, refined_time_grid(w, 50))
-    assert (traj.l[0] > 0.0) == (threshold_crossing(w, m.jump_threshold) == 0.0)
+    assert (traj.l[0] > 0.0) == (first_drop(w, m.jump_threshold)[0] == 0.0)
 
 
 @settings(max_examples=300)
@@ -513,7 +514,7 @@ def test_the_witness_of_any_float_program_is_a_finite_pair_inside_the_datum(prog
 
 
 def test_a_non_finite_classification_field_is_a_numerical_error(monkeypatch):
-    monkeypatch.setattr("barlab.diagnostics.threshold_crossing", lambda w, thr: float("nan"))
+    monkeypatch.setattr("barlab.diagnostics.first_drop", lambda w, thr: (float("nan"), None))
     with pytest.raises(NumericalError, match="^classification has a non-finite field: "):
         cns_classify(preset_datum("loading-unloading", DEFAULT_MATERIAL), DEFAULT_MATERIAL, steps=40)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from barlab import (BoundaryDatum, MaterialParams, NumericalError, cns_classify, preset_datum,
                     refined_time_grid, run_limit)
 from barlab.limit_evolution import _limit_step as limit_step
-from barlab.loading import threshold_crossing
+from barlab.loading import first_drop
 from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, constant_run, materials, programs
 from oracles import closed_form_limit, mass_reconstruction
 
@@ -109,7 +109,7 @@ class TestRunLimit:
         assert np.max(np.abs(traj.l - mass)) <= 1e-12
         assert np.max(np.abs(traj.E_closed - energy)) <= 1e-12
         assert traj.t0 == 0.5
-        assert threshold_crossing(w, material.jump_threshold) == pytest.approx(0.5, abs=1e-12)
+        assert first_drop(w, material.jump_threshold)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_energy_closed_form(self, material):
         w = preset_datum("monotone", material)
@@ -125,7 +125,7 @@ class TestRunLimit:
         assert np.all(traj.l == 0.0)
         assert np.max(np.abs(np.diff(traj.sigma))) == 0.0
         assert traj.t0 == material.T
-        assert threshold_crossing(w, material.jump_threshold) == material.T
+        assert first_drop(w, material.jump_threshold)[0] == material.T
 
     def test_yield_containment_and_compliance_every_step(self, material):
         for name in ("monotone", "constant", "loading-unloading", "high-unload"):

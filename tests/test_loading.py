@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, ConfigError,
                     ScenarioConfig, cns_classify, preset_datum, refined_time_grid, run_eps,
                     run_limit)
-from barlab.loading import _crossing, threshold_crossing, validate_time_grid
+from barlab.loading import _crossing, first_drop, validate_time_grid
 from conftest import assert_fields_equal, extreme_programs
 from oracles import trapezoid_work
 
@@ -162,15 +162,15 @@ class TestJumpPolyline:
 
     def test_threshold_crossing(self):
         w = lu_datum()
-        assert threshold_crossing(w, 0.25) == 0.25
-        assert threshold_crossing(w, 1.0) == w.duration
-        assert threshold_crossing(w, -1.0) == 0.0
+        assert first_drop(w, 0.25)[0] == 0.25
+        assert first_drop(w, 1.0)[0] == w.duration
+        assert first_drop(w, -1.0)[0] == 0.0
         # A knot exactly at the threshold is not above it.
-        assert threshold_crossing(BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3,
-                                                wL=[0.5, 0.5, 1.5]), 0.5) == 1.0
+        assert first_drop(BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3,
+                                        wL=[0.5, 0.5, 1.5]), 0.5)[0] == 1.0
         # One ulp below |J| = 1 at the knot t = 0.9 the crossing rounds to 0.9 + 1 ulp; it stays on its knot.
-        assert threshold_crossing(BoundaryDatum(times=[0.0, 0.3, 0.9], w0=[0.0] * 3, wL=[0.3, 0.3, 1.0]),
-                                  float(np.nextafter(1.0, 0.0))) == 0.9
+        assert first_drop(BoundaryDatum(times=[0.0, 0.3, 0.9], w0=[0.0] * 3, wL=[0.3, 0.3, 1.0]),
+                          float(np.nextafter(1.0, 0.0)))[0] == 0.9
 
     @settings(max_examples=300)
     @given(program=extreme_programs(),
@@ -178,7 +178,7 @@ class TestJumpPolyline:
     def test_t0_star_lies_on_its_node_segment(self, program, threshold):
         times, jump = program
         w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
-        t0_star = threshold_crossing(w, threshold)
+        t0_star = first_drop(w, threshold)[0]
         nodes, above = w.nodes[0], np.flatnonzero(np.abs(w.nodes[1]) > threshold)
         if above.size == 0:
             assert t0_star == w.duration

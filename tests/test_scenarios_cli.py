@@ -224,6 +224,19 @@ class TestConfigFiles:
         assert main(["classify", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
 
+    def test_a_byte_order_mark_is_not_part_of_the_file(self, tmp_path, capsys):
+        # Some editors save UTF-8 with a byte-order mark; the file reads as the same text without it.
+        text = "[datum]\npreset = high-unload\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf[datum]")
+        assert parse_config(marked) == parse_config(plain)
+        assert main(["classify", "--config", str(marked)]) == 0
+        from_marked = capsys.readouterr()
+        assert main(["classify", "--config", str(plain)]) == 0
+        assert capsys.readouterr() == from_marked
+
     def test_explicit_datum_defaults_left_trace_to_zero(self, tmp_path):
         path = tmp_path / "explicit.ini"
         path.write_text("[datum]\ntimes = 0, 1, 2\nwL = 0, 1, 0\n")
@@ -944,7 +957,7 @@ def test_classify_a_drop_from_a_jump_threshold_of_1e308(tmp_path):
 
 
 def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr("barlab.diagnostics.threshold_crossing", lambda w, thr: float("nan"))
+    monkeypatch.setattr("barlab.diagnostics.first_drop", lambda w, thr: (float("nan"), None))
     assert main(["classify", "--preset", "loading-unloading"]) == 3
     got = capsys.readouterr()
     assert got.out == "" and got.err.startswith("error: classification has a non-finite field: ")
