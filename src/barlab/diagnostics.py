@@ -193,25 +193,21 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     small_residual = bool(series.max() <= res_tol)
     says_plastic = verdict == PERFECT_PLASTICITY
 
-    def failures():
-        # Every failing check in order, with the instants that fail it; the
-        # report names the first of them, or the first instant if there is none.
-        if says_plastic != saturated:
-            yield unsaturated if says_plastic else damaged, "verdict and stress saturation disagree"
-        if says_plastic != small_residual:
-            yield series > res_tol, "verdict and balance residual disagree"
-        if not says_plastic:
-            # Divided before multiplied: the gap is at most kappa l <= E, but (s - |sigma|)^2 l may overflow.
-            gap = (s - np.abs(traj.sigma)) ** 2 / (2.0 * m.a0) * traj.l
-            if np.any(below := series < gap - res_tol):
-                yield below, "residual fell below the stress-gap bound"
-            misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
-            lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
-            if np.any(below := series < lower - res_tol):
-                yield below, "residual fell below the misaligned-flow dissipation"
+    def failed(bad, detail: str) -> ConsistencyReport:
+        # Checks run in order; the first to fail names its first failing instant, or the first instant if none.
+        return ConsistencyReport(False, float(traj.times[int(np.argmax(bad))]), detail)
 
-    failure = next(failures(), None)
-    if failure is None:
-        return ConsistencyReport(True, None, "consistent")
-    bad, detail = failure
-    return ConsistencyReport(False, float(traj.times[int(np.argmax(bad))]), detail)
+    if says_plastic != saturated:
+        return failed(unsaturated if says_plastic else damaged, "verdict and stress saturation disagree")
+    if says_plastic != small_residual:
+        return failed(series > res_tol, "verdict and balance residual disagree")
+    if not says_plastic:
+        # Divided before multiplied: the gap is at most kappa l <= E, but (s - |sigma|)^2 l may overflow.
+        gap = (s - np.abs(traj.sigma)) ** 2 / (2.0 * m.a0) * traj.l
+        if np.any(below := series < gap - res_tol):
+            return failed(below, "residual fell below the stress-gap bound")
+        misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
+        lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
+        if np.any(below := series < lower - res_tol):
+            return failed(below, "residual fell below the misaligned-flow dissipation")
+    return ConsistencyReport(True, None, "consistent")

@@ -57,8 +57,8 @@ class TwoWellParams:
             plateau_factor(cell, 1.0)
         except ValueError as exc:
             raise ValueError(f"need a, b and K with 0 < a < b and K > 0 whose envelope floats can hold "
-                             f"(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), "
-                             f"got a={self.a!r}, b={self.b!r}, K={self.K!r}") from exc
+                             f"(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b), 1/(2b), 4aK/(2b) and 1/(2a) - 1/(2b) "
+                             f"finite and > 0), got a={self.a!r}, b={self.b!r}, K={self.K!r}") from exc
         object.__setattr__(self, "_cell", cell)
 
 
@@ -78,8 +78,11 @@ class MaterialParams:
         for name in ("kappa", "a0", "a1", "L", "T"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value) if isinstance(value, numbers.Real) else value)
-        for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "jump_threshold"):
-            value = getattr(self, name)
+        # Then s*, thr, the compliance L/a1 and the energy unit s* thr, each read once its inputs have passed.
+        units = {"L/a1": lambda: self.L / self.a1,
+                 "s* thr": lambda: self.yield_stress * self.jump_threshold}
+        for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "jump_threshold", "L/a1", "s* thr"):
+            value = units[name]() if name in units else getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"need {name} finite and > 0, got {value!r}")
         if not self.a0 < self.a1:
@@ -129,7 +132,7 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     One leading row per eps, each checked by ``plateau_factor`` first: the plateau stress ``s_p``,
     the weak stiffness ``eps*a0``, the stiffness ``a = clip(s_p L/M, eps*a0, a1)`` of the mix that
     carries ``M`` at ``s_p``, the stress ``J a/L``, the sound fraction ``theta``, the damage mass
-    ``l = L (1 - theta)/eps`` and the energy ``L sigma**2/(2a) + kappa l``, at ``J = M`` the envelope.
+    ``l = L (1 - theta)/eps`` and the energy ``J sigma/2 + kappa l`` of ``run_limit``, at ``J = M`` the envelope.
     """
     s_plateau = np.reshape([m.yield_stress * plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
     eps = np.array(eps_list, dtype=float).reshape(s_plateau.shape)
@@ -141,7 +144,7 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
         theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
         # L (1 - theta)/eps, without the 1/eps amplification of the rounding in 1 - theta.
         l = m.L * (1.0 / a - 1.0 / m.a1) / (1.0 / m.a0 - eps / m.a1)
-        energy = m.L * sigma**2 / (2.0 * a) + m.kappa * l
+        energy = 0.5 * J * sigma + m.kappa * l
     return _Cell(s_plateau, weak, a, sigma, theta, l, energy)
 
 

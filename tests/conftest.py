@@ -53,6 +53,25 @@ def extreme_programs(draw):
     return np.concatenate([[0.0], np.cumsum(gaps)]), np.array(signs) * 10.0 ** np.array(exponents)
 
 
+@st.composite
+def extreme_units(draw) -> dict:
+    """``MaterialParams`` keywords but ``T``: kappa, a0 and L from 10^[-300, 300], a1/a0 from 10^[0.001, 3]."""
+    kappa, a0, L = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(3))
+    return {"kappa": kappa, "a0": a0, "a1": a0 * 10.0 ** draw(st.floats(0.001, 3.0)), "L": L}
+
+
+# Finite positive fields whose units floats cannot hold: the compliance L/a1 underflows to 0
+# or overflows, or the energy unit s* thr underflows to 0.  Each with the preset that showed it.
+UNIT_REFUSALS = {
+    "compliance-underflow": ({"kappa": 1.0, "a0": 1e200, "a1": 1e201, "L": 1e-130}, "monotone", "L/a1", "0.0"),
+    "compliance-overflow": ({"kappa": 1.0, "a0": 1e-300, "a1": 1e-299, "L": 1e10}, "monotone", "L/a1", "inf"),
+    "energy-unit-underflow": ({"kappa": 1e-200, "a0": 1.0, "a1": 2.0, "L": 1e-200}, "high-unload", "s* thr", "0.0"),
+}
+# At eps = 0.5 on high-unload, L sigma^2 passes the float range while the energy
+# J sigma/2 + kappa l is 9.0e219: the unit material's run scaled by s* thr = 1e220.
+HUGE_ENERGY_UNITS = {"kappa": 1e120, "a0": 1e100, "a1": 2e100, "L": 1e100}
+HUGE_ENERGY_MATERIAL = barlab.MaterialParams(**HUGE_ENERGY_UNITS, T=2.0)
+
 # A material and two programs whose limit-model energy or work overflows:
 # J reaches 1e308 (the energy s* J passes the float range at t = 1.137), and
 # J swings by 1e308 in half a time unit (interpolating it overflows).

@@ -18,8 +18,9 @@ from barlab.envelope import plateau_factor
 from barlab.errors import NumericalError
 from barlab.limit_evolution import LimitTrajectory
 from barlab.loading import cumulative_work, first_drop
-from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
-                      OVERFLOW_MATERIAL, assert_fields_equal, extreme_programs, materials, programs)
+from conftest import (HUGE_ENERGY_UNITS, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
+                      OVERFLOW_MATERIAL, UNIT_REFUSALS, assert_fields_equal, extreme_programs, extreme_units,
+                      materials, programs)
 from oracles import (DiscreteDisplacement, competitor_family, fake_balance_residual_series, limit_ledger,
                      path_admits_plasticity, static_gamma_energy, trapezoid_residual_series)
 
@@ -511,6 +512,50 @@ def test_the_witness_of_any_float_program_is_a_finite_pair_inside_the_datum(prog
     assert 0.0 <= c.t0_star <= s <= t <= w.duration
     if s < t:
         assert m.jump_threshold < abs(w.jump(t)) < abs(w.jump(s))
+
+
+@st.composite
+def threshold_programs(draw):
+    """Knot times and jumps in units of the jump threshold: 2-6 knots with |wL| up to 1e3 thr."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+    return np.concatenate([[0.0], np.cumsum(gaps)]), draw(st.lists(value, min_size=n, max_size=n))
+
+
+# The high-unload preset in those units: 0 -> 2 thr -> 1.2 thr.
+HIGH_UNLOAD_SHAPE = ([0.0, 1.0, 2.0], [0.0, 2.0, 1.2])
+
+
+@settings(max_examples=300)
+@given(units=extreme_units(), program=threshold_programs(), steps=st.integers(1, 50),
+       share=st.floats(1e-3, 0.98))
+@example(units=HUGE_ENERGY_UNITS, program=HIGH_UNLOAD_SHAPE, steps=40, share=0.25)
+@example(units=UNIT_REFUSALS["compliance-underflow"][0], program=HIGH_UNLOAD_SHAPE, steps=40, share=0.25)
+@example(units=UNIT_REFUSALS["compliance-overflow"][0], program=HIGH_UNLOAD_SHAPE, steps=40, share=0.25)
+@example(units=UNIT_REFUSALS["energy-unit-underflow"][0], program=HIGH_UNLOAD_SHAPE, steps=40, share=0.25)
+def test_a_material_of_any_units_runs_or_is_refused(units, program, steps, share):
+    # Either the material is refused (ValueError), or each run, eps up to 0.98 a1/a0 included,
+    # finishes or is refused by a located NumericalError; nothing else is raised and nothing warns.
+    times, factors = program
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = MaterialParams(**units, T=1.0)
+        except ValueError:
+            return
+        wL = [m.jump_threshold * f for f in factors]
+        assume(all(map(np.isfinite, wL)))
+        w = BoundaryDatum(times=times, w0=np.zeros(len(times)), wL=wL)
+        grid = refined_time_grid(w, steps)
+        try:
+            classifier_consistency(run_limit(m, w, grid), cns_classify(w, m, steps=steps).verdict)
+        except NumericalError:
+            pass
+        try:
+            run_eps(m, share * m.a1 / m.a0, 1, w, grid)
+        except NumericalError:
+            pass
 
 
 def test_a_non_finite_classification_field_is_a_numerical_error(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, raw_energy, refined_time_grid, run_limit)
 from barlab.envelope import envelope_slope_bounds
-from conftest import assert_fields_equal
+from conftest import UNIT_REFUSALS, assert_fields_equal
 from oracles import (envelope_by_minimization, mixture_objective, wbar_1d,
                      wbar_by_minimization)
 
@@ -19,7 +20,8 @@ FIG = TwoWellParams(a=0.1, b=1.0, K=2.0)
 def assert_refused_in_the_callers_terms(msg: str, a, b, K) -> None:
     # One message for every refusal: the conditions on a, b and K, never the cell's a0 or eps.
     assert msg.startswith("need a, b and K with 0 < a < b and K > 0 whose envelope floats can hold "
-                          "(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b) and 1/(2a) - 1/(2b) finite and > 0), ")
+                          "(2a, 2b, sqrt(4aK), sqrt(4aK)/(2b), 1/(2b), 4aK/(2b) and 1/(2a) - 1/(2b) "
+                          "finite and > 0), ")
     assert msg.endswith(f"got a={a!r}, b={b!r}, K={K!r}")
     assert "a0" not in msg and "eps" not in msg
 
@@ -98,6 +100,13 @@ class TestParamValidation:
             replace(material, kappa=1e10, L=1e308)
         with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got 0\.0$"):
             replace(material, L=1e-200, a1=1e200)
+
+    @pytest.mark.parametrize("name", sorted(UNIT_REFUSALS))
+    def test_material_rejects_units_floats_cannot_hold(self, name):
+        # The limit step divides by L/a1, and every classifier tolerance is a multiple of s* thr.
+        fields, _, unit, got = UNIT_REFUSALS[name]
+        with pytest.raises(ValueError, match=rf"^need {re.escape(unit)} finite and > 0, got {re.escape(got)}$"):
+            MaterialParams(**fields, T=2.0)
 
     @pytest.mark.parametrize("scalar", [int, np.int64, np.float64])
     def test_material_fields_are_stored_as_floats(self, scalar):

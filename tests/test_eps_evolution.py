@@ -13,8 +13,8 @@ from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParam
 from barlab.envelope import envelope_slope_bounds, plateau_factor
 from barlab.eps_evolution import _bound_guards
 from barlab.errors import _guard
-from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, extreme_programs, materials,
-                      programs)
+from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, extreme_programs,
+                      materials, programs)
 from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
                      initial_step, mixture_objective, pristine_state, stepwise_run_eps, total_energy)
 
@@ -325,6 +325,17 @@ def test_an_overflowing_energy_bound_is_silent():
     # The grid also holds the two zero crossings of J; the knots carry the peaks.
     at_knots = traj.energy[np.isin(traj.times, w.times)]
     assert at_knots == pytest.approx([0.0, 5e301, 5e301, 5e301], rel=1e-12)
+
+
+def test_an_energy_floats_hold_is_run_though_l_sigma_squared_overflows():
+    # sigma = J a/L, so L sigma^2/(2a) is J sigma/2, the limit model's form: the run is finite
+    # where its energy is.  In units of s* thr it is the unit material's run, to a few roundings.
+    unit = MaterialParams(kappa=1.0, a0=1.0, a1=2.0, L=1.0, T=2.0)
+    huge, ref = (run_eps(m, 0.5, 1, w := preset_datum("high-unload", m), refined_time_grid(w, 400))
+                 for m in (HUGE_ENERGY_MATERIAL, unit))
+    scale = HUGE_ENERGY_MATERIAL.yield_stress * HUGE_ENERGY_MATERIAL.jump_threshold
+    assert np.allclose(huge.energy / scale, ref.energy / (unit.yield_stress * unit.jump_threshold),
+                       rtol=0.0, atol=1e-14 * ref.energy.max())
 
 
 @settings(max_examples=300)

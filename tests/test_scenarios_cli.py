@@ -22,8 +22,8 @@ from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams
 from barlab.cli import main
 from barlab.envelope import plateau_factor
 from barlab.scenarios import PRESET_NAMES, SweepReport, textbook_plasticity, write_csv
-from conftest import (HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
-                      OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, materials, programs)
+from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
+                      OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, UNIT_REFUSALS, materials, programs)
 from oracles import limit_ledger
 
 
@@ -685,6 +685,18 @@ class TestCommandLine:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", f"error: invalid [material]: need yield_stress finite and > 0, got {got}\n")
 
+    @pytest.mark.parametrize("name", sorted(UNIT_REFUSALS))
+    def test_a_material_whose_units_are_not_floats_exits_2(self, tmp_path, name, capsys):
+        fields, preset_name, unit, got = UNIT_REFUSALS[name]
+        path = tmp_path / "units.ini"
+        path.write_text("[material]\n" + "".join(f"{k} = {v!r}\n" for k, v in fields.items())
+                        + f"[datum]\npreset = {preset_name}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--config", str(path)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: invalid [material]: need {unit} finite and > 0, got {got}\n")
+
     def test_sweep_without_list_exits_2(self, capsys):
         assert main(["sweep-eps", "--preset", "monotone"]) == 2
 
@@ -704,6 +716,16 @@ class TestCommandLine:
             warnings.simplefilter("error")
             assert main(["simulate-eps", "--config", str(path), "--eps", "0.1"]) == 3
         assert capsys.readouterr().err == "error: eps=0.1, time step 1 (t=0.5): energy or work is not finite\n"
+
+    @pytest.mark.parametrize("command", [["simulate-eps", "--eps", "0.5"],
+                                         ["sweep-eps", "--eps-list", "0.5,0.25"]], ids=lambda command: command[0])
+    def test_an_eps_run_whose_energy_floats_hold_exits_0(self, tmp_path, command, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text(ini_text(preset("high-unload", HUGE_ENERGY_MATERIAL)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
     @pytest.mark.parametrize("command", [["classify"], ["simulate-limit"], ["emit-figures"],
