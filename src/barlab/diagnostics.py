@@ -44,22 +44,29 @@ _DEFECT_TOL = 1e-9
 # arithmetic on the recorded J and the material's floats.  On a limit run
 # J = sigma (x + c), x = l/a0, c = L/a1: c sigma and p = J x/(x + c) share the
 # sign of J, so |c sigma| + |p| = |J|, and S = sigma p/2 + kappa l <= s* M for
-# the |J| = M >= |J| that set the mass.  sigma takes 11 roundings: s* (2), thr
-# (2), the trial mass (3) and J/(x + c) (4), relative to sigma as x + c = M/s*
-# on a mass; the mass takes the first 7, relative to a0 M/s*.
-#   p = J - c sigma: 13 u |c sigma| (sigma, c, product) + u |p| <= 13 u |J|.
+# the running maximum M >= |J|.  sigma = s* (J/M) takes 4 roundings relative
+# to sigma: s* (2), J/M and the product, or at M = thr = s* (L/a1), where s*
+# cancels, L/a1, thr, J/thr and the product.  The mass (M - thr)(a0/s*) takes
+# 5 relative to a0 M/s*: s* (2), thr's other 2 on thr <= M, and the
+# subtraction, a0/s* and the product on M - thr.  The constants below were
+# counted for the mass ratchet, whose sigma took 11 and mass 7; the recount in
+# brackets is below each, so they stand.
+#   p = J - c sigma: 13 u |c sigma| (sigma, c, product) + u |p| <= 13 u |J|
+#   [6 u |J|].
 #   S = E - c sigma^2/2, E = J sigma/2 + kappa l: sigma enters with weight
-#   |J/2 - c sigma| <= |J|/2 (5.5 u s* M), the mass with kappa (3.5), c and
-#   c sigma (1), E's two products and sum (2), the last product and the
-#   subtraction (1.5): 13.5 u s* max|J|.
+#   |J/2 - c sigma| <= |J|/2 (5.5 u s* M) [2], the mass with kappa (3.5)
+#   [2.5], c and c sigma (1), E's two products and sum (2), the last product
+#   and the subtraction (1.5): 13.5 u s* max|J| [9].
 #   Flow defect s*|dp| - sigma_k dp per step: dp carries 13 u (|J_k| + |J_k-1|)
-#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 28.  s*
-#   (2), sigma_k (11), the two products (2) and the subtraction (2) add
-#   17 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 45 u s* (|J_k| + |J_k-1|).
+#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 28 [14].
+#   s* (2), sigma_k (11) [4], the two products (2) and the subtraction (2) add
+#   17 u s* |dp| [10], with |dp| <= |J_k| + |J_k-1|: 45 u s* (|J_k| + |J_k-1|)
+#   [24].
 #   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp|
-#   carries 28 u max|J|; the running sum (n - 1), s* and the product (3) add
-#   (n + 2) u s* Var(p); S and S(0) add 27 u s* max|J|, the two subtractions
-#   u (s* Var(p) + 2 s* max|J|): u ((n + 3) s* Var(p) + (28 n + 29) s* max|J|).
+#   carries 28 u max|J| [14]; the running sum (n - 1), s* and the product (3)
+#   add (n + 2) u s* Var(p); S and S(0) add 27 u s* max|J| [18], the two
+#   subtractions u (s* Var(p) + 2 s* max|J|):
+#   u ((n + 3) s* Var(p) + (28 n + 29) s* max|J|) [(14 n + 20)].
 
 
 def _ledger(m: MaterialParams, J: np.ndarray, sigma: np.ndarray, E: np.ndarray):

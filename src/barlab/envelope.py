@@ -78,17 +78,18 @@ class MaterialParams:
         for name in ("kappa", "a0", "a1", "L", "T"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value) if isinstance(value, numbers.Real) else value)
-        # Then s*, thr, the compliance L/a1 and the energy unit s* thr, each read once its inputs have passed.
-        units = {"L/a1": lambda: self.L / self.a1,
+        # Then each derived unit in the order it is built, so it is read only once its inputs have passed:
+        # s*, the compliance L/a1, thr = s* (L/a1), the mass unit a0/s* and the energy unit s* thr.
+        units = {"L/a1": lambda: self.L / self.a1, "a0/s*": lambda: self.a0 / self.yield_stress,
                  "s* thr": lambda: self.yield_stress * self.jump_threshold}
-        for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "jump_threshold", "L/a1", "s* thr"):
+        for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "L/a1", "jump_threshold", "a0/s*", "s* thr"):
             value = units[name]() if name in units else getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"need {name} finite and > 0, got {value!r}")
         if not self.a0 < self.a1:
             raise ValueError(f"need a0 < a1, got a0={self.a0!r}, a1={self.a1!r}")
 
-    # Cached: the return map of the limit model reads both numbers at every step.
+    # Cached: the return map of the limit model reads s* at every step, and starts from thr.
     @cached_property
     def yield_stress(self) -> float:
         """Stress threshold sqrt(2*kappa*a0) of the effective model."""
@@ -96,8 +97,8 @@ class MaterialParams:
 
     @cached_property
     def jump_threshold(self) -> float:
-        """Largest boundary jump the bar carries elastically: yield_stress*L/a1."""
-        return self.yield_stress * self.L / self.a1
+        """Largest boundary jump the bar carries elastically: yield_stress*(L/a1), of the checked compliance."""
+        return self.yield_stress * (self.L / self.a1)
 
 
 def raw_energy(p: TwoWellParams, xi) -> np.ndarray:

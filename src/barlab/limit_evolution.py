@@ -1,13 +1,13 @@
 """Effective evolution of the bar in the vanishing-regularization limit.
 
-The limit model keeps a single internal variable: the accumulated
-damage mass ``l >= 0``.  The bar responds like two springs in series,
-``J = sigma * (l/a0 + L/a1)``, the stress is confined to the yield
-interval ``[-s, s]`` with ``s = sqrt(2*kappa*a0)``, and ``l`` grows only
-while the stress sits on the boundary of that interval.  The time loop is
-this explicit return map per load sample alone, so every recorded state
-is exact up to rounding; the clamp of rounding dust, the yield-interval
-guard and the energy are read off the recorded arrays.
+The limit model's state is the running maximum ``M`` of ``|J|``, started
+at the jump threshold ``thr``: damage never heals.  The bar responds like
+two springs in series, ``J = sigma * (l/a0 + L/a1)``, the stress is
+confined to the yield interval ``[-s*, s*]`` with ``s* = sqrt(2*kappa*a0)``,
+and the damage mass ``l = (M - thr) a0/s*`` grows only while the stress
+sits on the boundary of that interval.  The time loop is this return map
+per load sample alone; the mass and the energy are read off the recorded
+arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 __all__ = ["LimitTrajectory", "run_limit"]
 
 
-def _limit_step(l_prev: float, m: MaterialParams, J: float) -> tuple[float, float]:
-    """Return map of the effective model: ``(sigma, l)``, with ``l`` ratcheting up from ``l_prev``."""
-    # The trial mass carries J at exactly the yield stress; it is positive exactly
-    # when |J| > m.jump_threshold, the one test of the elastic limit.
-    l = max(l_prev, m.a0 * (abs(J) - m.jump_threshold) / m.yield_stress)
-    return J / (l / m.a0 + m.L / m.a1), l
+def _limit_step(M_prev: float, m: MaterialParams, J: float) -> tuple[float, float]:
+    """Return map of the effective model: ``(sigma, M)``, with ``M`` the running maximum of ``|J|``."""
+    # |J| <= M, so |J/M| <= 1 under correct rounding and |sigma| <= s* with no clamp.
+    M = max(M_prev, abs(J))
+    return m.yield_stress * (J / M), M
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,20 +50,17 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
 
-    # The loop runs on Python floats; each column becomes an array once, at the end.
-    sigma, mass = [], []
-    l = 0.0
+    # The loop runs on Python floats from M = thr, the pristine bar; each column becomes an array once, at the end.
+    sigma, peak = [], []
+    M = m.jump_threshold
     for J_k in J.tolist():
-        sigma_k, l = _limit_step(l, m, J_k)
+        sigma_k, M = _limit_step(M, m, J_k)
         sigma.append(sigma_k)
-        mass.append(l)
-    sigma, mass = np.array(sigma), np.array(mass)
-    # Analytically |sigma| <= s*; only rounding dust may poke out, and the clip puts it back on s*.
-    s = m.yield_stress
-    _guard(np.abs(sigma) > s * (1.0 + 1e-10), grid, "stress left the yield interval")
-    sigma = np.clip(sigma, -s, s)
-    # A jump too large for floats overflows the energy or the work: refuse it, with no numpy warning.
+        peak.append(M)
+    sigma = np.array(sigma)
+    # A jump too large for floats overflows the mass, the energy or the work: refuse it, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        mass = (np.array(peak) - m.jump_threshold) * (m.a0 / m.yield_stress)
         e_closed = 0.5 * J * sigma + m.kappa * mass
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(e_closed) & np.isfinite(work)), grid, "energy or work is not finite")

@@ -71,15 +71,6 @@ class BoundaryDatum:
         for values in (t, w0, wL, *nodes):
             values.flags.writeable = False
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundaryDatum):
-            return NotImplemented
-        return (
-            np.array_equal(self.times, other.times)
-            and np.array_equal(self.w0, other.w0)
-            and np.array_equal(self.wL, other.wL)
-        )
-
     @property
     def duration(self) -> float:
         return float(self.times[-1])

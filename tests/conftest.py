@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import barlab
 
+# print_blob: a failing example prints the @reproduce_failure line that replays it.
 settings.register_profile(
     "suite",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    print_blob=True,
 )
 settings.load_profile("suite")
 
@@ -61,10 +63,12 @@ def extreme_units(draw) -> dict:
 
 
 # Finite positive fields whose units floats cannot hold: the compliance L/a1 underflows to 0
-# or overflows, or the energy unit s* thr underflows to 0.  Each with the preset that showed it.
+# or overflows, the mass unit a0/s* overflows (the mass (M - thr)(a0/s*) would be 0 inf), or
+# the energy unit s* thr underflows to 0.  Each with the preset that showed it.
 UNIT_REFUSALS = {
     "compliance-underflow": ({"kappa": 1.0, "a0": 1e200, "a1": 1e201, "L": 1e-130}, "monotone", "L/a1", "0.0"),
     "compliance-overflow": ({"kappa": 1.0, "a0": 1e-300, "a1": 1e-299, "L": 1e10}, "monotone", "L/a1", "inf"),
+    "mass-unit-overflow": ({"kappa": 1e-320, "a0": 1e300, "a1": 1e301, "L": 1.0}, "monotone", "a0/s*", "inf"),
     "energy-unit-underflow": ({"kappa": 1e-200, "a0": 1.0, "a1": 2.0, "L": 1e-200}, "high-unload", "s* thr", "0.0"),
 }
 # At eps = 0.5 on high-unload, L sigma^2 passes the float range while the energy
@@ -96,9 +100,16 @@ def constant_run(m, J: float):
 
 
 def assert_fields_equal(got, want, names=None) -> None:
-    """``np.array_equal`` on the named fields of two run records; by default every field but the material ``m``."""
+    """``np.array_equal`` on the named fields of two records; by default every field but the material ``m``.
+
+    A ``BoundaryDatum`` field, which compares by identity, is compared field by field.
+    """
     for name in names or [f.name for f in fields(want) if f.name != "m"]:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, barlab.BoundaryDatum):
+            assert_fields_equal(a, b)
+        else:
+            assert np.array_equal(a, b), name
 
 
 def record_acceptance(criterion: int, passed: bool, detail: str) -> None:

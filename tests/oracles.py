@@ -274,20 +274,34 @@ def path_admits_plasticity(J, threshold: float) -> bool:
 def closed_form_limit(m, J, times) -> dict:
     """The limit model as one running-maximum scan instead of a return map per step.
 
-    ``l = max(0, a0 (cummax|J| - thr)/s*)``: ``x -> a0 (x - thr)/s*`` is
-    nondecreasing under correct rounding, so the largest trial mass seen so
-    far is the trial mass of the largest ``|J|`` seen so far, bit for bit.
-    Then ``sigma = J/(l/a0 + L/a1)`` clamped to ``[-s*, s*]``,
-    ``E = J sigma/2 + kappa l``, and ``t0`` is the last instant with
-    ``l = 0`` (the start when there is none).
+    ``M = max(thr, cummax|J|)``, ``sigma = s* (J/M)``, ``l = (M - thr) (a0/s*)``,
+    ``E = J sigma/2 + kappa l``, and ``t0`` is the last instant with ``l = 0``
+    (the start when there is none).
     """
     J = np.asarray(J, dtype=float)
-    s = m.yield_stress
-    l = np.maximum(0.0, m.a0 * (np.maximum.accumulate(np.abs(J)) - m.jump_threshold) / s)
-    sigma = np.clip(J / (l / m.a0 + m.L / m.a1), -s, s)
+    s, thr = m.yield_stress, m.jump_threshold
+    M = np.maximum.accumulate(np.maximum(np.abs(J), thr))
+    sigma = s * (J / M)
+    l = (M - thr) * (m.a0 / s)
     undamaged = np.count_nonzero(l == 0.0)
     return {"sigma": sigma, "l": l, "E_closed": 0.5 * J * sigma + m.kappa * l,
             "t0": float(times[max(undamaged - 1, 0)])}
+
+
+def stepwise_limit(m, J) -> dict:
+    """The limit model by the mass ratchet, one step per instant, with no running maximum.
+
+    ``l = max(l_prev, a0 (|J| - thr)/s*)`` from ``l = 0``, ``sigma = J/(l/a0 + L/a1)``
+    clamped to ``[-s*, s*]`` and ``E = J sigma/2 + kappa l``: each state from the series
+    compliance of the mass.  ``thr`` is the material's.
+    """
+    s, thr = m.yield_stress, m.jump_threshold
+    sigma, mass = np.zeros(len(J)), np.zeros(len(J))
+    l = 0.0
+    for k, J_k in enumerate(np.asarray(J, dtype=float).tolist()):
+        l = max(l, m.a0 * (abs(J_k) - thr) / s)
+        sigma[k], mass[k] = min(max(J_k / (l / m.a0 + m.L / m.a1), -s), s), l
+    return {"sigma": sigma, "l": mass, "E_closed": 0.5 * np.asarray(J) * sigma + m.kappa * mass}
 
 
 def mass_reconstruction(m, E: float, J: float) -> tuple[float, float]:

@@ -98,12 +98,16 @@ class TestParamValidation:
     def test_material_rejects_a_jump_threshold_floats_cannot_hold(self, material):
         with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got inf$"):
             replace(material, kappa=1e10, L=1e308)
+        # s* = 1.4e-150 and L/a1 = 5e-201 pass; their product underflows.
         with pytest.raises(ValueError, match=r"^need jump_threshold finite and > 0, got 0\.0$"):
+            replace(material, kappa=1e-200, a0=1e-100, L=1e-200)
+        # thr = s* (L/a1) is built from the compliance, which is checked first.
+        with pytest.raises(ValueError, match=r"^need L/a1 finite and > 0, got 0\.0$"):
             replace(material, L=1e-200, a1=1e200)
 
     @pytest.mark.parametrize("name", sorted(UNIT_REFUSALS))
     def test_material_rejects_units_floats_cannot_hold(self, name):
-        # The limit step divides by L/a1, and every classifier tolerance is a multiple of s* thr.
+        # thr is s* (L/a1), the mass is (M - thr)(a0/s*), and every classifier tolerance is a multiple of s* thr.
         fields, _, unit, got = UNIT_REFUSALS[name]
         with pytest.raises(ValueError, match=rf"^need {re.escape(unit)} finite and > 0, got {re.escape(got)}$"):
             MaterialParams(**fields, T=2.0)

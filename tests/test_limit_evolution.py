@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +7,12 @@ from hypothesis import strategies as st
 
 from barlab import (BoundaryDatum, MaterialParams, NumericalError, cns_classify, preset_datum,
                     refined_time_grid, run_limit)
+from barlab.errors import _U
 from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import first_drop
-from conftest import OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, constant_run, materials, programs
-from oracles import closed_form_limit, mass_reconstruction
-
-
-# The first state of a run: the damage mass of the pristine bar.
-PRISTINE = 0.0
+from conftest import (OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, constant_run, extreme_programs, extreme_units,
+                      materials, programs)
+from oracles import closed_form_limit, mass_reconstruction, stepwise_limit
 
 
 def first_state(m, J: float) -> tuple[float, float, float]:
@@ -53,27 +50,30 @@ class TestInitialState:
 
 
 class TestLimitStep:
+    # The state is the running maximum M of |J|, from the threshold thr = 0.5 of the default material;
+    # its damage mass is (M - thr) a0/s*, and a0/s* = 1.
     def test_unloading_keeps_mass(self, material):
-        _, prev = limit_step(PRISTINE, material, 1.0)
-        sigma, l = limit_step(prev, material, 0.4)
+        _, prev = limit_step(material.jump_threshold, material, 1.0)
+        sigma, M = limit_step(prev, material, 0.4)
         assert sigma == pytest.approx(0.4, abs=1e-14)
-        assert l == 0.5
+        assert M == prev == 1.0
 
     def test_growth_saturates_stress(self, material):
-        _, prev = limit_step(PRISTINE, material, 1.0)
-        sigma, l = limit_step(prev, material, 1.2)
-        assert l == pytest.approx(0.7, abs=1e-14)
-        assert sigma == pytest.approx(1.0, abs=1e-14)
+        _, prev = limit_step(material.jump_threshold, material, 1.0)
+        sigma, M = limit_step(prev, material, 1.2)
+        assert M - material.jump_threshold == pytest.approx(0.7, abs=1e-14)
+        assert sigma == material.yield_stress == 1.0
 
     def test_sign_symmetric_reload_is_idempotent(self, material):
-        _, prev = limit_step(PRISTINE, material, 1.0)
-        sigma, l = limit_step(prev, material, -1.0)
-        assert sigma == pytest.approx(-1.0, abs=1e-14)
-        assert l == 0.5
+        _, prev = limit_step(material.jump_threshold, material, 1.0)
+        sigma, M = limit_step(prev, material, -1.0)
+        assert sigma == -1.0
+        assert M == prev
 
     @pytest.mark.parametrize("J", [7.750808225005107, -7.750808225005107])
     def test_rounding_past_the_yield_stress_is_clamped(self, J):
-        # Here J/(l/a0 + L/a1) rounds to s* (1 + 2.2e-16): the clamp puts it back on s*.
+        # Here the mass ratchet's J/(l/a0 + L/a1) rounds to s* (1 + 2.2e-16) and needed a clamp;
+        # the running maximum gives J/M = +-1, so the stress is s* exactly, with no clamp.
         m = MaterialParams(kappa=5.215727807951501, a0=3.9731590859070542,
                            a1=19.394363828039406, L=5.909305857237593, T=2.0)
         s = m.yield_stress
@@ -81,19 +81,21 @@ class TestLimitStep:
         assert abs(raw) > s
         assert constant_run(m, J).sigma[0] == np.copysign(s, J)
 
-    # No real material gets here: this stand-in's jump threshold is not
-    # yield_stress L/a1, so the trial mass stays 0 while sigma = 2 J leaves [-1, 1] past |J| = 1/2.
-    STAND_IN = SimpleNamespace(kappa=0.5, a0=1, a1=2, L=1, yield_stress=1, jump_threshold=10)
 
-    def test_a_stress_outside_the_yield_interval_is_refused(self):
-        with pytest.raises(NumericalError, match=r"^time step 0 \(t=0\.0\): stress left the yield interval$"):
-            constant_run(self.STAND_IN, 1.0)
-
-    def test_the_yield_guard_names_the_first_step_outside(self):
-        # On the ramp J = t the stress 2 t first leaves [-1, 1] at the fourth instant, t = 0.75.
-        w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1.0])
-        with pytest.raises(NumericalError, match=r"^time step 3 \(t=0\.75\): stress left the yield interval$"):
-            run_limit(self.STAND_IN, w, [0.0, 0.25, 0.5, 0.75, 1.0])
+@settings(max_examples=300)
+@given(units=extreme_units(), program=extreme_programs(), steps=st.integers(1, 50))
+def test_the_stress_never_leaves_the_yield_interval(units, program, steps):
+    # |J| <= M, so |J/M| <= 1 and |s* (J/M)| <= s* under correct rounding: no tolerance.
+    times, jump = program
+    try:
+        m = MaterialParams(**units, T=float(times[-1]))
+    except ValueError:
+        return
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    M = m.jump_threshold
+    for J in w.jump(refined_time_grid(w, steps)).tolist():
+        sigma, M = limit_step(M, m, J)
+        assert abs(sigma) <= m.yield_stress
 
 
 class TestRunLimit:
@@ -217,6 +219,27 @@ def test_run_limit_is_the_closed_form_scan(m, data, steps):
     for name in ("sigma", "l", "E_closed"):
         assert np.array_equal(getattr(traj, name), want[name]), name
     assert traj.t0 == want["t0"]
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), steps=st.integers(1, 500))
+def test_run_limit_agrees_with_the_stepwise_mass_ratchet(m, data, steps):
+    # Roundings to first order in u against exact arithmetic on J and the material's floats, with
+    # M = max(thr, max|J|) and no subnormal on these materials.  Running maximum: s* takes 2, thr = s* (L/a1)
+    # 2 more, J/M and s* (J/M) 1 each, so sigma 4 relative to sigma (s* cancels from s* J/thr); the mass
+    # (M - thr)(a0/s*) 5 relative to a0 M/s* (s* 2, thr 2 on thr <= M, the subtraction, a0/s* and the
+    # product 3 on M - thr).  Mass ratchet: sigma 11, the mass 7 (diagnostics.py).  So sigma differs by
+    # 15 u s*, l by 12 u a0 M/s*, and E = J sigma/2 + kappa l, two nonnegative terms, by (4 + 1 + 11 + 1) u
+    # on J sigma/2, (5 + 1 + 7 + 1) u on kappa l and 2 u for the two sums: 19 u E.
+    w = data.draw(programs(m))
+    traj = run_limit(m, w, refined_time_grid(w, steps))
+    old = stepwise_limit(m, traj.J)
+    s, M = m.yield_stress, max(m.jump_threshold, float(np.max(np.abs(traj.J))))
+    assert np.max(np.abs(traj.sigma - old["sigma"])) <= 15 * _U * s
+    assert np.max(np.abs(traj.l - old["l"])) <= 12 * _U * (m.a0 / s) * M
+    assert np.max(np.abs(traj.E_closed - old["E_closed"])) <= 19 * _U * np.max(traj.E_closed)
+    # Both damage exactly where |J| passes thr, so t0 is the same instant.
+    assert np.array_equal(traj.l > 0.0, old["l"] > 0.0)
 
 
 @st.composite

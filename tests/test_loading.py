@@ -62,10 +62,15 @@ class TestBoundaryDatum:
         with pytest.raises(ValueError, match=r"^the jump wL - w0 must be finite, got \[0\.0, inf\]$"):
             BoundaryDatum(times=[0.0, 2.0], w0=[0.0, -1e308], wL=[0.0, 1e308])
 
-    def test_equality_by_value(self):
-        assert lu_datum() == lu_datum()
+    def test_a_datum_hashes_and_compares_by_identity(self):
+        # No value equality: tests compare the fields (conftest.assert_fields_equal).
+        w = lu_datum()
+        assert w == w and w != lu_datum()
+        assert {w: 1}[w] == 1
+        assert_fields_equal(w, lu_datum())
         other = BoundaryDatum(times=[0.0, 1.0, 2.0], w0=[0.0] * 3, wL=[0.0, 1.1, 0.0])
-        assert lu_datum() != other
+        with pytest.raises(AssertionError, match="^wL\n"):
+            assert_fields_equal(w, other)
 
 
 @st.composite
