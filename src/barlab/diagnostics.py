@@ -48,25 +48,25 @@ _DEFECT_TOL = 1e-9
 # to sigma: s* (2), J/M and the product, or at M = thr = s* (L/a1), where s*
 # cancels, L/a1, thr, J/thr and the product.  The mass (M - thr)(a0/s*) takes
 # 5 relative to a0 M/s*: s* (2), thr's other 2 on thr <= M, and the
-# subtraction, a0/s* and the product on M - thr.  The constants below were
-# counted for the mass ratchet, whose sigma took 11 and mass 7; the recount in
-# brackets is below each, so they stand.
-#   p = J - c sigma: 13 u |c sigma| (sigma, c, product) + u |p| <= 13 u |J|
-#   [6 u |J|].
+# subtraction, a0/s* and the product on M - thr.
+#   p = J - c sigma: 6 u |c sigma| (sigma, c, product) + u |p| <= 6 u |J|.
 #   S = E - c sigma^2/2, E = J sigma/2 + kappa l: sigma enters with weight
-#   |J/2 - c sigma| <= |J|/2 (5.5 u s* M) [2], the mass with kappa (3.5)
-#   [2.5], c and c sigma (1), E's two products and sum (2), the last product
-#   and the subtraction (1.5): 13.5 u s* max|J| [9].
-#   Flow defect s*|dp| - sigma_k dp per step: dp carries 13 u (|J_k| + |J_k-1|)
-#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 28 [14].
-#   s* (2), sigma_k (11) [4], the two products (2) and the subtraction (2) add
-#   17 u s* |dp| [10], with |dp| <= |J_k| + |J_k-1|: 45 u s* (|J_k| + |J_k-1|)
-#   [24].
+#   |J/2 - c sigma| <= |J|/2 (2 u s* M), the mass with kappa (2.5), c and
+#   c sigma (1), E's two products and sum (2), the last product and the
+#   subtraction (1.5): 9 u s* max|J|.
+#   Flow defect s*|dp| - sigma_k dp per step: dp carries 6 u (|J_k| + |J_k-1|)
+#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 14.
+#   s* (2), sigma_k (4), the two products (2) and the subtraction (2) add
+#   10 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 24 u s* (|J_k| + |J_k-1|).
 #   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp|
-#   carries 28 u max|J| [14]; the running sum (n - 1), s* and the product (3)
-#   add (n + 2) u s* Var(p); S and S(0) add 27 u s* max|J| [18], the two
+#   carries 14 u max|J|; the running sum (n - 1), s* and the product (3)
+#   add (n + 2) u s* Var(p); S and S(0) add 18 u s* max|J|, the two
 #   subtractions u (s* Var(p) + 2 s* max|J|):
-#   u ((n + 3) s* Var(p) + (28 n + 29) s* max|J|) [(14 n + 20)].
+#   u ((n + 3) s* Var(p) + (14 n + 20) s* max|J|).
+# The code keeps 45 and (28 n + 29), counted for an earlier stress rule: they bound these counts.
+# A product or quotient with a subnormal result is within 2^-1075 = u 2^-1022 of its exact result;
+# R gathers, in those units and with c s* = thr, at most (2n + 1) thr (1 + s*) + (2n + 5) s*
+# + 2 max|J| (1 + s*) + 2 kappa + 7 (tests/test_diagnostics.py::_underflow), and 1 for the last scaling.
 
 
 def _ledger(m: MaterialParams, J: np.ndarray, sigma: np.ndarray, E: np.ndarray):
@@ -186,13 +186,14 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     """
     if verdict not in (PERFECT_PLASTICITY, DAMAGE_ONLY):
         raise ValueError(f"unknown verdict {verdict!r}; expected {PERFECT_PLASTICITY!r} or {DAMAGE_ONLY!r}")
-    m = traj.m
-    s = m.yield_stress
-    n = traj.times.size - 1
+    m, n = traj.m, traj.times.size - 1
+    s, thr, J_max = m.yield_stress, m.jump_threshold, np.max(np.abs(traj.J))
     dp, _, dissipation, series = _balance(traj)
     # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
-    rounding = (n + 3) * _U * dissipation[-1] + (28 * n + 29) * _U * s * np.max(np.abs(traj.J))
-    res_tol = max(_RESIDUAL_TOL * s * m.jump_threshold, float(rounding))
+    under = ((2 * n + 1) * _U * thr * (1.0 + s) + (2 * n + 5) * _U * s + 2.0 * _U * J_max * (1.0 + s)
+             + 2.0 * _U * m.kappa + 8.0 * _U) * 2.0**-1022
+    rounding = (n + 3) * _U * dissipation[-1] + (28 * n + 29) * _U * s * J_max + under
+    res_tol = max(_RESIDUAL_TOL * s * thr, float(rounding))
 
     damaged = traj.l > 0.0
     unsaturated = damaged & ~stress_saturated(traj)

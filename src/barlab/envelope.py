@@ -130,23 +130,25 @@ _Cell = namedtuple("_Cell", "s_plateau weak a sigma theta l energy")
 def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     """Relaxed two-phase state of the bar frozen at the largest jump ``M`` and read at the jump ``J``.
 
-    One leading row per eps, each checked by ``plateau_factor`` first: the plateau stress ``s_p``,
-    the weak stiffness ``eps*a0``, the stiffness ``a = clip(s_p L/M, eps*a0, a1)`` of the mix that
-    carries ``M`` at ``s_p``, the stress ``J a/L``, the sound fraction ``theta``, the damage mass
-    ``l = L (1 - theta)/eps`` and the energy ``J sigma/2 + kappa l`` of ``run_limit``, at ``J = M`` the envelope.
+    One leading row per eps, each checked by ``plateau_factor`` ``pf`` first: the limit model's map on
+    ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))`` (``run_limit``'s ``s* (J/max(M, thr))``
+    at ``pf = 1`` short of full damage), the stiffness ``a = clip(a1 (thr/N), eps a0, a1)``, the sound
+    fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``, the energy ``J sigma/2 + kappa l`` of
+    ``run_limit`` (at ``J = M`` the envelope), the plateau stress ``s_p = s* pf`` and the weak stiffness ``eps a0``.
     """
-    s_plateau = np.reshape([m.yield_stress * plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
-    eps = np.array(eps_list, dtype=float).reshape(s_plateau.shape)
-    weak = eps * m.a0
-    # M = 0 gives an infinite stiffness, clipped to exactly a1; non-finite values pass silently.
+    pf = np.reshape([plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
+    eps = np.array(eps_list, dtype=float).reshape(pf.shape)
+    weak, thr = eps * m.a0, m.jump_threshold
+    # N = 0 gives an infinite stiffness, clipped to exactly a1; non-finite values pass silently.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.clip(s_plateau * m.L / M, weak, m.a1)
-        sigma = J * a / m.L
+        N = M / pf
+        a = np.clip(m.a1 * (thr / N), weak, m.a1)
+        sigma = m.yield_stress * (J / np.clip(N, thr, thr * (m.a1 / weak)))
         theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
         # L (1 - theta)/eps, without the 1/eps amplification of the rounding in 1 - theta.
         l = m.L * (1.0 / a - 1.0 / m.a1) / (1.0 / m.a0 - eps / m.a1)
         energy = 0.5 * J * sigma + m.kappa * l
-    return _Cell(s_plateau, weak, a, sigma, theta, l, energy)
+    return _Cell(m.yield_stress * pf, weak, a, sigma, theta, l, energy)
 
 
 def _two_well_cell(p: TwoWellParams, xi) -> _Cell:

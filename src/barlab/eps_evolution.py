@@ -12,13 +12,12 @@ A consequence of the stiffness identity
 ``1/a = (1-Theta)/(eps*a0) + Theta/a1`` is that the relaxed per-cell
 density has the same plateau stress for every cell and every step,
 ``s_p = sqrt(2*kappa*a0) * plateau_factor``.  Each step is then elastic,
-on the plateau or fully damaged, and a plateau step sets the stiffness of
-the homogeneous bar to ``s_p*L/|J|``.  The whole history is therefore a
-prefix scan: the cell of ``envelope._frozen_cell`` frozen at the running
-maximum of ``|J|`` and read at the current jump.  Only ``s_p`` and the weak
-stiffness depend on ``eps``, so the scan runs on a leading eps axis: one
-running maximum serves every eps of a sweep, and ``run_eps`` is the
-one-row case.
+on the plateau or fully damaged, and the whole history is a prefix scan,
+``envelope._frozen_cell``: the limit model's stress rule ``s* (J/N)`` read at
+``N``, the running maximum of ``|J|`` over ``plateau_factor``, clipped to the
+window from onset to full damage.  Only ``N`` and the weak stiffness depend on
+``eps``, so the scan runs on a leading eps axis: one running maximum serves
+every eps of a sweep, and ``run_eps`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -60,16 +59,21 @@ class EpsTrajectory:
     l_eps: np.ndarray
 
 
-def _bound_guards(m: MaterialParams, J, sigma, energy, grid, eps_list) -> None:
-    """Guard ``E/L <= root**2`` and ``|sigma| <= 2k root``, ``k = sqrt(a1/2)``, of every eps row.
+def _bound_guards(m: MaterialParams, J, sigma, a, energy, grid, eps_list) -> None:
+    """Guard the aggregate strain ``sigma L/a = J``, ``E/L <= root**2`` and ``|sigma| <= 2k root`` of every eps row.
 
-    A step raises the energy by at most the worst-case work of its increment, a perfect
-    square: ``root = sqrt(E(0)/L) + k cumsum|dJ|/L``.  In these strain units with finite
+    The strain is read in jump units, with the compliance ``L/a1`` that ``thr`` and the stress are built
+    from, to ``1e-12`` of ``|J|`` or of ``thr a1/a``, the jump at which the stiffness ``a`` carries ``s*``.
+    A step raises the energy by at most the worst-case work of its increment, a perfect square:
+    ``root = sqrt(E(0)/L) + k cumsum|dJ|/L`` with ``k = sqrt(a1/2)``.  In these strain units with finite
     ``k, 2k > 0`` no term is negative, ``0*inf`` or ``inf - inf``: an overflow only makes a
     bound infinite, where it passes.  The slacks are relative to the bound and the units.
     """
-    k = math.sqrt(0.5 * m.a1)
-    with np.errstate(over="ignore"):
+    k, thr = math.sqrt(0.5 * m.a1), m.jump_threshold
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = m.a1 / a
+        _guard(np.abs(sigma * (m.L / m.a1) * ratio - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), thr * ratio),
+               grid, "stress leaves an aggregate-strain residual", eps_list)
         root = np.sqrt(energy[:, :1] / m.L) + k * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(J)) / m.L)])
         _guard(energy / m.L > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa, grid,
                "energy bound violated", eps_list)
@@ -89,22 +93,13 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)
-
-    a_prev = np.concatenate([np.full_like(weak, m.a1), a[:, :-1]], axis=1)
-    theta_prev = np.concatenate([np.ones_like(weak), theta[:, :-1]], axis=1)
-    # In strain units, as the bounds: sigma L and s_p L pass the float range where L nears it,
-    # and where J/L overflows (a subnormal L) the right side is inf too, so the guard passes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _guard(np.abs(sigma / a - J / m.L) > _RESIDUAL_TOL * np.maximum(np.abs(J) / m.L, s_plateau / a_prev),
-               grid, "stress leaves an aggregate-strain residual", eps_list)
+    _bound_guards(m, J, sigma, a, energy, grid, eps_list)
     a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
     # theta's three roundings, at most 3u absolutely, reach a_identity through
     # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
     # stiff bar); the other roundings stay below 8u, inside _IDENTITY_TOL.
     _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
            "stiffness identity violated after damage update", eps_list)
-    _guard((theta > theta_prev) | (a > a_prev), grid, "damage update would heal the bar", eps_list)
-    _bound_guards(m, J, sigma, energy, grid, eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", eps_list)
     return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work
@@ -115,14 +110,15 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     """Drive the bar through ``w`` on ``time_grid`` and record energetics.
 
     The run starts from the pristine bar and stays homogeneous, so the
-    history is a prefix scan: the stiffness is the running minimum of
-    ``s_p L/|J|`` clipped to ``[eps*a0, a1]``, the stress is ``J*a/L`` and
-    the sound fraction follows from the stiffness identity.
+    history is a prefix scan: with ``N`` the running maximum of ``|J|`` over
+    ``plateau_factor``, the stress is ``s* (J/clip(N, thr, thr a1/(eps a0)))``,
+    as ``run_limit``'s, the stiffness ``clip(a1 thr/N, eps*a0, a1)``, and the
+    sound fraction follows from the stiffness identity.  Damage never heals by
+    construction: each step from ``N`` to ``a`` and ``theta`` is monotone.
 
     Every step re-checks the closed form: a finite energy and work, the
-    aggregate-strain residual, the stiffness identity and irreversibility,
-    which the scan satisfies by construction and which therefore only catch
-    rounding, and the a-priori energy bound and the stress bounds.  A violation raises
+    aggregate strain in jump units, the stiffness identity, and the a-priori
+    energy bound and the stress bounds.  A violation raises
     ``NumericalError`` naming ``eps`` and the first offending step.  The independent
     reference is the per-cell incremental minimization replayed step by
     step (``tests/oracles.py::stepwise_run_eps``).

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParams,
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
-                    optimal_theta, preset_datum, refined_time_grid, run_eps, sweep_eps)
-from barlab.envelope import envelope_slope_bounds, plateau_factor
+                    optimal_theta, preset_datum, refined_time_grid, run_eps, run_limit, sweep_eps)
+from barlab.envelope import _frozen_cell, envelope_slope_bounds, plateau_factor
 from barlab.eps_evolution import _bound_guards
 from barlab.errors import _guard
 from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, extreme_programs,
-                      materials, programs)
+                      extreme_units, materials, programs)
 from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
                      initial_step, mixture_objective, pristine_state, stepwise_run_eps, total_energy)
 
@@ -344,8 +344,8 @@ def test_an_energy_floats_hold_is_run_though_l_sigma_squared_overflows():
 @example(program=HUGE_THRESHOLD_DROP, steps=40, m=HUGE_THRESHOLD_MATERIAL, decades=float(np.log10(30.0)))
 def test_any_float_program_runs_or_its_energy_is_refused(program, steps, m, decades):
     # eps from 1e-6 a1/a0 to just below a1/a0.  On HUGE_THRESHOLD_MATERIAL 2L, sigma L and
-    # s_p L pass the float range on finite runs: no guard may warn or trip on them, and the
-    # one refusal left is an energy or work the floats cannot hold.
+    # s_p L pass the float range on finite runs: the scan forms none of them, no guard may warn or
+    # trip, and the one refusal left is an energy or work the floats cannot hold.
     times, jump = program
     w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
     with warnings.catch_warnings():
@@ -359,14 +359,64 @@ def test_any_float_program_runs_or_its_energy_is_refused(program, steps, m, deca
 @pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL])
 def test_each_bound_trips_just_above_itself(m):
     # One step from rest to J = L: root = sqrt(a1/2), so E/L <= a1/2 and |sigma| <= a1.
-    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone.
+    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone
+    # (the stiffness moves with the stress, so the aggregate strain stays J).
     grid, J = np.array([0.0, 1.0]), np.array([0.0, m.L])
-    energy, sigma = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]])
-    _bound_guards(m, J, sigma, energy, grid, (0.1,))
+    energy, sigma, a = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]]), np.full((1, 2), m.a1)
+    _bound_guards(m, J, sigma, a, energy, grid, (0.1,))
     with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): energy bound violated$"):
-        _bound_guards(m, J, sigma, energy * (1.0 + 1e-8), grid, (0.1,))
+        _bound_guards(m, J, sigma, a, energy * (1.0 + 1e-8), grid, (0.1,))
     with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): stress bound violated$"):
-        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (0.1,))
+        _bound_guards(m, J, sigma * (1.0 + 1e-8), a * (1.0 + 1e-8), energy, grid, (0.1,))
+
+
+# L/a1 = 6.2e-318 is subnormal and keeps few bits, while thr = s* (L/a1) = 2.3e-197 is normal.
+SUBNORMAL_COMPLIANCE_MATERIAL = MaterialParams(kappa=1.877e-2, a0=3.737e242, a1=6.782e242, L=4.191e-75, T=1.0)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL, SUBNORMAL_COMPLIANCE_MATERIAL],
+                         ids=["default", "huge-threshold", "subnormal-compliance"])
+def test_the_aggregate_strain_trips_just_above_its_bound(m):
+    # One elastic step from rest to J = thr, in the state the scan builds: in jump units with the
+    # compliance L/a1 the strain is J to a few roundings, and its bound is 1e-12 |J|.
+    grid, J = np.array([0.0, 1.0]), np.array([0.0, m.jump_threshold])
+    cell = _frozen_cell(m, (0.1,), J, np.abs(J))
+    strain = r"^eps=0\.1, time step 1 \(t=1\.0\): stress leaves an aggregate-strain residual$"
+    for factor in (1.0, 1.0 + 0.99e-12, 1.0 - 0.99e-12):
+        _bound_guards(m, J, cell.sigma * factor, cell.a, cell.energy, grid, (0.1,))
+    for factor in (1.0 + 1.01e-12, 1.0 - 1.01e-12):
+        with pytest.raises(NumericalError, match=strain):
+            _bound_guards(m, J, cell.sigma * factor, cell.a, cell.energy, grid, (0.1,))
+
+
+@settings(max_examples=200)
+@given(m=materials(), data=st.data(), steps=st.integers(1, 100))
+def test_where_the_plateau_factor_is_one_the_eps_stress_is_the_limit_stress(m, data, steps):
+    # eps a0 = 1e-20 a0 is below the rounding of a1, so plateau_factor is exactly 1, N is M, and short of
+    # full damage (|J| <= 3 thr here) s* (J/clip(N, thr, thr a1/(eps a0))) is run_limit's s* (J/max(M, thr)).
+    assert plateau_factor(m, 1e-20) == 1.0
+    w = data.draw(programs(m))
+    grid = refined_time_grid(w, steps)
+    assert np.array_equal(run_eps(m, 1e-20, 1, w, grid).sigma, run_limit(m, w, grid).sigma)
+
+
+@settings(max_examples=300)
+@given(units=extreme_units(), program=extreme_programs(), steps=st.integers(1, 40), decades=st.floats(0.01, 6.0))
+def test_damage_never_heals(units, program, steps, decades):
+    # Each step from M to N = M/pf, a = clip(a1 (thr/N), eps a0, a1) and theta is monotone under
+    # correct rounding: from the pristine a1 and 1, neither ever grows, with no tolerance.
+    times, jump = program
+    try:
+        m = MaterialParams(**units, T=times[-1])
+        eps = m.a1 / m.a0 * 10.0**-decades
+        plateau_factor(m, eps)
+    except ValueError:
+        return
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    J = w.jump(refined_time_grid(w, steps))
+    cell = _frozen_cell(m, (eps,), J, np.maximum.accumulate(np.abs(J)))
+    assert np.all(np.diff(np.concatenate([[m.a1], cell.a[0]])) <= 0.0)
+    assert np.all(np.diff(np.concatenate([[1.0], cell.theta[0]])) <= 0.0)
 
 
 def test_a_tiny_eps_keeps_l_eps_to_its_rounding():

@@ -28,6 +28,11 @@ from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_
 from oracles import limit_ledger
 
 
+# kappa = 0.001, a0 = 7e289, a1 = 2.1e290, L = 2.2e283: s* L = 8.2e426 passes the float range, thr = 3.9e136 does not.
+FAR_UNITS_INI = ("[material]\nkappa = 0.001\na0 = 7e289\na1 = 2.1e290\nL = 2.2e283\nT = 1\n"
+                 "[datum]\ntimes = 0, 1\nwL = 0, 3.4e139\n")
+
+
 def ini_text(cfg: ScenarioConfig) -> str:
     """The INI form of ``cfg``, floats with 17 significant digits."""
     def nums(values):
@@ -299,6 +304,17 @@ class TestSweep:
         sweep_eps(replace(preset("loading-unloading"), steps=50, eps_list=(0.1, 0.05, 0.02, 0.01)))
         assert calls == {"run_limit": 1, "jump": 1}
 
+    @settings(max_examples=50)
+    @given(m=materials())
+    def test_a_run_that_never_damages_deviates_by_exactly_zero(self, m):
+        # Below onset both models read the one stress rule s* (J/thr), with no mass: the deviations are
+        # zero bit for bit, so the strict-decrease flags fail (the documented exit 3 of this sweep).
+        cfg = ScenarioConfig(material=m, datum=preset_datum("constant", m), steps=40, eps_list=(0.1, 0.05, 0.02))
+        report = sweep_eps(cfg)
+        for dev in (report.sup_sigma_dev, report.sup_l_dev, report.sup_energy_dev):
+            assert dev.tolist() == [0.0, 0.0, 0.0]
+        assert not (report.sigma_monotone or report.l_monotone or report.energy_monotone)
+
     def test_an_overflowing_sweep_names_the_eps(self):
         w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 1e160])
         with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=0\.5\): energy or work"):
@@ -306,14 +322,14 @@ class TestSweep:
 
     def test_guard_names_the_eps(self, monkeypatch):
         # With no rounding allowance the aggregate-strain guard fires on the
-        # rounding of some eps and not of others: here 0.2 passes and 0.1 fails.
+        # rounding of some eps and not of others: here 0.3 passes and 0.25 fails.
         monkeypatch.setattr("barlab.eps_evolution._RESIDUAL_TOL", 0.0)
-        cfg = replace(preset("loading-unloading"), steps=20, eps_list=(0.2, 0.1))
+        cfg = replace(preset("loading-unloading"), steps=20, eps_list=(0.3, 0.25))
         grid = refined_time_grid(cfg.datum, cfg.steps)
-        run_eps(cfg.material, 0.2, 1, cfg.datum, grid)
+        run_eps(cfg.material, 0.3, 1, cfg.datum, grid)
         with pytest.raises(NumericalError) as single:
-            run_eps(cfg.material, 0.1, 1, cfg.datum, grid)
-        assert str(single.value).startswith("eps=0.1, time step ")
+            run_eps(cfg.material, 0.25, 1, cfg.datum, grid)
+        assert str(single.value).startswith("eps=0.25, time step ")
         with pytest.raises(NumericalError) as swept:
             sweep_eps(cfg)
         assert str(swept.value) == str(single.value)
@@ -733,6 +749,18 @@ class TestCommandLine:
             assert main([*command, "--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_an_eps_run_on_a_material_whose_s_p_l_overflows_exits_0(self, tmp_path, capsys):
+        # The eps stress s* (J/clip(N, thr, thr a1/(eps a0))) never forms s* L; the run ends fully damaged.
+        path = tmp_path / "wide.ini"
+        path.write_text(FAR_UNITS_INI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate-eps", "--config", str(path), "--eps", "1.5"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        values = [float(line.split("=")[-1]) for line in out.out.splitlines()[1:]]
+        assert len(values) == 4 and np.all(np.isfinite(values)) and values[2] > 0.0
+
     @pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
     @pytest.mark.parametrize("command", [["classify"], ["simulate-limit"], ["emit-figures"],
                                          ["sweep-eps", "--eps-list", "0.1,0.01"]],
@@ -1087,8 +1115,8 @@ def test_only_the_eps_commands_load_the_eps_model(tmp_path, argv, loaded):
 
 
 def test_the_eps_model_runs_on_a_jump_threshold_of_1e308(tmp_path):
-    # 2L, sigma L and s_p L pass the float range on this finite run; the eps scan's guards work in
-    # strain units, so neither command warns nor refuses it.
+    # 2L, sigma L and s_p L pass the float range on this finite run; the eps scan forms none of them,
+    # so neither command warns nor refuses it.
     path = tmp_path / "huge.ini"
     times, jump = HUGE_THRESHOLD_DROP
     path.write_text(ini_text(ScenarioConfig(material=HUGE_THRESHOLD_MATERIAL,
