@@ -124,21 +124,29 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
+def _cell_threshold(m: MaterialParams) -> float:
+    """``m.jump_threshold``, or ``(s* L)/a1`` (if not 0) where ``L/a1`` is subnormal and ``s* L`` normal."""
+    sL = m.yield_stress * m.L
+    exact = sL / m.a1 if m.L / m.a1 < 2.0**-1022 <= sL < math.inf else 0.0
+    return exact or m.jump_threshold
+
+
 _Cell = namedtuple("_Cell", "s_plateau weak a sigma theta l energy")
 
 
 def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     """Relaxed two-phase state of the bar frozen at the largest jump ``M`` and read at the jump ``J``.
 
-    One leading row per eps, each checked by ``plateau_factor`` ``pf`` first: the limit model's map on
-    ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))`` (``run_limit``'s ``s* (J/max(M, thr))``
-    at ``pf = 1`` short of full damage), the stiffness ``a = clip(a1 (thr/N), eps a0, a1)``, the sound
-    fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``, the energy ``J sigma/2 + kappa l`` of
-    ``run_limit`` (at ``J = M`` the envelope), the plateau stress ``s_p = s* pf`` and the weak stiffness ``eps a0``.
+    One row per eps, each checked by ``plateau_factor`` ``pf`` first: with ``thr = _cell_threshold(m)``,
+    the limit model's map on ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))``
+    (``run_limit``'s ``s* (J/max(M, thr))`` at ``pf = 1`` short of full damage), the stiffness
+    ``a = clip(a1 (thr/N), eps a0, a1)``, the sound fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``,
+    the energy ``J sigma/2 + kappa l`` of ``run_limit`` (at ``J = M`` the envelope), the plateau stress
+    ``s_p = s* pf`` and the weak stiffness ``eps a0``.
     """
     pf = np.reshape([plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
     eps = np.array(eps_list, dtype=float).reshape(pf.shape)
-    weak, thr = eps * m.a0, m.jump_threshold
+    weak, thr = eps * m.a0, _cell_threshold(m)
     # N = 0 gives an infinite stiffness, clipped to exactly a1; non-finite values pass silently.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         N = M / pf

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import MaterialParams, _frozen_cell
+from .envelope import MaterialParams, _cell_threshold, _frozen_cell
 from .errors import _U, _guard
 from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
@@ -60,20 +60,19 @@ class EpsTrajectory:
 
 
 def _bound_guards(m: MaterialParams, J, sigma, a, energy, grid, eps_list) -> None:
-    """Guard the aggregate strain ``sigma L/a = J``, ``E/L <= root**2`` and ``|sigma| <= 2k root`` of every eps row.
+    """Guard the aggregate strain ``sigma L/a = J``, ``E/L <= root**2`` and ``|sigma| <= 2k root`` per eps row.
 
-    The strain is read in jump units, with the compliance ``L/a1`` that ``thr`` and the stress are built
-    from, to ``1e-12`` of ``|J|`` or of ``thr a1/a``, the jump at which the stiffness ``a`` carries ``s*``.
-    A step raises the energy by at most the worst-case work of its increment, a perfect square:
-    ``root = sqrt(E(0)/L) + k cumsum|dJ|/L`` with ``k = sqrt(a1/2)``.  In these strain units with finite
-    ``k, 2k > 0`` no term is negative, ``0*inf`` or ``inf - inf``: an overflow only makes a
-    bound infinite, where it passes.  The slacks are relative to the bound and the units.
+    The strain is read in jump units, ``(sigma/s*) thr (a1/a)`` with the cell's ``thr``, to ``1e-12`` of
+    ``|J|`` or of ``thr (a1/a)``, the jump at which the stiffness ``a`` carries ``s*``.  A step raises the
+    energy by at most the worst-case work of its increment, a perfect square: ``root = sqrt(E(0)/L)
+    + k cumsum|dJ|/L`` with ``k = sqrt(a1/2)``.  In these strain units with finite ``k, 2k > 0`` no term
+    is negative, ``0*inf`` or ``inf - inf``: an overflow only makes a bound infinite, where it passes.
     """
-    k, thr = math.sqrt(0.5 * m.a1), m.jump_threshold
+    k, thr = math.sqrt(0.5 * m.a1), _cell_threshold(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = m.a1 / a
-        _guard(np.abs(sigma * (m.L / m.a1) * ratio - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), thr * ratio),
-               grid, "stress leaves an aggregate-strain residual", eps_list)
+        jump = thr * (m.a1 / a)
+        _guard(np.abs(sigma / m.yield_stress * jump - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), jump), grid,
+               "stress leaves an aggregate-strain residual", eps_list)
         root = np.sqrt(energy[:, :1] / m.L) + k * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(J)) / m.L)])
         _guard(energy / m.L > root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa, grid,
                "energy bound violated", eps_list)
@@ -110,11 +109,10 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     """Drive the bar through ``w`` on ``time_grid`` and record energetics.
 
     The run starts from the pristine bar and stays homogeneous, so the
-    history is a prefix scan: with ``N`` the running maximum of ``|J|`` over
-    ``plateau_factor``, the stress is ``s* (J/clip(N, thr, thr a1/(eps a0)))``,
-    as ``run_limit``'s, the stiffness ``clip(a1 thr/N, eps*a0, a1)``, and the
-    sound fraction follows from the stiffness identity.  Damage never heals by
-    construction: each step from ``N`` to ``a`` and ``theta`` is monotone.
+    history is a prefix scan, ``envelope._frozen_cell`` at the running maximum
+    of ``|J|``: ``run_limit``'s stress rule read at ``N = M/plateau_factor``.
+    Damage never heals by construction: each step from ``N`` to the stiffness
+    and the sound fraction is monotone.
 
     Every step re-checks the closed form: a finite energy and work, the
     aggregate strain in jump units, the stiffness identity, and the a-priori

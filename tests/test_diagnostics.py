@@ -612,6 +612,11 @@ EXTREME_RUNS = {
     "subnormal-energy-unit": ({"kappa": 1.4e-322, "a0": 1.0, "a1": 7.5696024634051975, "L": 0.7634834309038385},
                               [0.0, 1.0], [4.173555724067922e-163, -2.0161335838367017e-162], 86,
                               PERFECT_PLASTICITY),
+    # s* thr is 5e-324 and R(T) rounds to 5e-324: the underflow term must not raise the bar a DamageOnly
+    # residual clears, or this right verdict reads "verdict and balance residual disagree".
+    "subnormal-energy-unit-damage": ({"kappa": 1.9e-322, "a0": 1.0, "a1": 43.99879952909825,
+                                      "L": 0.2977462731046853},
+                                     [0.0, 1.0], [2.372506675875355e-163, -7.78956304045435e-164], 96, DAMAGE_ONLY),
 }
 
 

@@ -370,15 +370,15 @@ def test_each_bound_trips_just_above_itself(m):
         _bound_guards(m, J, sigma * (1.0 + 1e-8), a * (1.0 + 1e-8), energy, grid, (0.1,))
 
 
-# L/a1 = 6.2e-318 is subnormal and keeps few bits, while thr = s* (L/a1) = 2.3e-197 is normal.
+# L/a1 = 6.2e-318 is subnormal and keeps few bits; the cell's thr, (s* L)/a1 = 2.3e-197, is normal.
 SUBNORMAL_COMPLIANCE_MATERIAL = MaterialParams(kappa=1.877e-2, a0=3.737e242, a1=6.782e242, L=4.191e-75, T=1.0)
 
 
 @pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL, SUBNORMAL_COMPLIANCE_MATERIAL],
                          ids=["default", "huge-threshold", "subnormal-compliance"])
 def test_the_aggregate_strain_trips_just_above_its_bound(m):
-    # One elastic step from rest to J = thr, in the state the scan builds: in jump units with the
-    # compliance L/a1 the strain is J to a few roundings, and its bound is 1e-12 |J|.
+    # One elastic step from rest to J = m.jump_threshold, in the state the scan builds: in jump units
+    # with the cell's thr the strain is J to a few roundings, and its bound is 1e-12 |J|.
     grid, J = np.array([0.0, 1.0]), np.array([0.0, m.jump_threshold])
     cell = _frozen_cell(m, (0.1,), J, np.abs(J))
     strain = r"^eps=0\.1, time step 1 \(t=1\.0\): stress leaves an aggregate-strain residual$"
@@ -387,6 +387,23 @@ def test_the_aggregate_strain_trips_just_above_its_bound(m):
     for factor in (1.0 + 1.01e-12, 1.0 - 1.01e-12):
         with pytest.raises(NumericalError, match=strain):
             _bound_guards(m, J, cell.sigma * factor, cell.a, cell.energy, grid, (0.1,))
+
+
+# Compliances L/a1 that keep few bits: 1.5e-319 (the material above at L = 1e-76) and 3.5e-323.
+@pytest.mark.parametrize("units", [
+    {"kappa": 1.877e-2, "a0": 3.737e242, "a1": 6.782e242, "L": 1e-76},
+    {"kappa": 3.2945806535203968, "a0": 2.1849951035804142e+57, "a1": 5.230304508803783e+57,
+     "L": 1.6812865962494916e-265}], ids=["compliance-1.5e-319", "compliance-3.5e-323"])
+def test_an_elastic_run_on_a_subnormal_compliance_reads_the_exact_stress(units):
+    # s* (L/a1) would carry the compliance's rounding (1.2e-6 and 7% relative) into the stress, and the
+    # first trips the energy bound; the cell's thr is (s* L)/a1, so sigma is J a1/L to four roundings.
+    m = MaterialParams(**units, T=1.0)
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 0.5 * m.jump_threshold])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_eps(m, 0.5, 1, w, refined_time_grid(w, 10))
+    exact = [float(Fraction(J) * Fraction(m.a1) / Fraction(m.L)) for J in traj.J]
+    np.testing.assert_allclose(traj.sigma, exact, rtol=1e-15, atol=0.0)
 
 
 @settings(max_examples=200)
