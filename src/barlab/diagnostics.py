@@ -40,41 +40,36 @@ _SATURATION_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 _DEFECT_TOL = 1e-9
 
-# Rounding of the ledger, counted to first order in _U against exact
-# arithmetic on the recorded J and the material's floats.  On a limit run
-# J = sigma (x + c), x = l/a0, c = L/a1: c sigma and p = J x/(x + c) share the
-# sign of J, so |c sigma| + |p| = |J|, and S = sigma p/2 + kappa l <= s* M for
-# the running maximum M >= |J|.  sigma = s* (J/M) takes 4 roundings relative
-# to sigma: s* (2), J/M and the product, or at M = thr = s* (L/a1), where s*
-# cancels, L/a1, thr, J/thr and the product.  The mass (M - thr)(a0/s*) takes
-# 5 relative to a0 M/s*: s* (2), thr's other 2 on thr <= M, and the
-# subtraction, a0/s* and the product on M - thr.
-#   p = J - c sigma: 6 u |c sigma| (sigma, c, product) + u |p| <= 6 u |J|.
-#   S = E - c sigma^2/2, E = J sigma/2 + kappa l: sigma enters with weight
-#   |J/2 - c sigma| <= |J|/2 (2 u s* M), the mass with kappa (2.5), c and
-#   c sigma (1), E's two products and sum (2), the last product and the
-#   subtraction (1.5): 9 u s* max|J|.
-#   Flow defect s*|dp| - sigma_k dp per step: dp carries 6 u (|J_k| + |J_k-1|)
-#   from p and one rounding, and the defect is 2 s*-Lipschitz in dp: 14.
-#   s* (2), sigma_k (4), the two products (2) and the subtraction (2) add
-#   10 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 24 u s* (|J_k| + |J_k-1|).
-#   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp|
-#   carries 14 u max|J|; the running sum (n - 1), s* and the product (3)
-#   add (n + 2) u s* Var(p); S and S(0) add 18 u s* max|J|, the two
-#   subtractions u (s* Var(p) + 2 s* max|J|):
-#   u ((n + 3) s* Var(p) + (14 n + 20) s* max|J|).
-# The code keeps 45 and (28 n + 29), counted for an earlier stress rule: they
-# bound these counts.  A product or quotient with a subnormal result is within
-# 2^-1075 = u 2^-1022 of its exact result.  R gathers at most (2n + 1) thr
-# (1 + s*) + (2n + 5) s* + 2 max|J| (1 + s*) + 2 kappa + 7 of them (c s* = thr;
-# tests/test_diagnostics.py::_underflow), and 1 more for the last scaling.
-# That term widens only the tests it makes lenient: not the bar that R must
-# clear under a DamageOnly verdict.
+# Rounding of the ledger, counted to first order in _U against exact arithmetic on the recorded J
+# and the material's floats.  On a limit run J = sigma (x + c), x = l/a0, c = L/a1: c sigma and
+# p = J x/(x + c) share the sign of J, so |c sigma| + |p| = |J|, and S = sigma p/2 + kappa l <= s* M
+# for the running maximum M >= |J|.  thr takes 4 roundings relative to s* c: s* (2), then
+# s* (L/a1) or, on a subnormal L/a1, (s* L)/a1.  sigma = s* (J/M) takes 4 relative to sigma: s* (2),
+# J/M and the product, or at M = thr, where s* cancels, thr's other 2, J/thr and the product.  The
+# mass (M - thr)(a0/s*) takes 5 relative to a0 M/s*: s* (2), thr's other 2 on thr <= M, and the
+# subtraction, a0/s* and the product on M - thr.  The elastic jump e = thr (sigma/s*) takes 4
+# relative to c sigma (thr/s* is c to 2, the quotient and the product), so 8 relative to exact c sigma.
+#   p = J - e: 8 u |e| + u |p| <= 8 u |J|.
+#   S = E - e sigma/2, E = J sigma/2 + kappa l: sigma enters with weight |J/2 - e| <= |J|/2
+#   (2 u s* M), the mass with kappa (2.5), e's own 4 roundings (2), E's two products and sum (2),
+#   the last product and the subtraction (1.5): 10 u s* max|J|.
+#   Flow defect s*|dp| - sigma_k dp per step: dp carries 8 u (|J_k| + |J_k-1|) from p and one
+#   rounding, and the defect is 2 s*-Lipschitz in dp: 18.  s* (2), sigma_k (4), the two products (2)
+#   and the subtraction (2) add 10 u s* |dp|, with |dp| <= |J_k| + |J_k-1|: 28 u s* (|J_k| + |J_k-1|).
+#   Residual s* Var(p) - (S - S(0)) after n steps: each of the n terms |dp| carries 18 u max|J|; the
+#   running sum (n - 1), s* and the product (3) add (n + 2) u s* Var(p); S and S(0) add 20 u s* max|J|,
+#   the two subtractions u (s* Var(p) + 2 s* max|J|): u ((n + 3) s* Var(p) + (18 n + 22) s* max|J|).
+# The code keeps 45 and (28 n + 29), counted for an earlier stress rule: they still bound these
+# counts.  A product or quotient with a subnormal result is within 2^-1075 = u 2^-1022 of its exact
+# result.  R gathers at most (2n + 1) thr (1 + 2 s*) + (2n + 5) s* + 2 max|J| (1 + s*) + 2 kappa + 7
+# of them (c s* = thr; tests/test_diagnostics.py::_underflow), and 1 more for the last scaling.
+# That term widens only the tests it makes lenient: not the bar that R must clear under a
+# DamageOnly verdict.
 
 
 def _ledger(m: MaterialParams, J: np.ndarray, sigma: np.ndarray, E: np.ndarray):
     """Plastic strain ``p = J - L sigma/a1``, stored energy ``S = E - L sigma^2/(2 a1)``: total less elastic."""
-    elastic = m.L / m.a1 * sigma
+    elastic = m.jump_threshold * (sigma / m.yield_stress)  # L sigma/a1 in jump units, as the limit model reads it
     return J - elastic, E - 0.5 * elastic * sigma
 
 
@@ -193,8 +188,8 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     s, thr, J_max = m.yield_stress, m.jump_threshold, np.max(np.abs(traj.J))
     dp, _, dissipation, series = _balance(traj)
     # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
-    under = ((2 * n + 1) * _U * thr * (1.0 + s) + (2 * n + 5) * _U * s + 2.0 * _U * J_max * (1.0 + s)
-             + 2.0 * _U * m.kappa + 8.0 * _U) * 2.0**-1022
+    under = ((2 * n + 1) * _U * thr + (4 * n + 2) * _U * thr * s + (2 * n + 5) * _U * s
+             + 2.0 * _U * J_max * (1.0 + s) + 2.0 * _U * m.kappa + 8.0 * _U) * 2.0**-1022
     rounding = (n + 3) * _U * dissipation[-1] + (28 * n + 29) * _U * s * J_max
     res_tol = max(_RESIDUAL_TOL * s * thr, float(rounding + under))
     bar = res_tol if verdict == PERFECT_PLASTICITY else max(_RESIDUAL_TOL * s * thr, float(rounding))

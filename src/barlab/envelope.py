@@ -79,7 +79,7 @@ class MaterialParams:
             value = getattr(self, name)
             object.__setattr__(self, name, float(value) if isinstance(value, numbers.Real) else value)
         # Then each derived unit in the order it is built, so it is read only once its inputs have passed:
-        # s*, the compliance L/a1, thr = s* (L/a1), the mass unit a0/s* and the energy unit s* thr.
+        # s*, the compliance L/a1, thr = s* L/a1, the mass unit a0/s* and the energy unit s* thr.
         units = {"L/a1": lambda: self.L / self.a1, "a0/s*": lambda: self.a0 / self.yield_stress,
                  "s* thr": lambda: self.yield_stress * self.jump_threshold}
         for name in ("kappa", "a0", "a1", "L", "T", "yield_stress", "L/a1", "jump_threshold", "a0/s*", "s* thr"):
@@ -97,8 +97,10 @@ class MaterialParams:
 
     @cached_property
     def jump_threshold(self) -> float:
-        """Largest boundary jump the bar carries elastically: yield_stress*(L/a1), of the checked compliance."""
-        return self.yield_stress * (self.L / self.a1)
+        """Largest jump the bar carries elastically: ``s* (L/a1)``, or ``(s* L)/a1`` where ``L/a1`` is subnormal."""
+        c, sL = self.L / self.a1, self.yield_stress * self.L
+        exact = sL / self.a1 if c < 2.0**-1022 <= sL < math.inf else 0.0
+        return exact or self.yield_stress * c
 
 
 def raw_energy(p: TwoWellParams, xi) -> np.ndarray:
@@ -124,20 +126,13 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
-def _cell_threshold(m: MaterialParams) -> float:
-    """``m.jump_threshold``, or ``(s* L)/a1`` (if not 0) where ``L/a1`` is subnormal and ``s* L`` normal."""
-    sL = m.yield_stress * m.L
-    exact = sL / m.a1 if m.L / m.a1 < 2.0**-1022 <= sL < math.inf else 0.0
-    return exact or m.jump_threshold
-
-
 _Cell = namedtuple("_Cell", "s_plateau weak a sigma theta l energy")
 
 
 def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     """Relaxed two-phase state of the bar frozen at the largest jump ``M`` and read at the jump ``J``.
 
-    One row per eps, each checked by ``plateau_factor`` ``pf`` first: with ``thr = _cell_threshold(m)``,
+    One row per eps, each checked by ``plateau_factor`` ``pf`` first: with ``thr = m.jump_threshold``,
     the limit model's map on ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))``
     (``run_limit``'s ``s* (J/max(M, thr))`` at ``pf = 1`` short of full damage), the stiffness
     ``a = clip(a1 (thr/N), eps a0, a1)``, the sound fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``,
@@ -146,15 +141,16 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     """
     pf = np.reshape([plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
     eps = np.array(eps_list, dtype=float).reshape(pf.shape)
-    weak, thr = eps * m.a0, _cell_threshold(m)
+    weak, thr = eps * m.a0, m.jump_threshold
     # N = 0 gives an infinite stiffness, clipped to exactly a1; non-finite values pass silently.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         N = M / pf
         a = np.clip(m.a1 * (thr / N), weak, m.a1)
         sigma = m.yield_stress * (J / np.clip(N, thr, thr * (m.a1 / weak)))
         theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-        # L (1 - theta)/eps, without the 1/eps amplification of the rounding in 1 - theta.
-        l = m.L * (1.0 / a - 1.0 / m.a1) / (1.0 / m.a0 - eps / m.a1)
+        # L (1 - theta)/eps without the 1/eps amplification of 1 - theta's rounding; where L d is subnormal, d/D first.
+        d, D = 1.0 / a - 1.0 / m.a1, 1.0 / m.a0 - eps / m.a1
+        l = np.where((Ld := m.L * d) < 2.0**-1022, m.L * (d / D), Ld / D)
         energy = 0.5 * J * sigma + m.kappa * l
     return _Cell(m.yield_stress * pf, weak, a, sigma, theta, l, energy)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import MaterialParams, _cell_threshold, _frozen_cell
+from .envelope import MaterialParams, _frozen_cell
 from .errors import _U, _guard
 from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
@@ -62,13 +62,13 @@ class EpsTrajectory:
 def _bound_guards(m: MaterialParams, J, sigma, a, energy, grid, eps_list) -> None:
     """Guard the aggregate strain ``sigma L/a = J``, ``E/L <= root**2`` and ``|sigma| <= 2k root`` per eps row.
 
-    The strain is read in jump units, ``(sigma/s*) thr (a1/a)`` with the cell's ``thr``, to ``1e-12`` of
+    The strain is read in jump units, ``(sigma/s*) thr (a1/a)``, to ``1e-12`` of
     ``|J|`` or of ``thr (a1/a)``, the jump at which the stiffness ``a`` carries ``s*``.  A step raises the
     energy by at most the worst-case work of its increment, a perfect square: ``root = sqrt(E(0)/L)
     + k cumsum|dJ|/L`` with ``k = sqrt(a1/2)``.  In these strain units with finite ``k, 2k > 0`` no term
     is negative, ``0*inf`` or ``inf - inf``: an overflow only makes a bound infinite, where it passes.
     """
-    k, thr = math.sqrt(0.5 * m.a1), _cell_threshold(m)
+    k, thr = math.sqrt(0.5 * m.a1), m.jump_threshold
     with np.errstate(over="ignore", invalid="ignore"):
         jump = thr * (m.a1 / a)
         _guard(np.abs(sigma / m.yield_stress * jump - J) > _RESIDUAL_TOL * np.maximum(np.abs(J), jump), grid,
@@ -97,8 +97,10 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     # theta's three roundings, at most 3u absolutely, reach a_identity through
     # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
     # stiff bar); the other roundings stay below 8u, inside _IDENTITY_TOL.
-    _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
-           "stiffness identity violated after damage update", eps_list)
+    # A bound past the float range is infinite, and passes.
+    with np.errstate(over="ignore"):
+        _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
+               "stiffness identity violated after damage update", eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", eps_list)
     return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work

@@ -260,18 +260,19 @@ def _underflow(m: MaterialParams, J: np.ndarray, n: int) -> float:
 
     Each such operation is within 2**-1075 of its exact result; a sum of subnormals is exact, and the
     recorded J is monotone between knots however np.interp rounds.  Counted in units of 2**-1075, with
-    c = L/a1, |sigma| <= s* and |J| <= max|J|:
+    |sigma| <= s* and |J| <= max|J|:
       sigma = s* (J/M), the quotient and the product: 1 + s*;
       l = (M - thr)(a0/s*), the product: 1;
       E = (0.5 J) sigma + kappa l: 0.5 max|J| (1 + s*) + s* + kappa + 2;
-      p = J - c sigma: c (1 + s*) + 1;
-      S = E - (0.5 c sigma) sigma: E's, plus 0.5 s* (c (1 + s*) + 1) + s* + 0.5 max|J| (1 + s*) + 1;
-      R = s* (n terms |dp|, two p each) - (S - S(0)): 2 n s* (c (1 + s*) + 1) + 1 plus two S's,
-      at most (2n + 1) s* (1 + c)(1 + s*) + 2 max|J| (1 + s*) + 5 s* + 2 kappa + 7.
+      sigma/s*, sigma's divided by s* and the quotient: 1/s* + 2;
+      p = J - thr (sigma/s*): thr (1/s* + 2) + 1;
+      S = E - (0.5 e) sigma, e = thr (sigma/s*): E's, plus 0.5 s* (thr (1/s* + 2) + 1) + s* + 0.5 max|J| (1 + s*) + 1;
+      R = s* (n terms |dp|, two p each) - (S - S(0)): 2 n s* (thr (1/s* + 2) + 1) + 1 plus two S's,
+      at most (2n + 1) thr (1 + 2 s*) + (2n + 5) s* + 2 max|J| (1 + s*) + 2 kappa + 7.
     """
-    s, c = m.yield_stress, m.L / m.a1
-    count = ((2 * n + 1) * s * (1.0 + c) * (1.0 + s) + 2.0 * np.max(np.abs(J)) * (1.0 + s)
-             + 5.0 * s + 2.0 * m.kappa + 7.0)
+    s, thr = m.yield_stress, m.jump_threshold
+    count = ((2 * n + 1) * thr + (4 * n + 2) * thr * s + (2 * n + 5) * s + 2.0 * np.max(np.abs(J)) * (1.0 + s)
+             + 2.0 * m.kappa + 7.0)
     # 2.0**-1075 is itself 0.0 in floats: scale once, and add 1 for the rounding of that scaling.
     return math.ldexp(float(count) + 1.0, -1075)
 
@@ -844,7 +845,7 @@ def test_a_drop_the_float_jump_rounds_away_is_not_seen(times, w0, wL, verdict, w
 @settings(max_examples=25)
 @given(run=material_programs(), n=st.integers(1, 8))
 # A jump of the smallest normal float: at lam = 1e-9, mu = 1e6 the compliance L/a1 is 5e14 and the
-# elastic stress 4.45e-317, a subnormal, so p = J - (L/a1) sigma keeps few bits and R(T) reads
+# elastic stress 4.45e-317, a subnormal, so p = J - thr (sigma/s*) keeps few bits and R(T) reads
 # 8.9e-319 where the unscaled run reads 0, past 1e-12 s* J_s = 3e-323 but inside the counted underflow.
 @example(run=(MaterialParams(kappa=1.0, a0=1.0, a1=2.0, L=1.0, T=1.0),
               BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 2.2250738585072014e-308])), n=1)
@@ -927,7 +928,7 @@ def test_the_ledger_is_the_limit_models_own_to_its_rounding(m, data, steps, scal
     # the oracle's forms 13 u |J| and 22 u s* M (sigma 11, l/a0 2; its mass 7 with weight
     # s*^2/a0, its stress 11 with weight |p|, its four operations 4), M the running max of |J|.
     # These are the mass ratchet's counts of sigma (11) and the mass (7); the running maximum's
-    # 4 and 5 (diagnostics) are below them.
+    # 4 and 5 and the jump-unit ledger's 8 u |J| and 10 u s* M (diagnostics) are below them.
     w, m = _scaled(data.draw(programs(m)), m, *scales)
     traj = run_limit(m, w, refined_time_grid(w, steps))
     absJ = np.abs(traj.J)

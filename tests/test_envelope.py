@@ -1,16 +1,17 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlab import (MaterialParams, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, raw_energy, refined_time_grid, run_limit)
 from barlab.envelope import envelope_slope_bounds
-from conftest import UNIT_REFUSALS, assert_fields_equal
+from conftest import UNIT_REFUSALS, assert_fields_equal, extreme_units, materials
 from oracles import (envelope_by_minimization, mixture_objective, wbar_1d,
                      wbar_by_minimization)
 
@@ -130,6 +131,22 @@ class TestParamValidation:
     def test_derived_material_scales(self, material):
         assert material.yield_stress == pytest.approx(1.0, abs=1e-15)
         assert material.jump_threshold == pytest.approx(0.5, abs=1e-15)
+
+    @given(units=extreme_units() | materials().map(lambda m: {k: getattr(m, k) for k in ("kappa", "a0", "a1", "L")}))
+    @example(units={"kappa": 1.877e-2, "a0": 3.737e242, "a1": 6.782e242, "L": 1e-76})  # L/a1 = 1.5e-319
+    def test_the_threshold_keeps_its_bits_on_any_units(self, units):
+        # thr is s* (L/a1) bit for bit where the compliance is normal; where it is subnormal and keeps few
+        # bits, (s* L)/a1 is within its two roundings of s* L/a1 on the float s* (while s* L and thr are normal).
+        try:
+            m = MaterialParams(**units, T=1.0)
+        except ValueError:
+            return
+        s, c = m.yield_stress, m.L / m.a1
+        if c >= 2.0**-1022:
+            assert m.jump_threshold == s * c
+        elif s * m.L >= 2.0**-1022 and m.jump_threshold >= 2.0**-1022:
+            exact = Fraction(s) * Fraction(m.L) / Fraction(m.a1)
+            assert abs(Fraction(m.jump_threshold) - exact) <= 2 * Fraction(2.0**-53) * exact
 
 
 class TestRawEnergy:
@@ -267,6 +284,20 @@ class TestOptimalTheta:
             theta = optimal_theta(FIG, xi)
             c = 1.0 / (theta / FIG.a + (1.0 - theta) / FIG.b)
             assert num == pytest.approx(2.0 * c * xi, rel=1e-5)
+
+
+@given(a=st.floats(-300.0, 300.0), ratio=st.floats(0.001, 3.0), K=st.floats(-300.0, 300.0),
+       beyond=st.floats(2.0, 1e3))
+def test_past_full_damage_theta_is_exactly_one(a, ratio, K, beyond):
+    # The damage mass at full damage is L (1/(eps a0) - 1/a1)/(1/a0 - eps/a1), on the cell at L = eps = 1
+    # a quotient of two equal floats, so exactly 1 on any units floats can hold.
+    try:
+        p = TwoWellParams(a=10.0**a, b=10.0 ** (a + ratio), K=10.0**K)
+    except ValueError:
+        return
+    xi = beyond * envelope_slope_bounds(p)[1]
+    if np.isfinite(xi):
+        assert optimal_theta(p, xi) == 1.0 and optimal_theta(p, -xi) == 1.0
 
 
 @given(p=twowell_params(), xi=st.floats(-50.0, 50.0), theta=st.floats(0.0, 1.0))
