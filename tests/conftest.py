@@ -62,6 +62,11 @@ def extreme_units(draw) -> dict:
     return {"kappa": kappa, "a0": a0, "a1": a0 * 10.0 ** draw(st.floats(0.001, 3.0)), "L": L}
 
 
+def any_units():
+    """``extreme_units()``, or the fields of ``materials()`` but ``T``: a property over any units meets both."""
+    return extreme_units() | materials().map(lambda m: {k: getattr(m, k) for k in ("kappa", "a0", "a1", "L")})
+
+
 # Finite positive fields whose units floats cannot hold: the compliance L/a1 underflows to 0
 # or overflows, the mass unit a0/s* overflows (the mass (M - thr)(a0/s*) would be 0 inf), or
 # the energy unit s* thr underflows to 0.  Each with the preset that showed it.
