@@ -93,14 +93,14 @@ def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)
     _bound_guards(m, J, sigma, a, energy, grid, eps_list)
-    a_identity = 1.0 / ((1.0 - theta) / weak + theta / m.a1)
-    # theta's three roundings, at most 3u absolutely, reach a_identity through
-    # (1 - theta)/weak as 3u a/weak relative to a (large for a small eps on a
-    # stiff bar); the other roundings stay below 8u, inside _IDENTITY_TOL.
-    # A bound past the float range is infinite, and passes.
-    with np.errstate(over="ignore"):
-        _guard(np.abs(a - a_identity) > (_IDENTITY_TOL + 3.0 * _U * a / weak) * a, grid,
-               "stiffness identity violated after damage update", eps_list)
+    # In compliance form, exactly 1/a = (1 - theta)/weak + theta/a1.  theta's three roundings, at most
+    # 3u absolutely, move the right side by 3u (1/weak - 1/a1) < 3u/weak (large for a small eps on a
+    # stiff bar); the other roundings are relative to 1/a or to a term below it, inside _IDENTITY_TOL/a.
+    # Nothing is linearized, so a sound fraction 1 - theta that rounds away still passes, and every
+    # term is at most 1/weak, which plateau_factor keeps finite.
+    compliance = (1.0 - theta) / weak + theta / m.a1
+    _guard(np.abs(1.0 / a - compliance) > _IDENTITY_TOL / a + 3.0 * _U / weak, grid,
+           "stiffness identity violated after damage update", eps_list)
     _guard((theta > 0.0) & (np.abs(sigma) > s_plateau * (1.0 + 1e-12)), grid,
            "stress exceeded the damage-onset plateau", eps_list)
     return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work

@@ -5,9 +5,9 @@ at the jump threshold ``thr``: damage never heals.  The bar responds like
 two springs in series, ``J = sigma * (l/a0 + L/a1)``, the stress is
 confined to the yield interval ``[-s*, s*]`` with ``s* = sqrt(2*kappa*a0)``,
 and the damage mass ``l = (M - thr) a0/s*`` grows only while the stress
-sits on the boundary of that interval.  The time loop is this return map
-per load sample alone; the mass and the energy are read off the recorded
-arrays.
+sits on the boundary of that interval.  The time loop is the state
+recursion ``M = max(M, |J|)`` alone; the stress ``s* (J/M)``, the mass,
+the energy and the work are array formulas of the recorded ``M``.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from .errors import _guard
 from .loading import BoundaryDatum, cumulative_work, validate_time_grid
 
 __all__ = ["LimitTrajectory", "run_limit"]
-
-
-def _limit_step(M_prev: float, m: MaterialParams, J: float) -> tuple[float, float]:
-    """Return map of the effective model: ``(sigma, M)``, with ``M`` the running maximum of ``|J|``."""
-    # |J| <= M, so |J/M| <= 1 under correct rounding and |sigma| <= s* with no clamp.
-    M = max(M_prev, abs(J))
-    return m.yield_stress * (J / M), M
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +39,23 @@ class LimitTrajectory:
 
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
-    """Run the return map along ``w`` and record closed-form and integrated energies."""
+    """Run the state recursion along ``w`` and record closed-form and integrated energies.
+
+    The loop carries only the running maximum ``M`` of ``|J|``, from ``M = thr``,
+    the pristine bar; the stress ``s* (J/M)``, the mass ``(M - thr)(a0/s*)``, the
+    energy and the work are read off the recorded ``M`` as arrays.
+    """
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
 
-    # The loop runs on Python floats from M = thr, the pristine bar; each column becomes an array once, at the end.
-    sigma, peak = [], []
-    M = m.jump_threshold
-    for J_k in J.tolist():
-        sigma_k, M = _limit_step(M, m, J_k)
-        sigma.append(sigma_k)
-        peak.append(M)
-    sigma = np.array(sigma)
+    # The recursion runs on Python floats and becomes an array once, at the end.
+    peak = thr = m.jump_threshold
+    M = np.array([peak := max(peak, J_k) for J_k in np.abs(J).tolist()])
     # A jump too large for floats overflows the mass, the energy or the work: refuse it, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = (np.array(peak) - m.jump_threshold) * (m.a0 / m.yield_stress)
+        # |J| <= M, so |J/M| <= 1 under correct rounding and |sigma| <= s* with no clamp.
+        sigma = m.yield_stress * (J / M)
+        mass = (M - thr) * (m.a0 / m.yield_stress)
         e_closed = 0.5 * J * sigma + m.kappa * mass
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(e_closed) & np.isfinite(work)), grid, "energy or work is not finite")

@@ -271,6 +271,13 @@ def path_admits_plasticity(J, threshold: float) -> bool:
     return True
 
 
+def limit_step(M_prev: float, m, J: float) -> tuple[float, float]:
+    """Return map of the limit model per instant: ``(sigma, M)``, with ``M`` the running maximum of ``|J|``."""
+    # |J| <= M, so |J/M| <= 1 under correct rounding and |sigma| <= s* with no clamp.
+    M = max(M_prev, abs(J))
+    return m.yield_stress * (J / M), M
+
+
 def closed_form_limit(m, J, times) -> dict:
     """The limit model as one running-maximum scan instead of a return map per step.
 

@@ -328,8 +328,9 @@ def test_an_overflowing_energy_bound_is_silent():
 
 
 def test_an_overflowing_identity_bound_is_silent():
-    # At eps = 1e-20 on a1 = 1e301 the stiffness identity's bound (1e-12 + 3u a/(eps a0)) a passes the
-    # float range on the sound bar: infinite, it passes, with no warning.
+    # At eps = 1e-20 on a1 = 1e301 the identity's bound in stiffness form, (1e-12 + 3u a/(eps a0)) a, would
+    # pass the float range on the sound bar; in compliance form, 1e-12/a + 3u/(eps a0), it stays finite, and
+    # the sound run passes with no warning.
     m = MaterialParams(kappa=1.0, a0=1e298, a1=1e301, L=1.0, T=1.0)
     w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 0.5 * m.jump_threshold])
     grid = refined_time_grid(w, 4)
@@ -525,6 +526,21 @@ def test_the_identity_guard_allows_for_the_rounding_of_theta():
     a, theta = traj.stiffness[-1, 0], traj.theta[-1, 0]
     weak = 0.001 * m.a0
     assert abs(a - 1.0 / ((1.0 - theta) / weak + theta / m.a1)) > 1e-12 * a
+
+
+def test_the_identity_guard_passes_a_sound_fraction_that_rounds_away():
+    # At eps = 1e-20 the sound fraction 1 - theta < u/2 of the damaged bar rounds away: theta reads 1 and
+    # (1 - theta)/weak + theta/a1 reads 1/a1.  The compliance is off by (1 - theta)/weak <= 3u/weak, which
+    # the bound in compliance form allows; a bound in stiffness form, linear in theta's rounding, refuses step 9.
+    m = DEFAULT_MATERIAL
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 300.0 * m.jump_threshold])
+    grid = refined_time_grid(w, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_eps(m, 1e-20, 1, w, grid)
+    assert np.all(traj.theta == 1.0) and traj.stiffness[-1, 0] < m.a1 / 299.0
+    assert traj.sigma[-1] == m.yield_stress
+    assert np.array_equal(traj.sigma, run_limit(m, w, grid).sigma)
 
 
 @pytest.mark.parametrize("lam", [1e-9, 1e6, 1e9])

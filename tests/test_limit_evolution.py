@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from barlab import (BoundaryDatum, MaterialParams, NumericalError, cns_classify, preset_datum,
                     refined_time_grid, run_limit)
 from barlab.errors import _U
-from barlab.limit_evolution import _limit_step as limit_step
 from barlab.loading import first_drop
 from conftest import (OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, constant_run, extreme_programs, extreme_units,
                       materials, programs)
-from oracles import closed_form_limit, mass_reconstruction, stepwise_limit
+from oracles import closed_form_limit, limit_step, mass_reconstruction, stepwise_limit, trapezoid_work
 
 
 def first_state(m, J: float) -> tuple[float, float, float]:
@@ -92,10 +92,18 @@ def test_the_stress_never_leaves_the_yield_interval(units, program, steps):
     except ValueError:
         return
     w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
-    M = m.jump_threshold
-    for J in w.jump(refined_time_grid(w, steps)).tolist():
+    grid = refined_time_grid(w, steps)
+    M, stepwise = m.jump_threshold, []
+    for J in w.jump(grid).tolist():
         sigma, M = limit_step(M, m, J)
         assert abs(sigma) <= m.yield_stress
+        stepwise.append(sigma)
+    # run_limit's array formula is the same map: where it runs, its stress is the chained one.
+    try:
+        traj = run_limit(m, w, grid)
+    except NumericalError:
+        return
+    assert np.array_equal(traj.sigma, stepwise)
 
 
 class TestRunLimit:
@@ -218,6 +226,37 @@ def test_run_limit_is_the_closed_form_scan(m, data, steps):
     want = closed_form_limit(m, traj.J, traj.times)
     for name in ("sigma", "l", "E_closed"):
         assert np.array_equal(getattr(traj, name), want[name]), name
+    assert traj.t0 == want["t0"]
+
+
+@settings(max_examples=300)
+@given(units=extreme_units(), program=extreme_programs(), steps=st.integers(1, 50))
+def test_run_limit_is_the_closed_form_scan_on_any_units(units, program, steps):
+    # The array formulas run inside run_limit's errstate block: on any floats the run is the scan bit
+    # for bit, or it is refused, with no numpy warning, at the first step whose energy or work is not finite.
+    times, jump = program
+    try:
+        m = MaterialParams(**units, T=float(times[-1]))
+    except ValueError:
+        return
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    grid = refined_time_grid(w, steps)
+    J = w.jump(grid)
+    with np.errstate(all="ignore"):
+        want = closed_form_limit(m, J, grid)
+        work = trapezoid_work(grid, want["sigma"], J)
+    bad = np.flatnonzero(~(np.isfinite(want["E_closed"]) & np.isfinite(work)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bad.size:
+            where = f"time step {bad[0]} (t={float(grid[bad[0]])!r}): energy or work is not finite"
+            with pytest.raises(NumericalError, match=f"^{re.escape(where)}$"):
+                run_limit(m, w, grid)
+            return
+        traj = run_limit(m, w, grid)
+    for name in ("sigma", "l", "E_closed"):
+        assert np.array_equal(getattr(traj, name), want[name]), name
+    assert np.array_equal(traj.work_cum, work)
     assert traj.t0 == want["t0"]
 
 
