@@ -74,7 +74,7 @@ class MaterialParams:
     T: float
 
     def __post_init__(self) -> None:
-        # Numbers as Python floats, so no numpy scalar reaches the return map; math.isfinite refuses a str below.
+        # Python floats, for the limit recursion from thr and the textbook comparison; math.isfinite refuses a str.
         for name in ("kappa", "a0", "a1", "L", "T"):
             value = getattr(self, name)
             object.__setattr__(self, name, float(value) if isinstance(value, numbers.Real) else value)
@@ -89,7 +89,7 @@ class MaterialParams:
         if not self.a0 < self.a1:
             raise ValueError(f"need a0 < a1, got a0={self.a0!r}, a1={self.a1!r}")
 
-    # Cached: the return map of the limit model reads s* at every step, and starts from thr.
+    # Cached: the unit checks below read them, and every run of either model reads them again.
     @cached_property
     def yield_stress(self) -> float:
         """Stress threshold sqrt(2*kappa*a0) of the effective model."""
@@ -126,7 +126,7 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
-_Cell = namedtuple("_Cell", "s_plateau weak a sigma theta l energy")
+_Cell = namedtuple("_Cell", "s_plateau a sigma theta l energy")
 
 
 def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
@@ -136,8 +136,8 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     the limit model's map on ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))``
     (``run_limit``'s ``s* (J/max(M, thr))`` at ``pf = 1`` short of full damage), the stiffness
     ``a = clip(a1 (thr/N), eps a0, a1)``, the sound fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``,
-    the energy ``J sigma/2 + kappa l`` of ``run_limit`` (at ``J = M`` the envelope), the plateau stress
-    ``s_p = s* pf`` and the weak stiffness ``eps a0``.
+    the energy ``J sigma/2 + kappa l`` of ``run_limit`` (at ``J = M`` the envelope) and the plateau stress
+    ``s_p = s* pf``.
     """
     pf = np.reshape([plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
     eps = np.array(eps_list, dtype=float).reshape(pf.shape)
@@ -152,7 +152,7 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
         d, D = 1.0 / a - 1.0 / m.a1, 1.0 / m.a0 - eps / m.a1
         l = np.where((Ld := m.L * d) < 2.0**-1022, m.L * (d / D), Ld / D)
         energy = 0.5 * J * sigma + m.kappa * l
-    return _Cell(m.yield_stress * pf, weak, a, sigma, theta, l, energy)
+    return _Cell(m.yield_stress * pf, a, sigma, theta, l, energy)
 
 
 def _two_well_cell(p: TwoWellParams, xi) -> _Cell:

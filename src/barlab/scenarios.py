@@ -235,14 +235,15 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepReport:
 
 
 def textbook_plasticity(m: MaterialParams, J: np.ndarray) -> np.ndarray:
-    """Elastic perfectly-plastic stress response to the gap history, for comparison plots."""
-    J = np.asarray(J, dtype=float)
-    s = m.yield_stress
-    sigma = np.empty_like(J)
-    sigma[0] = np.clip(m.a1 * J[0] / m.L, -s, s)
-    for k in range(1, J.size):
-        sigma[k] = np.clip(sigma[k - 1] + m.a1 * (J[k] - J[k - 1]) / m.L, -s, s)
-    return sigma
+    """Elastic perfectly-plastic stress response ``s* q`` to the gap history, for comparison plots.
+
+    ``q = clip(q + dJ/thr, -1, 1)`` from ``clip(J_0/thr, -1, 1)``, on Python floats: ``a1 dJ/L`` is never formed.
+    """
+    J, thr = np.asarray(J, dtype=float).tolist(), m.jump_threshold
+    q = [min(max(J[0] / thr, -1.0), 1.0)]
+    for prev, cur in zip(J, J[1:]):
+        q.append(min(max(q[-1] + (cur - prev) / thr, -1.0), 1.0))
+    return m.yield_stress * np.array(q)
 
 
 def _open_out(path: str | os.PathLike[str]):

@@ -11,8 +11,8 @@ from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParam
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps, run_limit, sweep_eps)
 from barlab.envelope import _frozen_cell, envelope_slope_bounds, plateau_factor
-from barlab.eps_evolution import _bound_guards
-from barlab.errors import _guard
+from barlab.eps_evolution import _bound_guards, _scan
+from barlab.errors import _U, _guard
 from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, any_units,
                       extreme_programs, extreme_units, materials, programs)
 from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
@@ -371,34 +371,79 @@ def test_any_float_program_runs_or_its_energy_is_refused(program, steps, m, deca
 @pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL])
 def test_each_bound_trips_just_above_itself(m):
     # One step from rest to J = L: root = sqrt(a1/2), so E/L <= a1/2 and |sigma| <= a1.
-    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone
-    # (the stiffness moves with the stress, so the aggregate strain stays J).
+    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone.
     grid, J = np.array([0.0, 1.0]), np.array([0.0, m.L])
-    energy, sigma, a = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]]), np.full((1, 2), m.a1)
-    _bound_guards(m, J, sigma, a, energy, grid, (0.1,))
+    energy, sigma = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]])
+    _bound_guards(m, J, sigma, energy, grid, (0.1,))
     with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): energy bound violated$"):
-        _bound_guards(m, J, sigma, a, energy * (1.0 + 1e-8), grid, (0.1,))
+        _bound_guards(m, J, sigma, energy * (1.0 + 1e-8), grid, (0.1,))
     with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): stress bound violated$"):
-        _bound_guards(m, J, sigma * (1.0 + 1e-8), a * (1.0 + 1e-8), energy, grid, (0.1,))
+        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (0.1,))
 
 
 # L/a1 = 6.2e-318 is subnormal and keeps few bits; thr, (s* L)/a1 = 2.3e-197 there, is normal.
 SUBNORMAL_COMPLIANCE_MATERIAL = MaterialParams(kappa=1.877e-2, a0=3.737e242, a1=6.782e242, L=4.191e-75, T=1.0)
 
 
-@pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL, SUBNORMAL_COMPLIANCE_MATERIAL],
-                         ids=["default", "huge-threshold", "subnormal-compliance"])
-def test_the_aggregate_strain_trips_just_above_its_bound(m):
-    # One elastic step from rest to J = m.jump_threshold, in the state the scan builds: in jump units
-    # with thr the strain is J to a few roundings, and its bound is 1e-12 |J|.
-    grid, J = np.array([0.0, 1.0]), np.array([0.0, m.jump_threshold])
-    cell = _frozen_cell(m, (0.1,), J, np.abs(J))
-    strain = r"^eps=0\.1, time step 1 \(t=1\.0\): stress leaves an aggregate-strain residual$"
-    for factor in (1.0, 1.0 + 0.99e-12, 1.0 - 0.99e-12):
-        _bound_guards(m, J, cell.sigma * factor, cell.a, cell.energy, grid, (0.1,))
-    for factor in (1.0 + 1.01e-12, 1.0 - 1.01e-12):
-        with pytest.raises(NumericalError, match=strain):
-            _bound_guards(m, J, cell.sigma * factor, cell.a, cell.energy, grid, (0.1,))
+def _units(m: MaterialParams) -> dict:
+    return {name: getattr(m, name) for name in ("kappa", "a0", "a1", "L")}
+
+
+def _elastic_step(m: MaterialParams):
+    """One elastic step from rest to ``J = m.jump_threshold`` over ``[0, 1]``."""
+    return np.array([0.0, 1.0]), np.array([0.0, m.jump_threshold])
+
+
+@settings(max_examples=300)
+@given(units=extreme_units(), program=extreme_programs(), steps=st.integers(1, 40), t=st.floats(0.0, 1.0))
+@example(units=_units(DEFAULT_MATERIAL), program=_elastic_step(DEFAULT_MATERIAL), steps=1, t=0.5)
+@example(units=_units(HUGE_THRESHOLD_MATERIAL), program=_elastic_step(HUGE_THRESHOLD_MATERIAL), steps=1, t=0.5)
+@example(units=_units(SUBNORMAL_COMPLIANCE_MATERIAL), program=_elastic_step(SUBNORMAL_COMPLIANCE_MATERIAL), steps=1,
+         t=0.5)
+def test_the_scan_state_holds_its_identities(units, program, steps, t):
+    """The state the eps scan builds holds three identities of its closed form, each to its counted rounding.
+
+    eps runs geometrically from ``a1/a0`` (``t = 0``, refused) to ``1e-20`` (``t = 1``).  A material or eps
+    that is refused, or a run whose energy or work floats cannot hold, is rejected, so every one of the
+    examples checks a run; no bound may trip.  With ``u = 2^-53``:
+
+    - Aggregate strain, ``sigma L/a = J`` in jump units: ``(sigma/s*) thr (a1/a)`` is ``J`` to
+      ``1e-12 max(|J|, thr a1/a)``.  Exactly, ``thr a1/a`` is the stress divisor ``N'`` on each branch of the
+      clip: ``N`` where ``a = a1 (thr/N)``, ``thr`` where ``a = a1`` and, where ``a = eps a0``, ``thr
+      (a1/(eps a0))``, which the scan forms by the same two operations.  On the middle branch eight roundings
+      (``thr/N``, ``a1 (.)``, ``a1/a``, ``thr (.)``, ``J/N'``, ``s* (.)``, ``/s*`` and the product) give at most
+      ``8u |J|`` to first order, and a subnormal quotient or product adds ``2^-1075`` times at most ``thr a1/a``.
+    - Stiffness identity, ``1/a = (1 - theta)/(eps a0) + theta/a1`` in compliance form, to ``1e-12/a +
+      3u/(eps a0)``: ``theta``'s three roundings, at most ``3u`` absolutely, move the right side by ``3u (1/(eps
+      a0) - 1/a1) < 3u/(eps a0)``; the other roundings are relative to ``1/a`` or to a term below it.  Nothing
+      is linearized, so a sound fraction ``1 - theta`` that rounds away still holds it.
+    - Onset plateau, ``|sigma| <= s_p (1 + 1e-12)`` while sound material is left (``theta > 0``): ``N' >= N =
+      M/pf`` and ``|J| <= M`` give ``|J|/N' <= pf`` exactly, and ``s* (J/N')`` against ``s_p = s* pf`` adds
+      at most five roundings.
+    """
+    times, jump = program
+    try:
+        m = MaterialParams(**units, T=times[-1])
+        eps = 10.0 ** ((1.0 - t) * np.log10(m.a1 / m.a0) - 20.0 * t)
+        plateau_factor(m, eps)
+    except ValueError:
+        assume(False)
+    w = BoundaryDatum(times=times, w0=np.zeros_like(jump), wL=jump)
+    grid = refined_time_grid(w, steps)
+    J = w.jump(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s_p, a, sigma, theta, _, _, _ = (row[0] for row in _scan(m, (eps,), J, grid))
+        except NumericalError as exc:
+            assert str(exc).endswith("): energy or work is not finite"), str(exc)
+            assume(False)
+    weak, s, thr = eps * m.a0, m.yield_stress, m.jump_threshold
+    with np.errstate(over="ignore"):
+        jump_a = thr * (m.a1 / a)
+    assert np.all(np.abs(sigma / s * jump_a - J) <= 1e-12 * np.maximum(np.abs(J), jump_a))
+    assert np.all(np.abs(1.0 / a - ((1.0 - theta) / weak + theta / m.a1)) <= 1e-12 / a + 3.0 * _U / weak)
+    assert np.all(np.abs(sigma[theta > 0.0]) <= s_p * (1.0 + 1e-12))
 
 
 # Compliances L/a1 that keep few bits: 1.5e-319 (the material above at L = 1e-76) and 3.5e-323.

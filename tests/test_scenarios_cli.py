@@ -32,6 +32,14 @@ from oracles import limit_ledger
 FAR_UNITS_INI = ("[material]\nkappa = 0.001\na0 = 7e289\na1 = 2.1e290\nL = 2.2e283\nT = 1\n"
                  "[datum]\ntimes = 0, 1\nwL = 0, 3.4e139\n")
 
+# The first energy of its eps runs underflows: kappa = 1.1e-205, a0 = 1.7, a1 = 736, L = 2.3e-116, s* thr = 1e-323.
+UNDERFLOW_ENERGY_INI = (
+    "[material]\nkappa = 1.0940523514564125e-205\na0 = 1.7073464601631436\na1 = 736.2057312281078\n"
+    "L = 2.275698485557879e-116\nT = 1\n[datum]\n"
+    "times = 0, 0.05047201968748283, 0.0624141452945578, 0.6200492162791139, 0.6729271643287309, 1\n"
+    "wL = -9.546124467310606e-223, 1.916292154646191e-220, 5.3411674067864973e-219, -1.0642709465215142e-221, "
+    "1.2587642453501542e-221, -2.0839189098846526e-222\n")
+
 
 def ini_text(cfg: ScenarioConfig) -> str:
     """The INI form of ``cfg``, floats with 17 significant digits."""
@@ -320,16 +328,16 @@ class TestSweep:
         with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=0\.5\): energy or work"):
             sweep_eps(ScenarioConfig(datum=w, steps=4, eps_list=(0.1, 0.05)))
 
-    def test_guard_names_the_eps(self, monkeypatch):
-        # With no rounding allowance the aggregate-strain guard fires on the
-        # rounding of some eps and not of others: here 0.3 passes and 0.25 fails.
-        monkeypatch.setattr("barlab.eps_evolution._RESIDUAL_TOL", 0.0)
-        cfg = replace(preset("loading-unloading"), steps=20, eps_list=(0.3, 0.25))
+    def test_guard_names_the_eps(self):
+        # Fully damaged, the energy is eps a0 J^2/(2L): a ramp to 3e154 on the default material overflows
+        # it at eps = 0.5 and not at 0.25.
+        w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 3e154])
+        cfg = ScenarioConfig(datum=w, steps=4, eps_list=(0.5, 0.25))
         grid = refined_time_grid(cfg.datum, cfg.steps)
-        run_eps(cfg.material, 0.3, 1, cfg.datum, grid)
+        run_eps(cfg.material, 0.25, 1, cfg.datum, grid)
         with pytest.raises(NumericalError) as single:
-            run_eps(cfg.material, 0.25, 1, cfg.datum, grid)
-        assert str(single.value).startswith("eps=0.25, time step ")
+            run_eps(cfg.material, 0.5, 1, cfg.datum, grid)
+        assert str(single.value).startswith("eps=0.5, time step ")
         with pytest.raises(NumericalError) as swept:
             sweep_eps(cfg)
         assert str(swept.value) == str(single.value)
@@ -760,6 +768,35 @@ class TestCommandLine:
         assert out.err == ""
         values = [float(line.split("=")[-1]) for line in out.out.splitlines()[1:]]
         assert len(values) == 4 and np.all(np.isfinite(values)) and values[2] > 0.0
+
+    def test_emit_figures_on_a_material_whose_a1_dj_over_l_overflows_exits_0(self, tmp_path, capsys):
+        # On this ramp a1 (J_k - J_k-1) = 1.8e427 passes the float range before its division by L; the
+        # textbook comparison steps in jump units, dJ/thr, and ends at s*.
+        path = tmp_path / "wide.ini"
+        path.write_text(FAR_UNITS_INI)
+        out = tmp_path / "figs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["emit-figures", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(os.listdir(out)) == 5
+        last = (out / "comparison.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[-1]) == parse_config(path).material.yield_stress
+
+    @pytest.mark.parametrize("command, code", [(["simulate-eps", "--eps", "0.5"], 0),
+                                               (["sweep-eps", "--eps-list", "0.5,0.25"], 3)],
+                             ids=["simulate-eps", "sweep-eps"])
+    def test_an_eps_run_whose_first_energy_underflows_is_not_refused(self, tmp_path, command, code, capsys):
+        # s* thr = 1e-323: E(0) = J0 sigma0/2 = 1.5e-326 underflows to 0, so without the bounds' underflow
+        # allowance the stress bound sqrt(2 a1 E(0)/L), |sigma0| = 3e-104 exactly, reads 0 and refuses step 0.
+        # The sweep's exit 3 is the documented one: sup|dE| reads 4.9e-324 at both eps.
+        path = tmp_path / "underflow.ini"
+        path.write_text(UNDERFLOW_ENERGY_INI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--config", str(path), "--steps", "89"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "error: sweep deviations do not decrease monotonically\n")
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
     @pytest.mark.parametrize("command", [["classify"], ["simulate-limit"], ["emit-figures"],
