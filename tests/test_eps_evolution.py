@@ -381,6 +381,29 @@ def test_each_bound_trips_just_above_itself(m):
         _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (0.1,))
 
 
+def test_the_energy_bound_adds_the_underflow_allowance_of_each_step():
+    # Held at J = 0 on L = 1e-300, root^2 is the first step's allowance over L, 2^-1073/L (3 * 2^-1075 rounded),
+    # and each step adds as much again: an energy of 3 * 2^-1074 passes only with its step's, 2^-1071 trips.
+    m = MaterialParams(kappa=1e-20, a0=1.0, a1=2.0, L=1e-300, T=1.0)
+    grid, J, sigma = np.array([0.0, 1.0]), np.zeros(2), np.zeros((1, 2))
+    _bound_guards(m, J, sigma, np.array([[0.0, 3 * 2.0**-1074]]), grid, (0.5,))
+    with pytest.raises(NumericalError, match=r"^eps=0\.5, time step 1 \(t=1\.0\): energy bound violated$"):
+        _bound_guards(m, J, sigma, np.array([[0.0, 2.0**-1071]]), grid, (0.5,))
+
+
+def test_a_large_first_jump_keeps_the_stress_bound_finite():
+    # a1/L = 1e100 and J0 = 1e225 on the plateau: E(0) = J0 s*/2 = 7e224 and the stress bound sqrt(2 a1 E(0)/L)
+    # = 1.2e162 are finite, while u a1 |J0|/L = 1e309 is not.  The underflow allowance must not switch the
+    # bound off: with sigma on it the run passes, 1e-8 above it trips.
+    m = MaterialParams(kappa=1.0, a0=1.0, a1=1e100, L=1.0, T=1.0)
+    grid, J = np.array([0.0, 1.0]), np.array([1e225, 1e225])
+    energy = np.full((1, 2), 0.5 * J[0] * m.yield_stress)
+    sigma = 2.0 * np.sqrt(0.5 * m.a1) * np.sqrt(energy / m.L)
+    _bound_guards(m, J, sigma, energy, grid, (1e-300,))
+    with pytest.raises(NumericalError, match=r"^eps=1e-300, time step 0 \(t=0\.0\): stress bound violated$"):
+        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (1e-300,))
+
+
 # L/a1 = 6.2e-318 is subnormal and keeps few bits; thr, (s* L)/a1 = 2.3e-197 there, is normal.
 SUBNORMAL_COMPLIANCE_MATERIAL = MaterialParams(kappa=1.877e-2, a0=3.737e242, a1=6.782e242, L=4.191e-75, T=1.0)
 

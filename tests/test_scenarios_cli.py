@@ -20,7 +20,7 @@ from barlab import (DEFAULT_MATERIAL, BoundaryDatum, ConfigError, MaterialParams
                     parse_config, preset, preset_datum, refined_time_grid, run_eps,
                     run_limit, sweep_eps)
 from barlab.cli import main
-from barlab.envelope import plateau_factor
+from barlab.envelope import _frozen_cell, plateau_factor
 from barlab.scenarios import PRESET_NAMES, SweepReport, textbook_plasticity, write_csv
 from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
                       OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, UNIT_REFUSALS, assert_fields_equal, materials,
@@ -328,16 +328,21 @@ class TestSweep:
         with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=0\.5\): energy or work"):
             sweep_eps(ScenarioConfig(datum=w, steps=4, eps_list=(0.1, 0.05)))
 
-    def test_guard_names_the_eps(self):
-        # Fully damaged, the energy is eps a0 J^2/(2L): a ramp to 3e154 on the default material overflows
-        # it at eps = 0.5 and not at 0.25.
-        w = BoundaryDatum(times=[0.0, 2.0], w0=[0.0, 0.0], wL=[0.0, 3e154])
-        cfg = ScenarioConfig(datum=w, steps=4, eps_list=(0.5, 0.25))
+    def test_guard_names_the_eps(self, monkeypatch):
+        # A true overflow or bound trip reaches the largest eps of a sweep first (the state grows with eps),
+        # so the failure is injected: the energy of eps = 0.25, second of three, is infinite from step 3 on.
+        def overflowing_at_a_quarter(m, eps_list, J, M):
+            cell = _frozen_cell(m, eps_list, J, M)
+            cell.energy[np.equal(eps_list, 0.25), 3:] = np.inf
+            return cell
+
+        monkeypatch.setattr("barlab.eps_evolution._frozen_cell", overflowing_at_a_quarter)
+        cfg = replace(preset("loading-unloading"), steps=20, eps_list=(0.3, 0.25, 0.2))
         grid = refined_time_grid(cfg.datum, cfg.steps)
-        run_eps(cfg.material, 0.25, 1, cfg.datum, grid)
+        run_eps(cfg.material, 0.3, 1, cfg.datum, grid)
         with pytest.raises(NumericalError) as single:
-            run_eps(cfg.material, 0.5, 1, cfg.datum, grid)
-        assert str(single.value).startswith("eps=0.5, time step ")
+            run_eps(cfg.material, 0.25, 1, cfg.datum, grid)
+        assert str(single.value).startswith("eps=0.25, time step 3 ")
         with pytest.raises(NumericalError) as swept:
             sweep_eps(cfg)
         assert str(swept.value) == str(single.value)
@@ -783,20 +788,24 @@ class TestCommandLine:
         last = (out / "comparison.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[-1]) == parse_config(path).material.yield_stress
 
-    @pytest.mark.parametrize("command, code", [(["simulate-eps", "--eps", "0.5"], 0),
-                                               (["sweep-eps", "--eps-list", "0.5,0.25"], 3)],
+    @pytest.mark.parametrize("command", [["simulate-eps", "--eps", "0.5"], ["sweep-eps", "--eps-list", "0.5,0.25"]],
                              ids=["simulate-eps", "sweep-eps"])
-    def test_an_eps_run_whose_first_energy_underflows_is_not_refused(self, tmp_path, command, code, capsys):
+    def test_an_eps_run_whose_first_energy_underflows_is_not_refused(self, tmp_path, command, capsys):
         # s* thr = 1e-323: E(0) = J0 sigma0/2 = 1.5e-326 underflows to 0, so without the bounds' underflow
         # allowance the stress bound sqrt(2 a1 E(0)/L), |sigma0| = 3e-104 exactly, reads 0 and refuses step 0.
-        # The sweep's exit 3 is the documented one: sup|dE| reads 4.9e-324 at both eps.
+        # Every eps of the command runs clean; the sweep's own exit, on deviations at the float floor, is not held.
         path = tmp_path / "underflow.ini"
         path.write_text(UNDERFLOW_ENERGY_INI)
+        cfg = parse_config(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*command, "--config", str(path), "--steps", "89"]) == code
+            code = main([*command, "--config", str(path), "--steps", "89"])
+            for eps in command[-1].split(","):
+                run_eps(cfg.material, float(eps), 1, cfg.datum, refined_time_grid(cfg.datum, 89))
         err = capsys.readouterr().err
-        assert err == ("" if code == 0 else "error: sweep deviations do not decrease monotonically\n")
+        assert "bound violated" not in err
+        if command[0] == "simulate-eps":
+            assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
     @pytest.mark.parametrize("command", [["classify"], ["simulate-limit"], ["emit-figures"],
