@@ -48,9 +48,10 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
     grid = validate_time_grid(w, time_grid)
     J = np.asarray(w.jump(grid), dtype=float)
 
-    # The recursion runs on Python floats and becomes an array once, at the end.
+    # The recursion runs on Python floats, with no call per step, and becomes an array once, at the end.
+    # The comparison picks the float max(peak, J_k) picks: J_k only where J_k > peak.
     peak = thr = m.jump_threshold
-    M = np.array([peak := max(peak, J_k) for J_k in np.abs(J).tolist()])
+    M = np.array([peak := (J_k if J_k > peak else peak) for J_k in np.abs(J).tolist()])
     # A jump too large for floats overflows the mass, the energy or the work: refuse it, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         # |J| <= M, so |J/M| <= 1 under correct rounding and |sigma| <= s* with no clamp.

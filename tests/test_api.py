@@ -74,13 +74,13 @@ def _public_codes() -> set:
     return codes
 
 
-def _public_calls(fn) -> int:
-    codes = _public_codes()
+def _calls(fn, counted) -> int:
+    # The profiler's events for which counted(frame, event) holds while fn runs.
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" and frame.f_code in codes:
+        if counted(frame, event):
             count += 1
 
     sys.setprofile(profile)
@@ -89,6 +89,11 @@ def _public_calls(fn) -> int:
     finally:
         sys.setprofile(None)
     return count
+
+
+def _public_calls(fn) -> int:
+    codes = _public_codes()
+    return _calls(fn, lambda frame, event: event == "call" and frame.f_code in codes)
 
 
 @pytest.mark.parametrize("entry", ["run_limit", "cns_classify"])
@@ -104,4 +109,33 @@ def test_public_calls_do_not_grow_with_the_step_count(entry):
         "cns_classify": lambda steps: barlab.cns_classify(w, m, steps=steps),
     }
     counts = [_public_calls(lambda: runs[entry](steps)) for steps in (40, 400)]
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("entry", ["run_limit", "cns_classify", "classifier_consistency",
+                                   "run_eps", "sweep_eps"])
+def test_no_call_is_made_per_step(entry):
+    # The time loops are a comparison or an array formula per step; any call in
+    # them, a builtin such as max included, costs more than the step itself.
+    import barlab
+
+    m = barlab.DEFAULT_MATERIAL
+    w = barlab.preset_datum("loading-unloading", m)
+
+    def limit(steps):
+        return barlab.run_limit(m, w, barlab.refined_time_grid(w, steps))
+
+    runs = {
+        "run_limit": limit,
+        "cns_classify": lambda steps: barlab.cns_classify(w, m, steps=steps),
+        "classifier_consistency": lambda steps: barlab.classifier_consistency(
+            limit(steps), barlab.DAMAGE_ONLY),
+        "run_eps": lambda steps: barlab.run_eps(m, 0.1, 8, w, barlab.refined_time_grid(w, steps)),
+        "sweep_eps": lambda steps: barlab.sweep_eps(barlab.ScenarioConfig(
+            material=m, datum=w, cells=8, steps=steps, eps_list=(0.1, 0.05))),
+    }
+    runs[entry](40)  # the package namespace binds its names on first use
+    # Every call the profiler sees, Python functions and builtins alike.
+    counts = [_calls(lambda: runs[entry](steps), lambda frame, event: event in ("call", "c_call"))
+              for steps in (40, 400)]
     assert counts[0] == counts[1] > 0
