@@ -22,18 +22,15 @@ every eps of a sweep, and ``run_eps`` is the one-row case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import MaterialParams, _frozen_cell
-from .errors import _U, _guard
+from .errors import _guard
 from .loading import BoundaryDatum, _count, cumulative_work, validate_time_grid
 
 __all__ = ["EpsTrajectory", "run_eps"]
-
-_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,49 +54,17 @@ class EpsTrajectory:
     l_eps: np.ndarray
 
 
-def _bound_guards(m: MaterialParams, J, sigma, energy, grid, eps_list) -> None:
-    """Guard ``E/L <= root**2`` and ``|sigma| <= 2k root`` per eps row, ``root = sqrt(E(0)/L) + k cumsum|dJ|/L``.
-
-    A step raises the energy by at most the worst-case work of its increment, a perfect square, with
-    ``k = sqrt(a1/2)``.  Both bounds are tight on an elastic ramp from rest, where a product or quotient with a
-    subnormal result is off by up to ``2^-1075``, carried into ``E = (J/2) sigma + kappa l`` (``sigma = s* (J/N)``,
-    ``l = (L d)/D`` or ``L (d/D)``) by ``|sigma| <= a1 |J|/L`` (``J/2``, subnormal only if ``|J| < 2^-1021``),
-    1 (``(J/2) sigma``, ``kappa l``), ``s* |J|/2`` (``J/N``, only if ``|J| < 4``: the divisor is below ``2^1024``),
-    ``|J|/2`` (``s* (.)``), ``kappa L`` (``d/D``) and ``kappa`` (the last of ``l``), ``|J|`` clipped where noted.
-    ``under``, per step of ``J``, and ``kappa_under``, in strain units, count them, one more each for their own
-    scaling by ``2^-1022``; they may lower ``E(0)`` and raise ``E``, and with ``(u a1)/L <= 2^1022`` never overflow.
-    This takes ``thr``, ``eps a0``, ``eps a0/a1`` normal and ``a1 < 2^1022``, so that ``N``, ``a``, ``1/a`` round
-    relatively.  With finite ``k, 2k > 0`` no term is negative, ``0*inf`` or ``inf - inf``: an overflow only makes
-    a bound infinite, where it passes.
-    """
-    k, s, kappa_under = math.sqrt(0.5 * m.a1), m.yield_stress, m.kappa * ((2.0 * _U + _U / m.L) * 2.0**-1022)
-    def under(absJ):
-        return ((_U * m.a1) / m.L * np.minimum(absJ, 2.0**-1021) + 0.5 * _U * s * np.minimum(absJ, 4.0)
-                + 0.5 * _U * absJ + 3.0 * _U) * 2.0**-1022
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = (np.sqrt((energy[:, :1] + under(abs(J[0]))) / m.L + kappa_under)
-                + k * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(J)) / m.L)]))
-        e, bound = energy / m.L, root**2 * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * m.kappa + kappa_under
-        # Subnormal arithmetic is slow, and a bound that passes without the per-step allowance passes with it.
-        if (bad := e > bound).any():
-            bad = e > bound + under(np.abs(J)) / m.L
-        _guard(bad, grid, "energy bound violated", eps_list)
-        _guard(np.abs(sigma) > 2.0 * k * root * (1.0 + _BOUND_SLACK) + _BOUND_SLACK * s,
-               grid, "stress bound violated", eps_list)
-
-
 def _scan(m: MaterialParams, eps_list, J: np.ndarray, grid: np.ndarray):
     """Plateau stress ``s_p`` and histories ``(a, sigma, theta, l_eps, energy, work)``, per eps, of ``J``.
 
-    Every eps passes ``plateau_factor`` before any array work; a guard's
+    Every eps passes ``plateau_factor`` before any array work; the guard's
     ``NumericalError`` names the eps of its row.
     """
     s_plateau, a, sigma, theta, l_eps, energy = _frozen_cell(m, eps_list, J, np.maximum.accumulate(np.abs(J)))
-    # A jump too large for floats overflows, and the first guard names the step.
+    # A jump too large for floats overflows, and the guard names the first such step.
     with np.errstate(over="ignore", invalid="ignore"):
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(energy) & np.isfinite(work)), grid, "energy or work is not finite", eps_list)
-    _bound_guards(m, J, sigma, energy, grid, eps_list)
     return s_plateau[:, 0], a, sigma, theta, l_eps, energy, work
 
 
@@ -113,9 +78,9 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
     Damage never heals by construction: each step from ``N`` to the stiffness
     and the sound fraction is monotone.
 
-    Three guards, a finite energy and work and the a-priori energy and stress bounds, raise ``NumericalError``
-    naming ``eps`` and the first offending step; the closed form's identities are a property test's.  The
-    reference is the per-cell incremental minimization replayed step by step (``tests/oracles.py::stepwise_run_eps``).
+    One guard, a finite energy and work, raises ``NumericalError`` naming ``eps`` and the first offending
+    step; the closed form's identities and a-priori bounds are a property test's.  The reference is the
+    per-cell incremental minimization replayed step by step (``tests/oracles.py::stepwise_run_eps``).
     """
     _count("n_cells", n_cells)
     grid = validate_time_grid(w, time_grid)

@@ -228,7 +228,7 @@ def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
     Chaining the per-cell step from the initial step gives the trajectory
     that the closed-form scan of ``run_eps`` must reproduce.  Energies and
     the damage mass are summed cell by cell, and the external work is
-    accumulated step by step.  The run's own guards are not replayed.
+    accumulated step by step.  The run's own guard is not replayed.
     """
     grid = np.asarray(time_grid, dtype=float)
     J = np.asarray(w.jump(grid), dtype=float)
@@ -250,6 +250,38 @@ def stepwise_run_eps(m, eps: float, n_cells: int, w, time_grid) -> dict:
         out["l_eps"][k] = damage_mass(state, m)
     out["eb_residual"] = out["energy"] - out["energy"][0] - out["work_cum"]
     return out
+
+
+def apriori_bounds_violated(m, J, sigma, energy):
+    """Masks ``(energy, stress)`` of the steps where an eps state breaks ``E/L <= root**2`` or ``|sigma| <= 2k root``.
+
+    ``root = sqrt(E(0)/L) + k cumsum|dJ|/L`` per eps row (the last axis is time): a step raises the energy
+    by at most the worst-case work of its increment, a perfect square, with ``k = sqrt(a1/2)``.  Both bounds
+    carry the slack ``1e-9``, relative and in the units ``kappa`` and ``s*``.  They are tight on an elastic
+    ramp from rest, where a product or quotient with a subnormal result is off by up to ``2^-1075``, carried
+    into ``E = (J/2) sigma + kappa l`` (``sigma = s* (J/N)``, ``l = (L d)/D`` or ``L (d/D)``) by ``|sigma| <=
+    a1 |J|/L`` (``J/2``, subnormal only if ``|J| < 2^-1021``), 1 (``(J/2) sigma``, ``kappa l``), ``s* |J|/2``
+    (``J/N``, only if ``|J| < 4``: the divisor is below ``2^1024``), ``|J|/2`` (``s* (.)``), ``kappa L``
+    (``d/D``) and ``kappa`` (the last of ``l``), ``|J|`` clipped where noted.  ``under``, per step of ``J``,
+    and ``kappa_under``, in strain units, count them, one more each for their own scaling by ``2^-1022``;
+    they may lower ``E(0)`` and raise ``E``, and with ``(u a1)/L <= 2^1022`` never overflow.  This takes
+    ``thr``, ``eps a0``, ``eps a0/a1`` normal and ``a1 < 2^1022``, so that ``N``, ``a``, ``1/a`` round
+    relatively.  With finite ``k, 2k > 0`` no term is negative, ``0*inf`` or ``inf - inf``: an overflow only
+    makes a bound infinite, where it holds.  Every step's allowance joins its energy bound.
+    """
+    u, slack = 2.0**-53, 1e-9
+    k, s = math.sqrt(0.5 * m.a1), m.yield_stress
+    kappa_under = m.kappa * ((2.0 * u + u / m.L) * 2.0**-1022)
+
+    def under(absJ):
+        return ((u * m.a1) / m.L * np.minimum(absJ, 2.0**-1021) + 0.5 * u * s * np.minimum(absJ, 4.0)
+                + 0.5 * u * absJ + 3.0 * u) * 2.0**-1022
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = (np.sqrt((energy[..., :1] + under(abs(J[0]))) / m.L + kappa_under)
+                + k * np.concatenate([[0.0], np.cumsum(np.abs(np.diff(J)) / m.L)]))
+        bound = root**2 * (1.0 + slack) + slack * m.kappa + kappa_under + under(np.abs(J)) / m.L
+        return energy / m.L > bound, np.abs(sigma) > 2.0 * k * root * (1.0 + slack) + slack * s
 
 
 def path_admits_plasticity(J, threshold: float) -> bool:

@@ -11,12 +11,13 @@ from barlab import (DEFAULT_MATERIAL, PRESET_NAMES, BoundaryDatum, MaterialParam
                     NumericalError, ScenarioConfig, TwoWellParams, convex_envelope,
                     optimal_theta, preset_datum, refined_time_grid, run_eps, run_limit, sweep_eps)
 from barlab.envelope import _frozen_cell, envelope_slope_bounds, plateau_factor
-from barlab.eps_evolution import _bound_guards, _scan
+from barlab.eps_evolution import _scan
 from barlab.errors import _U, _guard
 from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, any_units,
                       extreme_programs, extreme_units, materials, programs)
-from oracles import (StepState, envelope_by_minimization, exhaustive_step_minimum, incremental_step,
-                     initial_step, mixture_objective, pristine_state, stepwise_run_eps, total_energy)
+from oracles import (StepState, apriori_bounds_violated, envelope_by_minimization, exhaustive_step_minimum,
+                     incremental_step, initial_step, mixture_objective, pristine_state, stepwise_run_eps,
+                     total_energy)
 
 SCAN_FIELDS = ("sigma", "theta", "stiffness", "energy", "l_eps", "work_cum", "eb_residual")
 
@@ -301,8 +302,8 @@ def test_the_state_is_the_oracle_mixture_frozen_at_the_running_maximum(m, data, 
 def test_guard_names_the_first_offending_step():
     grid = np.array([0.0, 0.5, 1.0, 1.5])
     _guard(np.zeros(4, dtype=bool), grid, "never raised", (0.05,))
-    with pytest.raises(NumericalError, match=r"^eps=0\.05, time step 2 \(t=1\.0\): energy bound violated$"):
-        _guard(np.array([False, False, True, True]), grid, "energy bound violated", (0.05,))
+    with pytest.raises(NumericalError, match=r"^eps=0\.05, time step 2 \(t=1\.0\): energy or work is not finite$"):
+        _guard(np.array([False, False, True, True]), grid, "energy or work is not finite", (0.05,))
 
 
 def test_an_overflowing_state_fails_a_guard(material):
@@ -313,9 +314,9 @@ def test_an_overflowing_state_fails_a_guard(material):
         run_eps(material, 0.1, 1, w, refined_time_grid(w, 4))
 
 
-def test_an_overflowing_energy_bound_is_silent():
-    # At eps = 1e-6 the energy grows like eps a0 J^2/L and stays finite, while
-    # the bound grows like a1 J^2/L and overflows: a sound run, no warning.
+def test_an_energy_of_5e301_at_a_tiny_eps_runs_and_sweeps_with_no_warning():
+    # At eps = 1e-6 the energy grows like eps a0 J^2/L and stays finite, 5e301, while a1 J^2/L, the
+    # a-priori energy bound of the property test, overflows: a sound run, no warning.
     m = MaterialParams(kappa=0.5, a0=1.0, a1=2.0, L=1.0, T=3.0)
     w = BoundaryDatum(times=[0.0, 1.0, 2.0, 3.0], w0=[0.0] * 4, wL=[0.0, 1e154, -1e154, 1e154])
     with warnings.catch_warnings():
@@ -368,40 +369,41 @@ def test_any_float_program_runs_or_its_energy_is_refused(program, steps, m, deca
             assert str(exc).endswith("): energy or work is not finite"), str(exc)
 
 
+def _trips(m, J, sigma, energy):
+    """The steps at which the energy and the stress bound of the property test's reference trip."""
+    return tuple(np.flatnonzero(bad).tolist() for bad in apriori_bounds_violated(m, J, sigma, energy))
+
+
 @pytest.mark.parametrize("m", [DEFAULT_MATERIAL, HUGE_THRESHOLD_MATERIAL])
 def test_each_bound_trips_just_above_itself(m):
     # One step from rest to J = L: root = sqrt(a1/2), so E/L <= a1/2 and |sigma| <= a1.
-    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone.
-    grid, J = np.array([0.0, 1.0]), np.array([0.0, m.L])
+    # On the bounds both pass; 1e-8 above them, past the 1e-9 slack, each trips alone at step 1.
+    J = np.array([0.0, m.L])
     energy, sigma = np.array([[0.0, 0.5 * m.a1 * m.L]]), np.array([[0.0, m.a1]])
-    _bound_guards(m, J, sigma, energy, grid, (0.1,))
-    with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): energy bound violated$"):
-        _bound_guards(m, J, sigma, energy * (1.0 + 1e-8), grid, (0.1,))
-    with pytest.raises(NumericalError, match=r"^eps=0\.1, time step 1 \(t=1\.0\): stress bound violated$"):
-        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (0.1,))
+    assert _trips(m, J, sigma, energy) == ([], [])
+    assert _trips(m, J, sigma, energy * (1.0 + 1e-8)) == ([1], [])
+    assert _trips(m, J, sigma * (1.0 + 1e-8), energy) == ([], [1])
 
 
 def test_the_energy_bound_adds_the_underflow_allowance_of_each_step():
     # Held at J = 0 on L = 1e-300, root^2 is the first step's allowance over L, 2^-1073/L (3 * 2^-1075 rounded),
     # and each step adds as much again: an energy of 3 * 2^-1074 passes only with its step's, 2^-1071 trips.
     m = MaterialParams(kappa=1e-20, a0=1.0, a1=2.0, L=1e-300, T=1.0)
-    grid, J, sigma = np.array([0.0, 1.0]), np.zeros(2), np.zeros((1, 2))
-    _bound_guards(m, J, sigma, np.array([[0.0, 3 * 2.0**-1074]]), grid, (0.5,))
-    with pytest.raises(NumericalError, match=r"^eps=0\.5, time step 1 \(t=1\.0\): energy bound violated$"):
-        _bound_guards(m, J, sigma, np.array([[0.0, 2.0**-1071]]), grid, (0.5,))
+    J, sigma = np.zeros(2), np.zeros((1, 2))
+    assert _trips(m, J, sigma, np.array([[0.0, 3 * 2.0**-1074]])) == ([], [])
+    assert _trips(m, J, sigma, np.array([[0.0, 2.0**-1071]])) == ([1], [])
 
 
 def test_a_large_first_jump_keeps_the_stress_bound_finite():
     # a1/L = 1e100 and J0 = 1e225 on the plateau: E(0) = J0 s*/2 = 7e224 and the stress bound sqrt(2 a1 E(0)/L)
     # = 1.2e162 are finite, while u a1 |J0|/L = 1e309 is not.  The underflow allowance must not switch the
-    # bound off: with sigma on it the run passes, 1e-8 above it trips.
+    # bound off: with sigma on it the state passes, 1e-8 above it trips from step 0.
     m = MaterialParams(kappa=1.0, a0=1.0, a1=1e100, L=1.0, T=1.0)
-    grid, J = np.array([0.0, 1.0]), np.array([1e225, 1e225])
+    J = np.array([1e225, 1e225])
     energy = np.full((1, 2), 0.5 * J[0] * m.yield_stress)
     sigma = 2.0 * np.sqrt(0.5 * m.a1) * np.sqrt(energy / m.L)
-    _bound_guards(m, J, sigma, energy, grid, (1e-300,))
-    with pytest.raises(NumericalError, match=r"^eps=1e-300, time step 0 \(t=0\.0\): stress bound violated$"):
-        _bound_guards(m, J, sigma * (1.0 + 1e-8), energy, grid, (1e-300,))
+    assert _trips(m, J, sigma, energy) == ([], [])
+    assert _trips(m, J, sigma * (1.0 + 1e-8), energy) == ([], [0, 1])
 
 
 # L/a1 = 6.2e-318 is subnormal and keeps few bits; thr, (s* L)/a1 = 2.3e-197 there, is normal.
@@ -424,7 +426,7 @@ def _elastic_step(m: MaterialParams):
 @example(units=_units(SUBNORMAL_COMPLIANCE_MATERIAL), program=_elastic_step(SUBNORMAL_COMPLIANCE_MATERIAL), steps=1,
          t=0.5)
 def test_the_scan_state_holds_its_identities(units, program, steps, t):
-    """The state the eps scan builds holds three identities of its closed form, each to its counted rounding.
+    """The eps scan's state holds three identities and two bounds of its closed form, each to its counted rounding.
 
     eps runs geometrically from ``a1/a0`` (``t = 0``, refused) to ``1e-20`` (``t = 1``).  A material or eps
     that is refused, or a run whose energy or work floats cannot hold, is rejected, so every one of the
@@ -443,6 +445,10 @@ def test_the_scan_state_holds_its_identities(units, program, steps, t):
     - Onset plateau, ``|sigma| <= s_p (1 + 1e-12)`` while sound material is left (``theta > 0``): ``N' >= N =
       M/pf`` and ``|J| <= M`` give ``|J|/N' <= pf`` exactly, and ``s* (J/N')`` against ``s_p = s* pf`` adds
       at most five roundings.
+    - A-priori bounds, ``E/L <= root^2`` and ``|sigma| <= 2k root`` with ``root = sqrt(E(0)/L) + k cumsum|dJ|/L``
+      and ``k = sqrt(a1/2)``: the incremental minimization raises the energy by at most the worst-case work of
+      each increment.  Slack ``1e-9`` and the counted underflow allowance of every step are
+      ``oracles.apriori_bounds_violated``'s.
     """
     times, jump = program
     try:
@@ -457,7 +463,7 @@ def test_the_scan_state_holds_its_identities(units, program, steps, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            s_p, a, sigma, theta, _, _, _ = (row[0] for row in _scan(m, (eps,), J, grid))
+            s_p, a, sigma, theta, _, energy, _ = (row[0] for row in _scan(m, (eps,), J, grid))
         except NumericalError as exc:
             assert str(exc).endswith("): energy or work is not finite"), str(exc)
             assume(False)
@@ -467,6 +473,7 @@ def test_the_scan_state_holds_its_identities(units, program, steps, t):
     assert np.all(np.abs(sigma / s * jump_a - J) <= 1e-12 * np.maximum(np.abs(J), jump_a))
     assert np.all(np.abs(1.0 / a - ((1.0 - theta) / weak + theta / m.a1)) <= 1e-12 / a + 3.0 * _U / weak)
     assert np.all(np.abs(sigma[theta > 0.0]) <= s_p * (1.0 + 1e-12))
+    assert _trips(m, J, sigma, energy) == ([], [])
 
 
 # Compliances L/a1 that keep few bits: 1.5e-319 (the material above at L = 1e-76) and 3.5e-323.
@@ -478,7 +485,8 @@ def test_the_scan_state_holds_its_identities(units, program, steps, t):
      "L": 1.6812865962494916e-265}], ids=["compliance-1.5e-319", "compliance-3.5e-323"])
 def test_an_elastic_run_on_a_subnormal_compliance_reads_the_exact_stress(units, run):
     # s* (L/a1) would carry the compliance's rounding (1.2e-6 and 7% relative) into the stress, and on
-    # the eps scan the first trips the energy bound; thr is (s* L)/a1, so sigma is J a1/L to four roundings.
+    # the eps scan the first breaks the a-priori energy bound of test_the_scan_state_holds_its_identities;
+    # thr is (s* L)/a1, so sigma is J a1/L to four roundings.
     m = MaterialParams(**units, T=1.0)
     w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 0.5 * m.jump_threshold])
     with warnings.catch_warnings():
@@ -496,7 +504,7 @@ SUBNORMAL_MASS_MATERIAL = MaterialParams(kappa=5.881394558494353e-59, a0=2.40948
 @pytest.mark.parametrize("eps", [1e-20, 6.27])
 def test_the_mass_on_a_subnormal_compliance_keeps_its_bits(eps):
     # Formed as (L (1/a - 1/a1))/(1/a0 - eps/a1), the first damaged mass read 1.19e-161 at eps = 1e-20,
-    # where (N - thr) a0/s* is 7.4e-162, and both runs tripped the energy bound.  Against the closed form
+    # where (N - thr) a0/s* is 7.4e-162, and both runs broke the a-priori energy bound.  Against the closed form
     # in exact arithmetic on the recorded stiffness: eight roundings, well inside 1e-14.
     m = SUBNORMAL_MASS_MATERIAL
     w = BoundaryDatum(times=[0.0, 0.8323588148349929, 1.0], w0=np.zeros(3),
@@ -564,7 +572,7 @@ def test_damage_never_heals(units, program, steps, decades):
 def test_a_tiny_eps_keeps_l_eps_to_its_rounding():
     # l_eps = L (1/a - 1/a1)/(1/a0 - eps/a1), the closed form of L (1 - theta)/eps.
     # Through theta, the rounding of 1 - theta grows by 1/eps: 3.9% of l_eps at
-    # step 160 here, enough to trip the energy bound guard on this sound run.
+    # step 160 here, enough to break the a-priori energy bound on this sound run.
     m = MaterialParams(kappa=3.0, a0=1.0, a1=2.0, L=1.0, T=1.0)
     w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 2.0])
     eps = 2e-12

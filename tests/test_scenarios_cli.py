@@ -25,7 +25,7 @@ from barlab.scenarios import PRESET_NAMES, SweepReport, textbook_plasticity, wri
 from conftest import (HUGE_ENERGY_MATERIAL, HUGE_THRESHOLD_DROP, HUGE_THRESHOLD_MATERIAL, LEDGER_OVERFLOW_PROGRAM,
                       OVERFLOW_MATERIAL, OVERFLOW_PROGRAMS, UNIT_REFUSALS, assert_fields_equal, materials,
                       programs)
-from oracles import limit_ledger
+from oracles import apriori_bounds_violated, limit_ledger
 
 
 # kappa = 0.001, a0 = 7e289, a1 = 2.1e290, L = 2.2e283: s* L = 8.2e426 passes the float range, thr = 3.9e136 does not.
@@ -329,7 +329,7 @@ class TestSweep:
             sweep_eps(ScenarioConfig(datum=w, steps=4, eps_list=(0.1, 0.05)))
 
     def test_guard_names_the_eps(self, monkeypatch):
-        # A true overflow or bound trip reaches the largest eps of a sweep first (the state grows with eps),
+        # A true overflow reaches the largest eps of a sweep first (the state grows with eps),
         # so the failure is injected: the energy of eps = 0.25, second of three, is infinite from step 3 on.
         def overflowing_at_a_quarter(m, eps_list, J, M):
             cell = _frozen_cell(m, eps_list, J, M)
@@ -791,8 +791,9 @@ class TestCommandLine:
     @pytest.mark.parametrize("command", [["simulate-eps", "--eps", "0.5"], ["sweep-eps", "--eps-list", "0.5,0.25"]],
                              ids=["simulate-eps", "sweep-eps"])
     def test_an_eps_run_whose_first_energy_underflows_is_not_refused(self, tmp_path, command, capsys):
-        # s* thr = 1e-323: E(0) = J0 sigma0/2 = 1.5e-326 underflows to 0, so without the bounds' underflow
-        # allowance the stress bound sqrt(2 a1 E(0)/L), |sigma0| = 3e-104 exactly, reads 0 and refuses step 0.
+        # s* thr = 1e-323: E(0) = J0 sigma0/2 = 1.5e-326 underflows to 0, so without its counted underflow
+        # allowance the a-priori stress bound sqrt(2 a1 E(0)/L) of test_the_scan_state_holds_its_identities,
+        # |sigma0| = 3e-104 exactly, reads 0 and breaks at step 0; the scan itself has no bound to trip.
         # Every eps of the command runs clean; the sweep's own exit, on deviations at the float floor, is not held.
         path = tmp_path / "underflow.ini"
         path.write_text(UNDERFLOW_ENERGY_INI)
@@ -801,7 +802,9 @@ class TestCommandLine:
             warnings.simplefilter("error")
             code = main([*command, "--config", str(path), "--steps", "89"])
             for eps in command[-1].split(","):
-                run_eps(cfg.material, float(eps), 1, cfg.datum, refined_time_grid(cfg.datum, 89))
+                traj = run_eps(cfg.material, float(eps), 1, cfg.datum, refined_time_grid(cfg.datum, 89))
+                assert not any(bad.any() for bad in apriori_bounds_violated(cfg.material, traj.J, traj.sigma,
+                                                                            traj.energy))
         err = capsys.readouterr().err
         assert "bound violated" not in err
         if command[0] == "simulate-eps":
