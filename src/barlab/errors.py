@@ -2,8 +2,8 @@
 
 ConfigError covers everything a user can get wrong before any number is
 crunched (bad files, bad preset names, inconsistent parameters).
-NumericalError covers a run that violated an invariant which should hold
-for every well-posed run.
+Every NumericalError is a refusal located by _guard: the first time step
+(and eps) at which an energy, a work or the plasticity ledger is not finite.
 """
 
 from __future__ import annotations

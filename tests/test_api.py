@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pathlib
@@ -56,6 +57,22 @@ def test_every_package_name_is_reached_or_standing():
         reached.update(re.findall(r"barlab\.(\w+)", path.read_text(encoding="utf-8")))
     assert sorted(set(pkg.__all__) - reached - STANDING_EXTRAS) == []
     assert len(pkg.__all__) == len(set(pkg.__all__))
+
+
+def _raised_names(tree: ast.AST):
+    # The exception class each raise statement names, as `raise E(...)`, `raise E` or `raise mod.E(...)`.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def test_numerical_error_has_one_source():
+    # Every NumericalError is a located refusal of errors._guard: no other module raises it.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "barlab"
+    raisers = [path.name for path in sorted(src.glob("*.py"))
+               if "NumericalError" in _raised_names(ast.parse(path.read_text(encoding="utf-8")))]
+    assert raisers == ["errors.py"]
 
 
 def _public_codes() -> set:

@@ -1064,11 +1064,16 @@ def test_classify_a_drop_from_a_jump_threshold_of_1e308(tmp_path):
     assert cfg.material.jump_threshold < abs(cfg.datum.jump(t)) < abs(cfg.datum.jump(s))
 
 
-def test_a_non_finite_classification_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr("barlab.diagnostics.first_drop", lambda w, thr: (float("nan"), None))
-    assert main(["classify", "--preset", "loading-unloading"]) == 3
-    got = capsys.readouterr()
-    assert got.out == "" and got.err.startswith("error: classification has a non-finite field: ")
+def test_classify_a_ramp_whose_grid_reads_the_threshold_past_the_crossing(tmp_path):
+    # |J| rises through thr = 0.5 by 1e-14 of it over [0, 2]: the grid reads |J| = thr from t = 0.995 to
+    # 1.01, two steps past t0* = 1.0.  The verdict is the datum's, and the run's onset stands as it reads.
+    path = tmp_path / "onset.ini"
+    path.write_text("[datum]\ntimes = 0, 2\nwL = 0.499999999999995, 0.500000000000005\n")
+    proc = subprocess.run([sys.executable, "-m", "barlab", "classify", "--config", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = _strict_json(proc.stdout)
+    assert (payload["verdict"], payload["t0"], payload["t0_star"]) == ("PerfectPlasticity", 1.01, 1.0)
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_error(tmp_path, capsys):
