@@ -81,9 +81,9 @@ def _balance(traj: LimitTrajectory):
     """
     p, stored = _ledger(traj.m, traj.J, traj.sigma, traj.E_closed)
     with np.errstate(over="ignore", invalid="ignore"):
-        dp = np.diff(p)
+        dp = p[1:] - p[:-1]
         defects = traj.m.yield_stress * np.abs(dp) - traj.sigma[1:] * dp
-        dissipation = traj.m.yield_stress * np.concatenate([[0.0], np.cumsum(np.abs(dp))])
+        dissipation = traj.m.yield_stress * np.concatenate([[0.0], np.abs(dp).cumsum()])
         series = dissipation - (stored - stored[0])
     _guard(~np.isfinite(series), traj.times, "plasticity ledger is not finite")
     return dp, defects, dissipation, series
@@ -146,7 +146,7 @@ def cns_classify(w: BoundaryDatum, m: MaterialParams, *, steps: int) -> Classifi
     s, absJ = m.yield_stress, np.abs(traj.J)
     # Each term scaled first, as in classifier_consistency: |J_k| + |J_{k-1}| can overflow.
     defect_tol = np.maximum(_DEFECT_TOL * s * thr, 45.0 * _U * s * absJ[1:] + 45.0 * _U * s * absJ[:-1])
-    violations = int(np.sum(defects > defect_tol))
+    violations = int(np.count_nonzero(defects > defect_tol))
 
     return Classification(verdict=DAMAGE_ONLY if witness is not None else PERFECT_PLASTICITY,
                           witness=witness, t0=traj.t0, t0_star=t0_star,
@@ -175,7 +175,7 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     if verdict not in (PERFECT_PLASTICITY, DAMAGE_ONLY):
         raise ValueError(f"unknown verdict {verdict!r}; expected {PERFECT_PLASTICITY!r} or {DAMAGE_ONLY!r}")
     m, n = traj.m, traj.times.size - 1
-    s, thr, J_max = m.yield_stress, m.jump_threshold, np.max(np.abs(traj.J))
+    s, thr, J_max = m.yield_stress, m.jump_threshold, np.abs(traj.J).max()
     dp, _, dissipation, series = _balance(traj)
     # _U is a power of two: scaling each term first rounds as scaling the sum, and cannot overflow.
     under = ((2 * n + 1) * _U * thr + (4 * n + 2) * _U * thr * s + (2 * n + 5) * _U * s
@@ -192,7 +192,7 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
 
     def failed(bad, detail: str) -> ConsistencyReport:
         # Checks run in order; the first to fail names its first failing instant, or the first instant if none.
-        return ConsistencyReport(False, float(traj.times[int(np.argmax(bad))]), detail)
+        return ConsistencyReport(False, float(traj.times[int(bad.argmax())]), detail)
 
     if says_plastic != saturated:
         return failed(unsaturated if says_plastic else damaged, "verdict and stress saturation disagree")
@@ -201,10 +201,10 @@ def classifier_consistency(traj: LimitTrajectory, verdict: str) -> ConsistencyRe
     if not says_plastic:
         # Divided before multiplied: the gap is at most kappa l <= E, but (s - |sigma|)^2 l may overflow.
         gap = (s - np.abs(traj.sigma)) ** 2 / (2.0 * m.a0) * traj.l
-        if np.any(below := series < gap - res_tol):
+        if (below := series < gap - res_tol).any():
             return failed(below, "residual fell below the stress-gap bound")
         misaligned = np.where(traj.sigma[1:] * dp < 0.0, np.abs(dp), 0.0)
-        lower = s * np.concatenate([[0.0], np.cumsum(misaligned)])
-        if np.any(below := series < lower - res_tol):
+        lower = s * np.concatenate([[0.0], misaligned.cumsum()])
+        if (below := series < lower - res_tol).any():
             return failed(below, "residual fell below the misaligned-flow dissipation")
     return ConsistencyReport(True, None, "consistent")

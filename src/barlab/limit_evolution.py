@@ -35,7 +35,7 @@ class LimitTrajectory:
     E_closed: np.ndarray
     E_integrated: np.ndarray
     work_cum: np.ndarray
-    t0: float           # last recorded instant with l = 0
+    t0: float           # last recorded instant with M = thr
 
 
 def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory:
@@ -61,8 +61,8 @@ def run_limit(m: MaterialParams, w: BoundaryDatum, time_grid) -> LimitTrajectory
         work = cumulative_work(sigma, J)
     _guard(~(np.isfinite(e_closed) & np.isfinite(work)), grid, "energy or work is not finite")
 
-    zero = np.flatnonzero(mass == 0.0)
-    t0 = float(grid[zero[-1]]) if zero.size else float(grid[0])
+    # M rises from thr and never falls, so M == thr on a prefix of the grid; the mass can underflow to 0 past it.
+    t0 = float(grid[max(np.count_nonzero(M == thr) - 1, 0)])
 
     return LimitTrajectory(
         m=m,

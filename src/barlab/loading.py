@@ -64,7 +64,7 @@ class BoundaryDatum:
         with np.errstate(over="ignore"):
             J = _finite("the jump wL - w0", wL - w0)
         # Zero crossings by sign, so the nodes stay sorted: a crossing never rounds past its knot.
-        k = np.flatnonzero(np.sign(J[:-1]) * np.sign(J[1:]) < 0.0) + 1
+        k = (np.sign(J[:-1]) * np.sign(J[1:]) < 0.0).nonzero()[0] + 1
         nodes = np.insert(t, k, _crossing(t[k - 1], t[k], J[k - 1], J[k], 0.0)), np.insert(J, k, 0.0)
         for name, values in (("times", t), ("w0", w0), ("wL", wL), ("nodes", nodes)):
             object.__setattr__(self, name, values)
@@ -97,7 +97,7 @@ def first_drop(w: BoundaryDatum, threshold: float) -> tuple[float, tuple[float, 
     (a zero crossing rounded onto the knot before it): then ``s == t``.
     """
     times, absJ = w.nodes[0], np.abs(w.nodes[1])
-    above = np.flatnonzero(absJ > threshold)
+    above = (absJ > threshold).nonzero()[0]
     if above.size == 0:
         t0_star = float(times[-1])
     elif (k := int(above[0])) == 0:
@@ -106,7 +106,7 @@ def first_drop(w: BoundaryDatum, threshold: float) -> tuple[float, tuple[float, 
         t0_star = float(_crossing(times[k - 1], times[k], absJ[k - 1], absJ[k], threshold))
     # Segments that end after t0* and on which |J| strictly decreases; none ends
     # at t0*, where |J| rises through the threshold.
-    drops = np.flatnonzero((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])) + 1
+    drops = ((times[1:] > t0_star) & (absJ[1:] < absJ[:-1])).nonzero()[0] + 1
     if drops.size == 0:
         return t0_star, None
     k = int(drops[0])
@@ -147,14 +147,14 @@ def validate_time_grid(w: BoundaryDatum, grid) -> np.ndarray:
     tol = 1e-12 * w.duration
     if abs(g[0] - w.times[0]) > tol or abs(g[-1] - w.times[-1]) > tol:
         raise ValueError("time grid must span the full loading interval")
-    pos = np.clip(np.searchsorted(g, w.times), 0, g.size - 1)
+    pos = np.minimum(g.searchsorted(w.times), g.size - 1)
     near = np.minimum(np.abs(g[pos] - w.times), np.abs(g[np.maximum(pos - 1, 0)] - w.times))
-    if np.any(near > tol):
+    if (near > tol).any():
         raise ValueError("time grid must contain every knot of the loading program")
     return g
 
 
 def cumulative_work(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trapezoidal running integral of ``f dx`` along the last axis of ``f``, starting at 0."""
-    step = 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(x)
-    return np.cumsum(np.concatenate((np.zeros(step.shape[:-1] + (1,)), step), axis=-1), axis=-1)
+    step = 0.5 * (f[..., :-1] + f[..., 1:]) * (x[1:] - x[:-1])
+    return np.concatenate((np.zeros(step.shape[:-1] + (1,)), step), axis=-1).cumsum(axis=-1)

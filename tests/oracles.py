@@ -314,7 +314,7 @@ def closed_form_limit(m, J, times) -> dict:
     """The limit model as one running-maximum scan instead of a return map per step.
 
     ``M = max(thr, cummax|J|)``, ``sigma = s* (J/M)``, ``l = (M - thr) (a0/s*)``,
-    ``E = J sigma/2 + kappa l``, and ``t0`` is the last instant with ``l = 0``
+    ``E = J sigma/2 + kappa l``, and ``t0`` is the last instant with ``M = thr``
     (the start when there is none).
     """
     J = np.asarray(J, dtype=float)
@@ -322,7 +322,7 @@ def closed_form_limit(m, J, times) -> dict:
     M = np.maximum.accumulate(np.maximum(np.abs(J), thr))
     sigma = s * (J / M)
     l = (M - thr) * (m.a0 / s)
-    undamaged = np.count_nonzero(l == 0.0)
+    undamaged = np.count_nonzero(M == thr)
     return {"sigma": sigma, "l": l, "E_closed": 0.5 * J * sigma + m.kappa * l,
             "t0": float(times[max(undamaged - 1, 0)])}
 

@@ -75,6 +75,22 @@ def test_numerical_error_has_one_source():
     assert raisers == ["errors.py"]
 
 
+# Python-level numpy wrappers that dispatch to a ufunc or an array method, through Python frames of about 1-3 us each.
+NUMPY_WRAPPERS = {"diff", "cumsum", "clip", "any", "max", "sum", "flatnonzero", "argmax", "searchsorted"}
+
+
+def test_the_classify_path_calls_no_numpy_wrapper():
+    # The modules of a classify op call the ufunc or the array method that computes the same bits.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "barlab"
+    calls = [f"{name}:{node.lineno} np.{node.func.attr}"
+             for name in ("loading.py", "limit_evolution.py", "diagnostics.py")
+             for node in ast.walk(ast.parse((src / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+             and node.func.attr in NUMPY_WRAPPERS]
+    assert calls == []
+
+
 def _public_codes() -> set:
     # Code objects of every function in a module's __all__ and of the public
     # methods of its classes: what perfbench's tracer can wrap and time.

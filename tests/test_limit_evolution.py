@@ -218,6 +218,20 @@ def test_numpy_scalar_fields_reach_the_located_refusal(scalar):
             run_limit(m, FLOAT_RECORD_DATUM, refined_time_grid(FLOAT_RECORD_DATUM, 50))
 
 
+def test_the_onset_is_read_from_the_state_where_the_mass_underflows():
+    # L a0/a1 = 5e-313, so the mass (M - thr)(a0/s*) of an excess M - thr of 1e-12 thr underflows to 0:
+    # the mass is 0 on every grid instant while M == thr only up to t0* = 0.5, where the ramp crosses thr.
+    m = MaterialParams(kappa=1e300, a0=1.0, a1=2.0, L=1e-312, T=1.0)
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[7.071067811847553e-163, 7.071067811861696e-163])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_limit(m, w, refined_time_grid(w, 400))
+        c = cns_classify(w, m, steps=400)
+    assert np.count_nonzero(traj.l == 0.0) == traj.times.size == 401
+    assert traj.t0 == 0.5
+    assert c.t0 == c.t0_star == 0.5
+
+
 @settings(max_examples=200)
 @given(m=materials(), data=st.data(), steps=st.integers(1, 500))
 def test_run_limit_is_the_closed_form_scan(m, data, steps):
