@@ -48,6 +48,8 @@ def _load_config(args: argparse.Namespace):
 
 
 def _cmd_simulate_limit(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .diagnostics import _ledger, stress_saturated
     from .loading import first_drop
     from .scenarios import run_scenario_limit, write_csv
@@ -63,7 +65,7 @@ def _cmd_simulate_limit(args: argparse.Namespace) -> int:
           f"t0* = {first_drop(cfg.datum, m.jump_threshold)[0]:.12g}")
     if args.out:
         e = traj.sigma / m.a1
-        t0_flag = (traj.l == 0.0).astype(float)
+        t0_flag = (np.maximum.accumulate(np.abs(traj.J)) <= m.jump_threshold).astype(float)  # M = thr, as t0
         saturated = stress_saturated(traj).astype(float)
         write_csv(args.out,
                   ("t", "J", "sigma", "l", "E_closed", "E_integrated",

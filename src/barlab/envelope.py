@@ -115,14 +115,11 @@ def plateau_factor(m: MaterialParams, eps: float) -> float:
         raise ValueError(f"need eps > 0, got {eps!r}")
     if not eps * m.a0 < m.a1:
         raise ValueError(f"need eps*a0 < a1, got eps*a0={eps * m.a0!r}, a1={m.a1!r}")
-    # The cell divides by 1/(eps a0) - 1/a1 (theta) and by 1/a0 - eps/a1 (l).
-    # Within rounding of 0 or of a1/a0 one of them is zero or infinite in floats.
+    # The cell divides by 1/(eps a0) - 1/a1 (theta): zero or infinite in floats within rounding of 0 or of a1/a0.
     e = float(eps)
     theta_den = 1.0 / (e * m.a0) - 1.0 / m.a1 if e * m.a0 > 0.0 else math.inf
-    l_den = 1.0 / m.a0 - e / m.a1
-    if not (0.0 < theta_den < math.inf and 0.0 < l_den < math.inf):
-        raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: "
-                         f"1/(eps*a0) - 1/a1 = {theta_den!r}, 1/a0 - eps/a1 = {l_den!r}")
+    if not 0.0 < theta_den < math.inf:
+        raise ValueError(f"eps={eps!r} is too close to 0 or to a1/a0 for floats: 1/(eps*a0) - 1/a1 = {theta_den!r}")
     return math.sqrt(m.a1 / (m.a1 - eps * m.a0))
 
 
@@ -132,12 +129,12 @@ _Cell = namedtuple("_Cell", "s_plateau a sigma theta l energy")
 def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     """Relaxed two-phase state of the bar frozen at the largest jump ``M`` and read at the jump ``J``.
 
-    One row per eps, each checked by ``plateau_factor`` ``pf`` first: with ``thr = m.jump_threshold``,
-    the limit model's map on ``N = M/pf``, the stress ``s* (J/clip(N, thr, thr a1/(eps a0)))``
-    (``run_limit``'s ``s* (J/max(M, thr))`` at ``pf = 1`` short of full damage), the stiffness
-    ``a = clip(a1 (thr/N), eps a0, a1)``, the sound fraction ``theta``, the damage mass ``l = L (1 - theta)/eps``,
-    the energy ``J sigma/2 + kappa l`` of ``run_limit`` (at ``J = M`` the envelope) and the plateau stress
-    ``s_p = s* pf``.
+    One row per eps, each checked by ``plateau_factor`` ``pf`` first: with ``thr = m.jump_threshold``, the
+    limit model's map on ``N = M/pf`` clipped to ``n = clip(N, thr, full)``, ``full = thr a1/(eps a0)``: the
+    stress ``s* (J/n)``, ``run_limit``'s mass ``(n - thr)(a0/s*)`` times ``a1/(a1 - eps a0)``, which is
+    ``L (1 - theta)/eps`` and exactly ``L/eps`` at full damage (at ``pf = 1`` short of full damage both are
+    ``run_limit``'s bits), the stiffness ``a = clip(a1 (thr/N), eps a0, a1)``, the sound fraction ``theta``, the
+    energy ``J sigma/2 + kappa l`` of ``run_limit`` (at ``J = M`` the envelope) and the plateau stress ``s* pf``.
     """
     pf = np.reshape([plateau_factor(m, e) for e in eps_list], (-1,) + (1,) * np.ndim(M))
     eps = np.array(eps_list, dtype=float).reshape(pf.shape)
@@ -146,11 +143,12 @@ def _frozen_cell(m: MaterialParams, eps_list, J, M) -> _Cell:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         N = M / pf
         a = np.clip(m.a1 * (thr / N), weak, m.a1)
-        sigma = m.yield_stress * (J / np.clip(N, thr, thr * (m.a1 / weak)))
+        n = np.clip(N, thr, full := thr * (m.a1 / weak))
+        sigma = m.yield_stress * (J / n)
         theta = (1.0 / weak - 1.0 / a) / (1.0 / weak - 1.0 / m.a1)
-        # L (1 - theta)/eps without the 1/eps amplification of 1 - theta's rounding; where L d is subnormal, d/D first.
-        d, D = 1.0 / a - 1.0 / m.a1, 1.0 / m.a0 - eps / m.a1
-        l = np.where((Ld := m.L * d) < 2.0**-1022, m.L * (d / D), Ld / D)
+        # The limit mass first, as run_limit forms it; capped at L/eps where full overflows, and L/eps at full damage.
+        l = np.where(n < full, np.minimum((n - thr) * (m.a0 / m.yield_stress) * (m.a1 / (m.a1 - weak)), m.L / eps),
+                     m.L / eps)
         energy = 0.5 * J * sigma + m.kappa * l
     return _Cell(m.yield_stress * pf, a, sigma, theta, l, energy)
 

@@ -13,11 +13,11 @@ A consequence of the stiffness identity
 density has the same plateau stress for every cell and every step,
 ``s_p = sqrt(2*kappa*a0) * plateau_factor``.  Each step is then elastic,
 on the plateau or fully damaged, and the whole history is a prefix scan,
-``envelope._frozen_cell``: the limit model's stress rule ``s* (J/N)`` read at
-``N``, the running maximum of ``|J|`` over ``plateau_factor``, clipped to the
-window from onset to full damage.  Only ``N`` and the weak stiffness depend on
-``eps``, so the scan runs on a leading eps axis: one running maximum serves
-every eps of a sweep, and ``run_eps`` is the one-row case.
+``envelope._frozen_cell``: the limit model's stress ``s* (J/n)`` and mass
+``(n - thr)(a0/s*)`` times ``a1/(a1 - eps a0)`` at ``n``, the running maximum of
+``|J|`` over ``plateau_factor`` clipped from onset to full damage.  Only ``n``
+and the weak stiffness depend on ``eps``, so the scan runs on a leading eps
+axis: one running maximum serves every eps of a sweep, ``run_eps`` one row.
 """
 
 from __future__ import annotations
@@ -74,9 +74,9 @@ def run_eps(m: MaterialParams, eps: float, n_cells: int, w: BoundaryDatum,
 
     The run starts from the pristine bar and stays homogeneous, so the
     history is a prefix scan, ``envelope._frozen_cell`` at the running maximum
-    of ``|J|``: ``run_limit``'s stress rule read at ``N = M/plateau_factor``.
-    Damage never heals by construction: each step from ``N`` to the stiffness
-    and the sound fraction is monotone.
+    of ``|J|``: ``run_limit``'s stress and mass, the mass times ``a1/(a1 - eps a0)``,
+    read at ``N = M/plateau_factor``.  Damage never heals by construction: each
+    step from ``N`` to the stiffness, the sound fraction and the mass is monotone.
 
     One guard, a finite energy and work, raises ``NumericalError`` naming ``eps`` and the first offending
     step; the closed form's identities and a-priori bounds are a property test's.  The reference is the

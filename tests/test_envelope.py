@@ -289,8 +289,8 @@ class TestOptimalTheta:
 @given(a=st.floats(-300.0, 300.0), ratio=st.floats(0.001, 3.0), K=st.floats(-300.0, 300.0),
        beyond=st.floats(2.0, 1e3))
 def test_past_full_damage_theta_is_exactly_one(a, ratio, K, beyond):
-    # The damage mass at full damage is L (1/(eps a0) - 1/a1)/(1/a0 - eps/a1), on the cell at L = eps = 1
-    # a quotient of two equal floats, so exactly 1 on any units floats can hold.
+    # The damage mass at full damage is L/eps, on the cell at L = eps = 1 exactly 1 on any units floats
+    # can hold: where full damage thr a1/(eps a0) passes the float range, the mass is capped at L/eps.
     try:
         p = TwoWellParams(a=10.0**a, b=10.0 ** (a + ratio), K=10.0**K)
     except ValueError:

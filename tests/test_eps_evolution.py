@@ -504,8 +504,8 @@ SUBNORMAL_MASS_MATERIAL = MaterialParams(kappa=5.881394558494353e-59, a0=2.40948
 @pytest.mark.parametrize("eps", [1e-20, 6.27])
 def test_the_mass_on_a_subnormal_compliance_keeps_its_bits(eps):
     # Formed as (L (1/a - 1/a1))/(1/a0 - eps/a1), the first damaged mass read 1.19e-161 at eps = 1e-20,
-    # where (N - thr) a0/s* is 7.4e-162, and both runs broke the a-priori energy bound.  Against the closed form
-    # in exact arithmetic on the recorded stiffness: eight roundings, well inside 1e-14.
+    # where (N - thr) a0/s* is 7.4e-162, and both runs broke the a-priori energy bound.  Against that closed
+    # form in exact arithmetic on the recorded stiffness a = a1 (thr/N): a few roundings, well inside 1e-14.
     m = SUBNORMAL_MASS_MATERIAL
     w = BoundaryDatum(times=[0.0, 0.8323588148349929, 1.0], w0=np.zeros(3),
                       wL=m.jump_threshold * np.array([-0.5296590227519031, -2.555525094118515, 0.8919982724623847]))
@@ -519,9 +519,9 @@ def test_the_mass_on_a_subnormal_compliance_keeps_its_bits(eps):
 
 
 def test_a_weak_stiffness_near_the_float_floor_overflows_no_earlier():
-    # eps a0 = 4e-299 on a1 = 2e10: 1/a - 1/a1 reaches 2.5e298, the mass L/eps = 1.25e308 is finite, and
-    # the energy first overflows at step 3.  The quotient taken first, (1/a - 1/a1)/(1/a0 - eps/a1) up to
-    # 2.5e308, would overflow at step 1.
+    # eps a0 = 4e-299 on a1 = 2e10: full damage thr a1/(eps a0) passes the float range, and the mass
+    # (n - thr)(a0/s*), 2e308 at step 2, would overflow there; capped at L/eps = 1.25e308 it is finite,
+    # and the energy first overflows at step 3.
     m = MaterialParams(kappa=0.5, a0=1e10, a1=2e10, L=0.5, T=1.0)
     w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1e304])
     with pytest.raises(NumericalError, match=r"^eps=4e-309, time step 3 \(t=0\.30000000000000004\): "
@@ -531,10 +531,11 @@ def test_a_weak_stiffness_near_the_float_floor_overflows_no_earlier():
 
 @settings(max_examples=300)
 @given(units=any_units(), data=st.data(), steps=st.integers(1, 100))
-def test_where_the_plateau_factor_is_one_the_eps_stress_is_the_limit_stress(units, data, steps):
+def test_where_the_plateau_factor_is_one_the_eps_state_is_the_limit_state(units, data, steps):
     # eps a0 = 1e-20 a0 is below the rounding of a1, so plateau_factor is exactly 1, N is M, and short of
     # full damage (|J| <= 3 thr here) s* (J/clip(N, thr, thr a1/(eps a0))) is run_limit's s* (J/max(M, thr)),
-    # with one thr for both models on any units: materials and runs that are refused are skipped.
+    # with one thr for both models on any units: materials and runs that are refused are skipped.  The mass
+    # is run_limit's (n - thr)(a0/s*) times a1/(a1 - eps a0) = 1, so the mass and the energy are its bits too.
     try:
         m = MaterialParams(**units, T=1.0)
         pf = plateau_factor(m, 1e-20)
@@ -544,10 +545,37 @@ def test_where_the_plateau_factor_is_one_the_eps_stress_is_the_limit_stress(unit
     w = data.draw(programs(m))
     grid = refined_time_grid(w, steps)
     try:
-        eps_sigma, limit_sigma = run_eps(m, 1e-20, 1, w, grid).sigma, run_limit(m, w, grid).sigma
+        eps, limit = run_eps(m, 1e-20, 1, w, grid), run_limit(m, w, grid)
     except NumericalError:
         return
-    assert np.array_equal(eps_sigma, limit_sigma)
+    assert np.array_equal(eps.sigma, limit.sigma)
+    assert np.array_equal(eps.l_eps, limit.l)
+    assert np.array_equal(eps.energy, limit.E_closed)
+
+
+def test_an_eps_within_rounding_of_a1_over_a0_runs_elastic():
+    # eps a0 rounds to one ulp below a1 = 6.24, so pf is 8.4e7 and N = M/pf stays below thr: the bar is elastic.
+    # No mass divides by 1/a0 - eps/a1, which is 0.0 here, so the run is not refused.
+    m = replace(DEFAULT_MATERIAL, a0=3.75, a1=6.24)
+    w = preset_datum("high-unload", m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_eps(m, 1.664, 1, w, refined_time_grid(w, 40))
+    assert 1.0 / m.a0 - 1.664 / m.a1 == 0.0
+    assert np.array_equal(traj.sigma, m.yield_stress * (traj.J / m.jump_threshold))
+    assert np.all(traj.l_eps == 0.0)
+
+
+def test_the_eps_mass_overflows_no_earlier_than_the_limit_mass():
+    # At step 1 L (1/a - 1/a1) = 2.5e308 passes the float range while the mass is 2.5e298: the eps mass is
+    # run_limit's (n - thr)(a0/s*), no quotient of that product, and both end at l = 1e299.
+    m = MaterialParams(kappa=5e-191, a0=1e-10, a1=1.0, L=1e10, T=1.0)
+    w = BoundaryDatum(times=[0.0, 1.0], w0=[0.0, 0.0], wL=[0.0, 1e209])
+    grid = refined_time_grid(w, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run_eps(m, 1e-295, 1, w, grid)
+    assert traj.l_eps[-1] == run_limit(m, w, grid).l[-1] == 1e299
 
 
 @settings(max_examples=300)
@@ -570,7 +598,8 @@ def test_damage_never_heals(units, program, steps, decades):
 
 
 def test_a_tiny_eps_keeps_l_eps_to_its_rounding():
-    # l_eps = L (1/a - 1/a1)/(1/a0 - eps/a1), the closed form of L (1 - theta)/eps.
+    # l_eps = (n - thr)(a0/s*) a1/(a1 - eps a0) is the closed form L (1/a - 1/a1)/(1/a0 - eps/a1)
+    # of L (1 - theta)/eps at a = a1 (thr/n), read from n, not from theta or the rounded a.
     # Through theta, the rounding of 1 - theta grows by 1/eps: 3.9% of l_eps at
     # step 160 here, enough to break the a-priori energy bound on this sound run.
     m = MaterialParams(kappa=3.0, a0=1.0, a1=2.0, L=1.0, T=1.0)
@@ -585,9 +614,10 @@ def test_a_tiny_eps_keeps_l_eps_to_its_rounding():
     for a, l_eps in zip(traj.stiffness[:, 0], traj.l_eps):
         a = Fraction(a)
         exact = L * (1 / a - 1 / a1) / D
-        # Eight roundings, counted to first order in u: 1/a, 1/a1 and their
-        # difference, the product with L, 1/a0, eps/a1 and their difference,
-        # and the quotient.
+        # The quotient's eight roundings on the recorded a, counted to first order
+        # in u: 1/a, 1/a1 and their difference, the product with L, 1/a0, eps/a1
+        # and their difference, and the quotient.  The mass is read from n, whose
+        # rounding into a is of the first term's size: below 0.4 of the bound here.
         bound = u * (L * (1 / a + 1 / a1) / D + exact * (4 + (1 / a0 + e / a1) / D))
         assert abs(Fraction(l_eps) - exact) <= bound
 

@@ -451,6 +451,27 @@ class TestCommandLine:
         assert last[2] == pytest.approx(0.6, abs=1e-12)
         assert last[3] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("ini, flagged, last", [
+        # L a0/a1 = 5e-313: the mass underflows to 0 on every row, M = thr only up to t0* = 0.5.
+        ("[material]\nkappa = 1e300\na0 = 1\na1 = 2\nL = 1e-312\nT = 1\n[datum]\ntimes = 0, 1\n"
+         "wL = 7.071067811847553e-163, 7.071067811861696e-163\n", 201, 0.5),
+        # |J(0)| = 0.7 > thr = 0.5: no instant is undamaged, though t0 falls back to the first instant.
+        ("[datum]\ntimes = 0, 1, 2\nwL = 0.7, 1.0, 0.8\n", 0, None),
+    ], ids=["t0under", "damaged-at-start"])
+    def test_the_t0_flag_reads_the_state_as_t0_does(self, tmp_path, capsys, ini, flagged, last):
+        cfg, out = tmp_path / "run.ini", tmp_path / "run.csv"
+        cfg.write_text(ini)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate-limit", "--config", str(cfg), "--out", str(out)]) == 0
+        cols = np.loadtxt(out, delimiter=",", skiprows=1)
+        flags = cols[:, 8]
+        assert np.count_nonzero(flags == 1.0) == flagged
+        assert np.all((flags == 1.0) | (flags == 0.0))
+        assert np.all(np.diff(flags) <= 0.0)
+        if last is not None:
+            assert cols[flags == 1.0, 0][-1] == last
+
     def test_saturated_column_is_relative_to_the_yield_stress(self, tmp_path, capsys):
         m = DEFAULT_MATERIAL
         tiny = replace(m, kappa=m.kappa * 1e-9, a0=m.a0 * 1e-9, a1=m.a1 * 1e-9)
